@@ -18,40 +18,21 @@ from __future__ import annotations
 
 from .errors import RankMismatch
 from .hecke import HeckeElt
-from .laurent import ONE, Q, QINV, ZERO, LaurentPoly
+from .laurent import ONE, Q, QINV, Combination, LaurentPoly, accumulate
 from .parabolic import bernstein_y, bernstein_y_inv
 from .weyl import identity, simple
 
 
-class BernsteinElt:
-    __slots__ = ("n", "terms")
+class BernsteinElt(Combination):
+    """A combination of normal-form terms T_w y^lambda, keyed by (w, lambda)."""
 
-    def __init__(self, n, terms=None):
-        self.n = n
-        t = {}
-        if terms:
-            for (perm, lam), coeff in terms.items():
-                if perm.n != n or len(lam) != n:
-                    raise RankMismatch(f"term of wrong rank in rank-{n} element")
-                if coeff:
-                    key = (perm, tuple(lam))
-                    acc = t.get(key, ZERO) + coeff
-                    if acc:
-                        t[key] = acc
-                    elif key in t:
-                        del t[key]
-        self.terms = t
+    __slots__ = ()
 
-    @classmethod
-    def _raw(cls, n, terms):
-        self = object.__new__(cls)
-        self.n = n
-        self.terms = terms
-        return self
-
-    @classmethod
-    def zero(cls, n):
-        return cls._raw(n, {})
+    def _key(self, key):
+        perm, lam = key
+        if perm.n != self.n or len(lam) != self.n:
+            raise RankMismatch(f"term of wrong rank in rank-{self.n} element")
+        return perm, tuple(lam)
 
     @classmethod
     def one(cls, n):
@@ -66,61 +47,12 @@ class BernsteinElt:
         lam = tuple(lam) if lam is not None else (0,) * perm.n
         return cls(perm.n, {(perm, lam): coeff})
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def items(self):
-        return self.terms.items()
-
-    def __add__(self, other):
-        if not isinstance(other, BernsteinElt):
-            return NotImplemented
-        if self.n != other.n:
-            raise RankMismatch(f"rank mismatch: {self.n} vs {other.n}")
-        t = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = t.get(key, ZERO) + coeff
-            if acc:
-                t[key] = acc
-            elif key in t:
-                del t[key]
-        return BernsteinElt._raw(self.n, t)
-
-    def __neg__(self):
-        return BernsteinElt._raw(self.n, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, BernsteinElt):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, coeff):
-        if isinstance(coeff, int):
-            coeff = LaurentPoly.const(coeff)
-        if coeff.is_zero:
-            return BernsteinElt.zero(self.n)
-        return BernsteinElt._raw(self.n, {k: c * coeff for k, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, (int, LaurentPoly)):
             return self.scale(other)
         if not isinstance(other, BernsteinElt):
             return NotImplemented
         return bernstein_mul(self, other)
-
-    def __rmul__(self, coeff):
-        if isinstance(coeff, (int, LaurentPoly)):
-            return self.scale(coeff)
-        return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, BernsteinElt):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __repr__(self):
-        return f"BernsteinElt(n={self.n}, {len(self.terms)} terms)"
 
 
 def _swap_slots(lam, i):
@@ -153,23 +85,13 @@ def _correction_monomials(n, i, lam):
     return out
 
 
-def t_times_y(n, i, lam):
-    """Normal form of T_i y^lam (already normal; exposes the derived rule)."""
-    return BernsteinElt.t_term(simple(n, i), lam)
-
-
 def bl_commute(n, i, lam):
     """Normal form of y^lam T_i, moving the y-monomial past the generator:
     y^lam T_i = T_i y^{s_i lam} - correction(s_i lam)."""
     swapped = _swap_slots(lam, i)
     out = {(simple(n, i), swapped): ONE}
     for lam2, coeff in _correction_monomials(n, i, swapped):
-        key = (identity(n), lam2)
-        acc = out.get(key, ZERO) - coeff
-        if acc:
-            out[key] = acc
-        elif key in out:
-            del out[key]
+        accumulate(out, (identity(n), lam2), -coeff)
     return BernsteinElt._raw(n, out)
 
 
@@ -188,12 +110,7 @@ def _term_mul(n, w, lam, v, mu, coeff, out):
     while stack:
         w1, lam1, v1, c1 = stack.pop()
         if v1.is_identity():
-            key = (w1, tuple(x + y for x, y in zip(lam1, mu)))
-            acc = out.get(key, ZERO) + c1
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
+            accumulate(out, (w1, tuple(x + y for x, y in zip(lam1, mu))), c1)
             continue
         i = v1.to_rex().word[0]
         v_rest = simple(n, i) * v1  # v1 = s_i * v_rest with lengths adding
@@ -259,15 +176,16 @@ def to_bernstein(elt):
     """Rewrite a standard-basis element in Bernstein normal form."""
     n = elt.n
     rho_pos, rho_neg, t0 = _rho_images(n)
-    out = BernsteinElt.zero(n)
+    out = {}
     for perm, coeff in elt.terms.items():
         rex = perm.to_rex()
         acc = _bernstein_power(rho_pos, rho_neg, rex.m, n)
         for i in rex.word:
             factor = t0 if i == 0 else BernsteinElt.t_term(simple(n, i))
             acc = bernstein_mul(acc, factor)
-        out = out + acc.scale(coeff)
-    return out
+        for key, c in acc.terms.items():
+            accumulate(out, key, c * coeff)
+    return BernsteinElt._raw(n, out)
 
 
 def _bernstein_power(rho_pos, rho_neg, m, n):
@@ -294,11 +212,12 @@ def _y_power(n, i, e):
 def from_bernstein(b):
     """Expand a normal-form element in the standard extended basis."""
     n = b.n
-    out = HeckeElt.zero(n)
+    out = {}
     for (perm, lam), coeff in b.terms.items():
         acc = HeckeElt.from_term(perm, coeff)
         for i, e in enumerate(lam, start=1):
             if e:
                 acc = acc * _y_power(n, i, e)
-        out = out + acc
-    return out
+        for key, c in acc.terms.items():
+            accumulate(out, key, c)
+    return HeckeElt._raw(n, out)

@@ -132,6 +132,13 @@ def _build_parser():
     return parser
 
 
+def _int(text, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"expected an integer {what}, got {text!r}", 0) from None
+
+
 def _parse_kl_label(text):
     """Accept `b01`, `rho*b01`, `rho^-2*b01`, or `1` / `b` for the identity."""
     src = text.strip()
@@ -142,7 +149,7 @@ def _parse_kl_label(text):
         if rho_part == "rho":
             m = 1
         elif rho_part.startswith("rho^"):
-            m = int(rho_part[4:])
+            m = _int(rho_part[4:], "rho power")
         else:
             raise ParseError(f"expected a rho prefix, got {rho_part!r}", 0)
     src = src.strip()
@@ -157,13 +164,15 @@ def _module_from_spec(spec, rank):
     kind, _, arg = spec.partition(":")
     if kind != "trivial":
         raise BadIndex(f"unknown module spec {spec!r}; supported: trivial:<rank>")
-    want = int(arg) if arg else 1
+    want = _int(arg, "module rank") if arg else 1
     if want != rank:
         raise RankMismatch(f"module spec {spec!r} does not match rank {rank}")
     return trivial_module(rank)
 
 
 def _run(args):
+    if getattr(args, "n", 1) < 1:
+        raise BadIndex(f"rank must be at least 1, got {args.n}")
     if args.command == "eval":
         value = expr.eval_algebra(expr.parse(args.expression), args.n)
         if args.mod_rho2:
@@ -224,7 +233,10 @@ def _run(args):
     if args.command == "check":
         numbers = None
         if args.criteria:
-            numbers = [int(tok) for tok in args.criteria.split(",") if tok.strip()]
+            numbers = [_int(tok, "criterion") for tok in args.criteria.split(",") if tok.strip()]
+            for num in numbers:
+                if num not in checks.CRITERIA:
+                    raise BadIndex(f"unknown criterion {num}")
         results = checks.run_criteria(numbers)
         failed = 0
         for res in results:

@@ -23,32 +23,27 @@ from functools import lru_cache
 
 from .errors import BadIndex, TruncationExceeded
 from .hecke import HeckeElt, KLLabel, alt_word, b_gen, kl_to_std, rho_gen, std_to_kl
-from .laurent import ONE, Q, Q2, QINV, ZERO, LaurentPoly
+from .laurent import ONE, Q, Q2, QINV, ZERO, Combination, accumulate
 from .modules import induce, module_act, trivial_module
 
 DEFAULT_BOUND = 20
 
 
-class UVec:
-    """Truncated element of U: finite combination of u_k, u'_k with k <= N."""
+class UVec(Combination):
+    """Truncated element of U: finite combination of u_k, u'_k with k <= n,
+    keyed by (primed, k).  Here n is the truncation bound: a sum keeps the
+    smaller bound, and equality ignores it."""
 
-    __slots__ = ("N", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, bound=DEFAULT_BOUND, coeffs=None):
-        self.N = bound
-        c = {}
-        if coeffs:
-            for (primed, k), coeff in coeffs.items():
-                if k < 0 or k > bound:
-                    raise TruncationExceeded(f"index {k} outside truncation bound {bound}")
-                if coeff:
-                    key = (bool(primed), k)
-                    acc = c.get(key, ZERO) + coeff
-                    if acc:
-                        c[key] = acc
-                    elif key in c:
-                        del c[key]
-        self.coeffs = c
+    def _key(self, key):
+        primed, k = key
+        if k < 0 or k > self.n:
+            raise TruncationExceeded(f"index {k} outside truncation bound {self.n}")
+        return bool(primed), k
+
+    def _join(self, other):
+        return min(self.n, other.n)
 
     @classmethod
     def basis(cls, k, primed=False, bound=DEFAULT_BOUND):
@@ -56,65 +51,18 @@ class UVec:
 
     @classmethod
     def zero(cls, bound=DEFAULT_BOUND):
-        return cls(bound)
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    def items(self):
-        return self.coeffs.items()
-
-    def __add__(self, other):
-        if not isinstance(other, UVec):
-            return NotImplemented
-        bound = min(self.N, other.N)
-        out = dict(self.coeffs)
-        for key, coeff in other.coeffs.items():
-            acc = out.get(key, ZERO) + coeff
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-        v = UVec.__new__(UVec)
-        v.N = bound
-        v.coeffs = out
-        return v
-
-    def __neg__(self):
-        v = UVec.__new__(UVec)
-        v.N = self.N
-        v.coeffs = {k: -c for k, c in self.coeffs.items()}
-        return v
-
-    def __sub__(self, other):
-        if not isinstance(other, UVec):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, coeff):
-        if isinstance(coeff, int):
-            coeff = LaurentPoly.const(coeff)
-        v = UVec.__new__(UVec)
-        v.N = self.N
-        v.coeffs = {} if coeff.is_zero else {k: c * coeff for k, c in self.coeffs.items()}
-        return v
-
-    def __rmul__(self, coeff):
-        if isinstance(coeff, (int, LaurentPoly)):
-            return self.scale(coeff)
-        return NotImplemented
+        return cls._raw(bound, {})
 
     def __eq__(self, other):
         if not isinstance(other, UVec):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.terms == other.terms
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         parts = []
-        for (primed, k), coeff in sorted(self.coeffs.items()):
+        for (primed, k), coeff in sorted(self.terms.items()):
             name = f"u'{k}" if primed else f"u{k}"
             if coeff == 1:
                 parts.append(name)
@@ -123,7 +71,7 @@ class UVec:
         return " + ".join(parts)
 
     def __repr__(self):
-        return f"UVec(N={self.N}, {self.coeffs!r})"
+        return f"UVec(N={self.n}, {self.terms!r})"
 
 
 def u_reduce(elt, bound=DEFAULT_BOUND):
@@ -137,27 +85,20 @@ def u_reduce(elt, bound=DEFAULT_BOUND):
             )
         primed = label.m % 2 == 1
         if k == 0 or label.word[-1] == 1:
-            key, factor = (primed, k), coeff
+            accumulate(out, (primed, k), coeff)
         else:
-            key, factor = (not primed, k), coeff * QINV
-        acc = out.get(key, ZERO) + factor
-        if acc:
-            out[key] = acc
-        elif key in out:
-            del out[key]
-    v = UVec.__new__(UVec)
-    v.N = bound
-    v.coeffs = out
-    return v
+            accumulate(out, (not primed, k), coeff * QINV)
+    return UVec._raw(bound, out)
 
 
 def lift(vec):
     """Section of the projection: u_k -> b_{..1}, u'_k -> rho b_{..1}."""
-    out = HeckeElt.zero(2)
-    for (primed, k), coeff in vec.coeffs.items():
+    out = {}
+    for (primed, k), coeff in vec.terms.items():
         label = KLLabel(1 if primed else 0, alt_word(k, last=1))
-        out = out + kl_to_std(label).scale(coeff)
-    return out
+        for perm, c in kl_to_std(label).items():
+            accumulate(out, perm, c * coeff)
+    return HeckeElt._raw(2, out)
 
 
 _GENERATORS = ("rho", "b0", "b1", "T0", "T1")
@@ -215,19 +156,19 @@ def u_act(gen, vec, engine="closed"):
         # T_i = b_i - q
         return u_act("b" + gen[1], vec, engine) - vec.scale(Q)
     if engine == "closed":
-        out = UVec.zero(vec.N)
-        for (primed, k), coeff in vec.coeffs.items():
-            for key, factor in _act_basis_closed(gen, primed, k, vec.N).items():
-                out = out + UVec(vec.N, {key: coeff * factor})
-        return out
+        out = {}
+        for (primed, k), coeff in vec.terms.items():
+            for key, factor in _act_basis_closed(gen, primed, k, vec.n).items():
+                accumulate(out, key, coeff * factor)
+        return UVec._raw(vec.n, out)
     if engine == "reduce":
-        return u_reduce(gen_elt(gen) * lift(vec), vec.N)
+        return u_reduce(gen_elt(gen) * lift(vec), vec.n)
     raise ValueError(f"unknown engine {engine!r}")
 
 
 def act_elt(elt, vec):
     """Action of an arbitrary rank-2 element, by lift-multiply-reduce."""
-    return u_reduce(elt * lift(vec), vec.N)
+    return u_reduce(elt * lift(vec), vec.n)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +195,7 @@ def pi_uw(vec):
     """Project a truncated vector to W, as a pair of coordinates in the
     basis {w, w'}."""
     out = (ZERO, ZERO)
-    for (primed, k), coeff in vec.coeffs.items():
+    for (primed, k), coeff in vec.terms.items():
         base = _pi_basis(primed, k)
         out = (out[0] + coeff * base[0], out[1] + coeff * base[1])
     return out
@@ -273,11 +214,6 @@ def kernel_generator():
     t1u0 = u_act("T1", UVec.basis(0))
     ru0 = u_act("rho", UVec.basis(0))
     return t1u0 - ru0
-
-
-def left_ideal_probe(gen, x, bound=DEFAULT_BOUND):
-    """Reduce x * gen; zero certifies that the left multiple dies in U."""
-    return u_reduce(x * gen, bound)
 
 
 def quotient_coords(primed, k):

@@ -24,40 +24,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadIndex, RankMismatch, RankUnsupported
-from .laurent import ONE, Q, Q2, QINV, ZERO, LaurentPoly
+from .laurent import ONE, Q, Q2, QINV, ZERO, Combination, LaurentPoly, accumulate
 from .weyl import identity, rho, simple
 
 _DESC = QINV - Q  # q^-1 - q, the descent correction
 
 
-class HeckeElt:
-    __slots__ = ("n", "terms")
+class HeckeElt(Combination):
+    """A combination of basis elements rho^m T_w, keyed by rho^m w."""
 
-    def __init__(self, n, terms=None):
-        self.n = n
-        t = {}
-        if terms:
-            for perm, coeff in terms.items():
-                if perm.n != n:
-                    raise RankMismatch(f"term of rank {perm.n} in rank-{n} element")
-                if coeff:
-                    acc = t.get(perm, ZERO) + coeff
-                    if acc:
-                        t[perm] = acc
-                    elif perm in t:
-                        del t[perm]
-        self.terms = t
+    __slots__ = ()
 
-    @classmethod
-    def _raw(cls, n, terms):
-        self = object.__new__(cls)
-        self.n = n
-        self.terms = terms
-        return self
-
-    @classmethod
-    def zero(cls, n):
-        return cls._raw(n, {})
+    def _key(self, perm):
+        if perm.n != self.n:
+            raise RankMismatch(f"term of rank {perm.n} in rank-{self.n} element")
+        return perm
 
     @classmethod
     def one(cls, n):
@@ -67,72 +48,23 @@ class HeckeElt:
     def from_term(cls, perm, coeff=ONE):
         return cls(perm.n, {perm: coeff})
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def items(self):
-        return self.terms.items()
-
     def support(self):
         return set(self.terms)
 
     def coefficient(self, perm):
         return self.terms.get(perm, ZERO)
 
-    def _check_rank(self, other):
-        if self.n != other.n:
-            raise RankMismatch(f"rank mismatch: {self.n} vs {other.n}")
-
-    def __add__(self, other):
-        if not isinstance(other, HeckeElt):
-            return NotImplemented
-        self._check_rank(other)
-        t = dict(self.terms)
-        for perm, coeff in other.terms.items():
-            acc = t.get(perm, ZERO) + coeff
-            if acc:
-                t[perm] = acc
-            elif perm in t:
-                del t[perm]
-        return HeckeElt._raw(self.n, t)
-
-    def __neg__(self):
-        return HeckeElt._raw(self.n, {p: -c for p, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, HeckeElt):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, coeff):
-        if isinstance(coeff, int):
-            coeff = LaurentPoly.const(coeff)
-        if coeff.is_zero:
-            return HeckeElt.zero(self.n)
-        return HeckeElt._raw(self.n, {p: c * coeff for p, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, (int, LaurentPoly)):
             return self.scale(other)
         if not isinstance(other, HeckeElt):
             return NotImplemented
-        self._check_rank(other)
+        self._join(other)  # raises RankMismatch
         out = {}
         for y, d in other.terms.items():
-            prod_base = _basis_product(self.n, tuple(self.terms.items()), y)
-            for perm, c in prod_base.items():
-                acc = out.get(perm, ZERO) + c * d
-                if acc:
-                    out[perm] = acc
-                elif perm in out:
-                    del out[perm]
+            for perm, c in _basis_product(self.n, tuple(self.terms.items()), y).items():
+                accumulate(out, perm, c * d)
         return HeckeElt._raw(self.n, out)
-
-    def __rmul__(self, coeff):
-        if isinstance(coeff, (int, LaurentPoly)):
-            return self.scale(coeff)
-        return NotImplemented
 
     def __pow__(self, k):
         if not isinstance(k, int):
@@ -162,11 +94,7 @@ class HeckeElt:
         for perm, coeff in self.terms.items():
             c = coeff.bar()
             for p2, c2 in _basis_inverse(perm).items():
-                acc = out.get(p2, ZERO) + c * c2
-                if acc:
-                    out[p2] = acc
-                elif p2 in out:
-                    del out[p2]
+                accumulate(out, p2, c * c2)
         return HeckeElt._raw(self.n, out)
 
     def trace(self):
@@ -175,17 +103,11 @@ class HeckeElt:
 
     def reduce_rho_squared(self):
         """Post-pass rho^2 -> 1: fold every rho-shift into {0, 1}."""
-        out = HeckeElt.zero(self.n)
+        out = {}
         for perm, coeff in self.terms.items():
             m = perm.shift
-            folded = rho(self.n, (m % 2) - m) * perm
-            out = out + HeckeElt.from_term(folded, coeff)
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, HeckeElt):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+            accumulate(out, rho(self.n, (m % 2) - m) * perm, coeff)
+        return HeckeElt._raw(self.n, out)
 
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))
@@ -194,9 +116,6 @@ class HeckeElt:
         from .serialize import to_text
 
         return to_text(self)
-
-    def __repr__(self):
-        return f"HeckeElt(n={self.n}, {len(self.terms)} terms)"
 
 
 def t_gen(n, i):
@@ -249,23 +168,9 @@ def _mul_terms_simple(n, terms, i):
     out = {}
     for g, c in terms.items():
         gs = g * s
-        if gs.length() > g.length():
-            acc = out.get(gs, ZERO) + c
-            if acc:
-                out[gs] = acc
-            elif gs in out:
-                del out[gs]
-        else:
-            acc = out.get(gs, ZERO) + c
-            if acc:
-                out[gs] = acc
-            elif gs in out:
-                del out[gs]
-            acc = out.get(g, ZERO) + c * _DESC
-            if acc:
-                out[g] = acc
-            elif g in out:
-                del out[g]
+        accumulate(out, gs, c)
+        if gs.length() < g.length():
+            accumulate(out, g, c * _DESC)
     return out
 
 
@@ -288,11 +193,7 @@ def _basis_product(n, left_items, y):
     out = {}
     for x, c in left_items:
         for perm, c2 in _basis_pair_product(x, y).items():
-            acc = out.get(perm, ZERO) + c * c2
-            if acc:
-                out[perm] = acc
-            elif perm in out:
-                del out[perm]
+            accumulate(out, perm, c * c2)
     return out
 
 
@@ -307,11 +208,7 @@ def _basis_inverse(perm):
             # right-multiply by T_i^-1 = T_i + (q - q^-1)
             body = _mul_terms_simple(n, terms, i)
             for g, c in terms.items():
-                acc = body.get(g, ZERO) + c * (Q - QINV)
-                if acc:
-                    body[g] = acc
-                elif g in body:
-                    del body[g]
+                accumulate(body, g, c * (Q - QINV))
             terms = body
         shift = rho(n, -rex.m)
         cached = {g * shift: c for g, c in terms.items()}
@@ -400,17 +297,16 @@ def kl_to_std(label, n=2):
     b_w = sum over u below w of q^(l(w) - l(u)) T_u."""
     _require_n2(n)
     cached = _KL_STD_CACHE.get(label)
-    if cached is not None:
-        return cached
-    L = label.length()
-    terms = {}
-    shift = rho(2, label.m)
-    for u_word in _bruhat_lower_words(label.word):
-        perm = shift * _word_to_perm(u_word)
-        terms[perm] = LaurentPoly.q_power(L - len(u_word))
-    out = HeckeElt._raw(2, terms)
-    _KL_STD_CACHE[label] = out
-    return out
+    if cached is None:
+        L = label.length()
+        shift = rho(2, label.m)
+        cached = {
+            shift * _word_to_perm(u_word): LaurentPoly.q_power(L - len(u_word))
+            for u_word in _bruhat_lower_words(label.word)
+        }
+        _KL_STD_CACHE[label] = cached
+    # a copy, so that a caller mutating the result cannot corrupt the memo
+    return HeckeElt._raw(2, dict(cached))
 
 
 def _word_to_perm(word):
@@ -445,12 +341,7 @@ def std_to_kl(elt):
         L = len(rex.word)
         for u_word in _bruhat_lower_words(rex.word):
             sign = LaurentPoly.q_power(L - len(u_word), (-1) ** (L - len(u_word)))
-            label = KLLabel(rex.m, u_word)
-            acc = out.get(label, ZERO) + coeff * sign
-            if acc:
-                out[label] = acc
-            elif label in out:
-                del out[label]
+            accumulate(out, KLLabel(rex.m, u_word), coeff * sign)
     return out
 
 
@@ -469,12 +360,7 @@ def kl_mul_closed(a, b):
     m_total = a.m + c
     out = {}
     for word, mult in _kl_word_product(flipped, b.word).items():
-        label = KLLabel(m_total, word)
-        acc = out.get(label, ZERO) + mult
-        if acc:
-            out[label] = acc
-        elif label in out:
-            del out[label]
+        accumulate(out, KLLabel(m_total, word), mult)
     return out
 
 
@@ -506,7 +392,8 @@ def _kl_word_product(p, r):
 def kl_combo_to_std(combo, n=2):
     """Expand a dict KLLabel -> LaurentPoly in the standard basis."""
     _require_n2(n)
-    out = HeckeElt.zero(2)
+    out = {}
     for label, coeff in combo.items():
-        out = out + kl_to_std(label).scale(coeff)
-    return out
+        for perm, c in kl_to_std(label).items():
+            accumulate(out, perm, c * coeff)
+    return HeckeElt._raw(2, out)

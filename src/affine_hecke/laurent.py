@@ -4,13 +4,17 @@ A polynomial is stored as a dict mapping exponent to a nonzero integer
 coefficient, so equality is structural and the zero polynomial is the empty
 dict.  This ring Z[q, q^-1] is the coefficient ring for everything else in
 the package.  Rational specializations use ``fractions.Fraction``.
+
+Every other value of the package is a finite combination over this ring:
+``accumulate`` is the one add-and-drop-zero step on a term dict, and
+``Combination`` is the shared base of the combination types.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NonIntegralCorrection, ZeroSpecialization
+from .errors import NonIntegralCorrection, RankMismatch, ZeroSpecialization
 
 
 class LaurentPoly:
@@ -235,3 +239,97 @@ Q = LaurentPoly.q_power(1)
 QINV = LaurentPoly.q_power(-1)
 # the quantum integer [2] = q + q^-1
 Q2 = Q + QINV
+
+
+def accumulate(terms, key, coeff):
+    """terms[key] += coeff in place for a LaurentPoly coeff; a zero sum
+    removes the key, so a term dict never stores a zero coefficient."""
+    old = terms.get(key)
+    if old is not None:
+        coeff = old + coeff
+    if coeff:
+        terms[key] = coeff
+    elif old is not None:
+        del terms[key]
+
+
+class Combination:
+    """A finite Z[q,q^-1]-combination: ``terms`` maps keys to nonzero
+    LaurentPoly coefficients.  ``n`` is the rank, or the bound of a
+    truncated module.  Subclasses check and normalise keys in ``_key``,
+    and ``_join`` gives the ``n`` of a sum.  Callers must not mutate
+    ``terms``."""
+
+    __slots__ = ("n", "terms")
+
+    def __init__(self, n, terms=None):
+        self.n = n
+        t = {}
+        if terms:
+            for key, coeff in terms.items():
+                accumulate(t, self._key(key), ZERO + coeff)
+        self.terms = t
+
+    def _key(self, key):
+        return key
+
+    def _join(self, other):
+        if self.n != other.n:
+            raise RankMismatch(f"rank mismatch: {self.n} vs {other.n}")
+        return self.n
+
+    @classmethod
+    def _raw(cls, n, terms):
+        # trusted constructor: terms has no zero values and is not shared
+        self = object.__new__(cls)
+        self.n = n
+        self.terms = terms
+        return self
+
+    @classmethod
+    def zero(cls, n):
+        return cls._raw(n, {})
+
+    @property
+    def is_zero(self):
+        return not self.terms
+
+    def items(self):
+        return self.terms.items()
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        n = self._join(other)
+        t = dict(self.terms)
+        for key, coeff in other.terms.items():
+            accumulate(t, key, coeff)
+        return self._raw(n, t)
+
+    def __neg__(self):
+        return self._raw(self.n, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, coeff):
+        if isinstance(coeff, int):
+            coeff = LaurentPoly.const(coeff)
+        if coeff.is_zero:
+            return self._raw(self.n, {})
+        return self._raw(self.n, {k: c * coeff for k, c in self.terms.items()})
+
+    def __rmul__(self, coeff):
+        if isinstance(coeff, (int, LaurentPoly)):
+            return self.scale(coeff)
+        return NotImplemented
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.n == other.n and self.terms == other.terms
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n}, {len(self.terms)} terms)"

@@ -33,6 +33,7 @@ from itertools import permutations
 
 from .errors import BadIndex, ShiftNonzero
 from .hecke import HeckeElt, rho_gen, t_gen, t_inv_gen
+from .laurent import accumulate
 from .weyl import AffinePerm, identity
 
 
@@ -89,15 +90,15 @@ def psi_right_t0(ctx):
 
 def _psi_on_element(elt, rho_image, rho_inv_image, t_images):
     """Fold every standard term rho^m T_w of the source through the images."""
-    n = rho_image.n
-    out = HeckeElt.zero(n)
+    out = {}
     for perm, coeff in elt.terms.items():
         rex = perm.to_rex()
         img = rho_image**rex.m if rex.m >= 0 else rho_inv_image ** (-rex.m)
         for i in rex.word:
             img = img * t_images[i]
-        out = out + img.scale(coeff)
-    return out
+        for key, c in img.terms.items():
+            accumulate(out, key, c * coeff)
+    return HeckeElt._raw(rho_image.n, out)
 
 
 def psi_L(ctx, elt):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from .bernstein import BernsteinElt
 from .example_n2 import UVec
 from .hecke import HeckeElt, KLLabel
-from .laurent import ONE, LaurentPoly
+from .laurent import ONE, LaurentPoly, accumulate
 from .modules import FinDimModule
 from .weyl import AffinePerm
 
@@ -106,6 +106,14 @@ def to_text(value):
             name = f"u'{k}" if primed else f"u{k}"
             parts.append(_term_text(coeff, name))
         return _join_signed(parts)
+    if isinstance(value, FinDimModule):
+        gens = [("rho", value.rho_mat)] + [
+            (f"T{i}", value.t_mats[i - 1]) for i in range(1, value.n)
+        ]
+        return "\n".join(
+            f"{name} = [" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in mat) + "]"
+            for name, mat in gens
+        )
     if isinstance(value, tuple):
         return "(" + ", ".join(to_text(v) for v in value) + ")"
     raise TypeError(f"cannot serialize {type(value).__name__} as text")
@@ -163,7 +171,7 @@ def to_json(value):
         return {"n": value.n, "dim": value.dim, "gens": gens}
     if isinstance(value, UVec):
         return {
-            "N": value.N,
+            "N": value.n,
             "coeffs": {
                 (f"u'{k}" if primed else f"u{k}"): coeff.to_json()
                 for (primed, k), coeff in sorted(value.items())
@@ -190,11 +198,11 @@ def hecke_from_json(data):
     n = int(data["n"])
     if data.get("basis", "standard") == "kl":
         return kl_map_from_json(data)
-    out = HeckeElt.zero(n)
+    out = {}
     for term in data["terms"]:
         perm = AffinePerm(n, tuple(int(v) for v in term["window"]))
-        out = out + HeckeElt.from_term(perm, LaurentPoly.from_json(term["coeff"]))
-    return out
+        accumulate(out, perm, LaurentPoly.from_json(term["coeff"]))
+    return HeckeElt._raw(n, out)
 
 
 def kl_map_from_json(data):

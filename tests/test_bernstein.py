@@ -7,7 +7,6 @@ from affine_hecke.bernstein import (
     bernstein_mul,
     bl_commute,
     from_bernstein,
-    t_times_y,
     to_bernstein,
 )
 from affine_hecke.errors import RankMismatch
@@ -86,10 +85,6 @@ def test_single_commutation_values():
     assert bl_commute(2, 1, (0, 1)) == expected
 
 
-def test_t_times_y_is_normal_form():
-    assert t_times_y(2, 1, (3, -1)) == BernsteinElt(2, {(simple(2, 1), (3, -1)): ONE})
-
-
 def test_to_bernstein_examples():
     # rho = T_1 y_2 in rank 2
     assert to_bernstein(rho_gen(2, 1)) == BernsteinElt(2, {(simple(2, 1), (0, 1)): ONE})
@@ -146,6 +141,11 @@ def test_y_commutativity_in_normal_form():
 def test_rank_mismatch():
     with pytest.raises(RankMismatch):
         bernstein_mul(BernsteinElt.one(2), BernsteinElt.one(3))
+
+
+def test_sum_rank_mismatch():
+    with pytest.raises(RankMismatch):
+        BernsteinElt.one(2) + BernsteinElt.one(3)
 
 
 def test_corrections_stay_integral():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from affine_hecke.cli import main
 from affine_hecke.hecke import rho_gen, t_gen
 from affine_hecke.serialize import hecke_from_json, module_from_json
@@ -60,6 +62,13 @@ def test_induce_json_matches_worked_module(capsys):
     assert mod.t_mats[0] == ((ZERO, ONE), (ONE, QINV - Q))
 
 
+def test_induce_default_text_format(capsys, monkeypatch):
+    monkeypatch.delenv("AHECKE_FORMAT", raising=False)
+    code, out, _ = run(capsys, "induce", "--n", "2", "--k", "1")
+    assert code == 0
+    assert out.splitlines() == ["rho = [[0, 1], [1, 0]]", "T1 = [[0, 1], [1, q^-1 - q]]"]
+
+
 def test_reduce_u(capsys):
     code, out, _ = run(capsys, "reduce-u", "rho^2 - 1")
     assert code == 0
@@ -102,6 +111,23 @@ def test_parse_error_exit_code(capsys):
 def test_bad_index_exit_code(capsys):
     code, _, _ = run(capsys, "eval", "-n", "2", "T5")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "-n", "0", "rho"],
+        ["induce", "--n", "3", "--k", "1", "--left", "trivial:x"],
+        ["gradedrank", "rho^x*b01", "b1"],
+        ["check", "--criteria", "x"],
+        ["check", "--criteria", "99"],
+    ],
+)
+def test_bad_integer_or_rank_exit_code(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 def test_rank_error_exit_code(capsys):

@@ -7,7 +7,6 @@ from affine_hecke.example_n2 import (
     gen_elt,
     ideal_generators,
     kernel_generator,
-    left_ideal_probe,
     lift,
     pi_uw,
     quotient_coords,
@@ -58,8 +57,16 @@ def test_left_ideal_probes():
         word_elt(5, first=1, m=1),
     ]
     for x in probes:
-        assert left_ideal_probe(g1, x).is_zero
-        assert left_ideal_probe(g2, x).is_zero
+        assert u_reduce(x * g1).is_zero
+        assert u_reduce(x * g2).is_zero
+
+
+def test_uvec_bound_rule():
+    t = {(False, 3): ONE, (True, 0): QINV}
+    small, large = UVec(5, t), UVec(20, t)
+    assert (small + large).n == 5
+    assert (large + small).n == 5
+    assert small == large
 
 
 def test_action_table_values():

@@ -122,6 +122,13 @@ def test_rank_mismatch():
         t_gen(2, 1) * t_gen(3, 1)
 
 
+def test_sum_rank_mismatch():
+    with pytest.raises(RankMismatch):
+        t_gen(2, 1) + t_gen(3, 1)
+    with pytest.raises(RankMismatch):
+        t_gen(2, 1) - t_gen(3, 1)
+
+
 # ---------------------------------------------------------------------------
 # omega, trace, form
 
@@ -277,6 +284,12 @@ def test_kl_to_std_examples():
     # term count: two per intermediate length plus the top and the identity
     for l in range(1, 9):
         assert len(kl_to_std(KLLabel(0, alt_word(l, first=0))).terms) == 2 * l
+
+
+def test_kl_to_std_returns_a_copy():
+    label = KLLabel(0, (0, 1))
+    kl_to_std(label).terms.clear()
+    assert kl_to_std(label) == b_gen(2, 0) * b_gen(2, 1)
 
 
 def test_kl_rank_guard():
