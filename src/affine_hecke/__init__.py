@@ -13,6 +13,7 @@ from .errors import (
     AffineHeckeError,
     BadIndex,
     DimUnsupported,
+    InvalidValue,
     NonIntegralCorrection,
     ParseError,
     RankMismatch,

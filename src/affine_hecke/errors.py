@@ -9,6 +9,10 @@ class BadIndex(AffineHeckeError):
     """Generator or basis index outside the valid range."""
 
 
+class InvalidValue(AffineHeckeError, ValueError):
+    """A malformed permutation window, or the inverse of a non-unit."""
+
+
 class RankMismatch(AffineHeckeError):
     """Operands live over different ranks n."""
 

@@ -58,18 +58,6 @@ class UVec(Combination):
             return NotImplemented
         return self.terms == other.terms
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (primed, k), coeff in sorted(self.terms.items()):
-            name = f"u'{k}" if primed else f"u{k}"
-            if coeff == 1:
-                parts.append(name)
-            else:
-                parts.append(f"({coeff})*{name}")
-        return " + ".join(parts)
-
     def __repr__(self):
         return f"UVec(N={self.n}, {self.terms!r})"
 

@@ -16,7 +16,8 @@ through the rule T_g T_i = T_{g s_i} (ascent) or T_{g s_i} + (q^-1 - q) T_g
 
 For n = 2 every translation-free element has a unique reduced expression,
 an alternating binary word, and the KL basis layer (kl_to_std, std_to_kl,
-kl_mul_closed) is available in closed form.
+kl_mul_closed) is available in closed form.  There u <= w iff l(u) < l(w)
+or u = w, so std_to_kl is one O(#terms + length) suffix sum per rho-shift.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from dataclasses import dataclass
 
 from .errors import BadIndex, RankMismatch, RankUnsupported
 from .laurent import ONE, Q, Q2, QINV, ZERO, Combination, LaurentPoly, accumulate
-from .weyl import identity, rho, simple
+from .weyl import ReducedExpr, from_rex, identity, rho, simple
 
 _DESC = QINV - Q  # q^-1 - q, the descent correction
+_NEG_Q = -Q
 
 
 class HeckeElt(Combination):
@@ -111,11 +113,6 @@ class HeckeElt(Combination):
 
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))
-
-    def __str__(self):
-        from .serialize import to_text
-
-        return to_text(self)
 
 
 def t_gen(n, i):
@@ -298,50 +295,51 @@ def kl_to_std(label, n=2):
     _require_n2(n)
     cached = _KL_STD_CACHE.get(label)
     if cached is None:
-        L = label.length()
+        top = label.length()
+        lower = [u for k in range(top) for u in _alt_words(k)] + [label.word]
         shift = rho(2, label.m)
         cached = {
-            shift * _word_to_perm(u_word): LaurentPoly.q_power(L - len(u_word))
-            for u_word in _bruhat_lower_words(label.word)
+            shift * from_rex(ReducedExpr(0, u), 2): LaurentPoly.q_power(top - len(u)) for u in lower
         }
         _KL_STD_CACHE[label] = cached
     # a copy, so that a caller mutating the result cannot corrupt the memo
     return HeckeElt._raw(2, dict(cached))
 
 
-def _word_to_perm(word):
-    w = identity(2)
-    for i in word:
-        w = w * simple(2, i)
-    return w
-
-
-def _bruhat_lower_words(word):
-    """All alternating words u below w: both words of each length below,
-    the empty word, and w itself."""
-    L = len(word)
-    out = [()]
-    for l in range(1, L):
-        out.append(alt_word(l, first=0))
-        out.append(alt_word(l, first=1))
-    if L:
-        out.append(word)
-    return out
+def _alt_words(k):
+    """The alternating words of length k: two for k > 0, the empty word at 0."""
+    return (alt_word(k, first=0), alt_word(k, first=1)) if k else ((),)
 
 
 def std_to_kl(elt):
-    """Inverse change of basis: T_w = sum (-q)^(l(w) - l(u)) b_u.
+    """Inverse change of basis: T_w = sum over u <= w of (-q)^(l(w) - l(u)) b_u.
 
-    Returns a dict KLLabel -> LaurentPoly.
+    At rank 2 u <= w iff l(u) < l(w) or u = w, so rho^m b_u gets
+    c_{m,u} + t_m(l(u)), where t_m(k) sums c_{m,w} (-q)^(l(w) - k) over
+    l(w) > k.  One walk down the lengths, t_m(top) = 0 and
+    t_m(k-1) = -q (t_m(k) + A_m(k)) with A_m(k) the shift-m coefficient sum
+    at length k, costs O(#terms + length) Laurent operations and labels.
+    Returns a dict KLLabel -> LaurentPoly with no zero entries.
     """
     _require_n2(elt.n)
-    out = {}
+    by_shift = {}
     for perm, coeff in elt.terms.items():
         rex = _rex(perm)
-        L = len(rex.word)
-        for u_word in _bruhat_lower_words(rex.word):
-            sign = LaurentPoly.q_power(L - len(u_word), (-1) ** (L - len(u_word)))
-            accumulate(out, KLLabel(rex.m, u_word), coeff * sign)
+        by_shift.setdefault(rex.m, {})[rex.word] = coeff
+    out = {}
+    for m, own in by_shift.items():
+        top = max(map(len, own))
+        level = [ZERO] * (top + 1)
+        for word, coeff in own.items():
+            level[len(word)] = level[len(word)] + coeff
+        tail = ZERO
+        for k in range(top, -1, -1):
+            for word in _alt_words(k):
+                coeff = own.get(word)
+                coeff = tail if coeff is None else coeff + tail
+                if coeff:
+                    out[KLLabel(m, word)] = coeff
+            tail = (tail + level[k]) * _NEG_Q
     return out
 
 

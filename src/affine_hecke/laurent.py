@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NonIntegralCorrection, RankMismatch, ZeroSpecialization
+from .errors import InvalidValue, NonIntegralCorrection, RankMismatch, ZeroSpecialization
 
 
 class LaurentPoly:
@@ -146,7 +146,7 @@ class LaurentPoly:
 
     def unit_inverse(self):
         if not self.is_unit():
-            raise ValueError(f"not a unit in Z[q,q^-1]: {self}")
+            raise InvalidValue(f"not a unit in Z[q,q^-1]: {self}")
         ((e, v),) = self._c.items()
         return LaurentPoly._raw({-e: v})
 
@@ -333,3 +333,9 @@ class Combination:
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, {len(self.terms)} terms)"
+
+    def __str__(self):
+        # serialize imports every combination type, so it is imported late
+        from .serialize import to_text
+
+        return to_text(self)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bernstein import to_bernstein
-from .errors import BadIndex, DimUnsupported, RankMismatch
+from .errors import BadIndex, DimUnsupported, InvalidValue, RankMismatch
 from .hecke import HeckeElt, rho_gen, t_gen
 from .laurent import ONE, Q, QINV, ZERO
 from .parabolic import coset_decompose, min_coset_reps, split_parabolic_factor
@@ -80,7 +80,7 @@ def mat_unit_inverse(a):
     dim = len(a)
     det = mat_det(a)
     if not det.is_unit():
-        raise ValueError(f"matrix determinant {det} is not a unit in Z[q,q^-1]")
+        raise InvalidValue(f"matrix determinant {det} is not a unit in Z[q,q^-1]")
     det_inv = det.unit_inverse()
     adj = []
     for i in range(dim):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadIndex, RankMismatch, ShiftNonzero
+from .errors import BadIndex, InvalidValue, RankMismatch, ShiftNonzero
 
 
 @dataclass(frozen=True)
@@ -22,11 +22,11 @@ class AffinePerm:
     def __post_init__(self):
         n, w = self.n, self.window
         if n < 1 or len(w) != n:
-            raise ValueError(f"window must have length n={n}: {w}")
+            raise InvalidValue(f"window must have length n={n}: {w}")
         if len({v % n for v in w}) != n:
-            raise ValueError(f"window residues mod {n} must be distinct: {w}")
+            raise InvalidValue(f"window residues mod {n} must be distinct: {w}")
         if sum(w[i] - (i + 1) for i in range(n)) % n != 0:
-            raise ValueError(f"window shift is not integral: {w}")
+            raise InvalidValue(f"window shift is not integral: {w}")
 
     @property
     def shift(self):

@@ -5,7 +5,7 @@ import pytest
 from affine_hecke import expr
 from affine_hecke import serialize
 from affine_hecke.bernstein import to_bernstein
-from affine_hecke.errors import BadIndex, ParseError, RankUnsupported
+from affine_hecke.errors import BadIndex, InvalidValue, ParseError, RankUnsupported
 from affine_hecke.example_n2 import UVec
 from affine_hecke.hecke import (
     HeckeElt,
@@ -141,6 +141,22 @@ def test_serialized_bernstein_reparses():
     from affine_hecke.bernstein import from_bernstein
 
     assert expr.eval_algebra(expr.parse(text), 2) == from_bernstein(b)
+
+
+def test_str_is_the_text_form():
+    vec = UVec(20, {(False, 3): Q, (True, 0): -QINV})
+    assert str(vec) == serialize.to_text(vec) == "q*u3 - q^-1*u'0"
+    for value in (rho_gen(2, -1) * b_gen(2, 1), to_bernstein(rho_gen(2, 1) * t_gen(2, 0))):
+        assert str(value) == serialize.to_text(value)
+
+
+def test_malformed_json_raises_typed_error():
+    with pytest.raises(InvalidValue):
+        serialize.perm_from_json({"n": 2, "window": [1, 1]})
+    with pytest.raises(InvalidValue):
+        serialize.hecke_from_json({"n": 2, "terms": [{"window": [1, 2, 3], "coeff": {"0": 1}}]})
+    with pytest.raises(InvalidValue):
+        serialize.module_from_json({"n": 1, "dim": 1, "gens": {"rho": [[{"0": 2}]]}})
 
 
 def test_latex_snapshots():

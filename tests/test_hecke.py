@@ -19,7 +19,7 @@ from affine_hecke.hecke import (
     t_inv_gen,
 )
 from affine_hecke.laurent import ONE, Q, Q2, QINV, ZERO, LaurentPoly
-from affine_hecke.weyl import identity, rho, simple
+from affine_hecke.weyl import ReducedExpr, bruhat_leq, from_rex, identity, rho, simple
 
 
 def one(n):
@@ -303,6 +303,7 @@ def test_std_to_kl_examples():
     out = std_to_kl(t_gen(2, 1))
     assert out == {KLLabel(0, (1,)): ONE, KLLabel(0, ()): -Q}
     assert std_to_kl(one(2)) == {KLLabel(0, ()): ONE}
+    assert std_to_kl(HeckeElt.zero(2)) == {}
     t01 = t_gen(2, 0) * t_gen(2, 1)
     expected = {
         KLLabel(0, (0, 1)): ONE,
@@ -311,6 +312,65 @@ def test_std_to_kl_examples():
         KLLabel(0, ()): Q * Q,
     }
     assert std_to_kl(t01) == expected
+
+
+def std_to_kl_oracle(elt):
+    """The definition term by term: T_w = sum over u <= w of
+    (-q)^(l(w) - l(u)) b_u, with u running over every alternating word up
+    to l(w) and kept when the Bruhat order puts it below w."""
+    out = {}
+    for perm, coeff in elt.terms.items():
+        rex = perm.to_rex()
+        top = len(rex.word)
+        w = rho(2, -rex.m) * perm
+        for label in labels(top):
+            if bruhat_leq(from_rex(ReducedExpr(0, label.word), 2), w):
+                k = top - label.length()
+                key = KLLabel(rex.m, label.word)
+                out[key] = out.get(key, ZERO) + coeff * LaurentPoly.q_power(k, (-1) ** k)
+    return {key: c for key, c in out.items() if c}
+
+
+def std_term(m, word, coeff):
+    return HeckeElt.from_term(from_rex(ReducedExpr(m, word), 2), coeff)
+
+
+def random_std_combination(rng, shifts, max_len=9, size=6):
+    out = HeckeElt.zero(2)
+    for _ in range(rng.randrange(1, size + 1)):
+        length = rng.randrange(max_len + 1)
+        word = alt_word(length, first=rng.randrange(2)) if length else ()
+        coeff = LaurentPoly({rng.randrange(-3, 4): rng.choice((-2, -1, 1, 3)) for _ in range(2)})
+        out = out + std_term(rng.choice(shifts), word, coeff)
+    return out
+
+
+def test_std_to_kl_matches_definition_random():
+    rng = random.Random(2718)
+    for m in range(-2, 3):
+        for _ in range(30):
+            x = random_std_combination(rng, (m,))
+            assert std_to_kl(x) == std_to_kl_oracle(x), x
+    mixed = 0
+    for _ in range(120):
+        x = random_std_combination(rng, range(-2, 3), size=12)
+        mixed += len({perm.shift for perm in x.terms}) > 1
+        assert std_to_kl(x) == std_to_kl_oracle(x), x
+    assert mixed > 100
+
+
+def test_std_to_kl_tail_cancels_partway_down():
+    # t(3) = -q c, and A(3) = q c makes t(2) vanish: b_{101} cancels, and
+    # below length 3 only the term at b_0 and its own tail on b_e remain
+    c = Q2 + ONE
+    x = std_term(1, (0, 1, 0, 1), c) + std_term(1, (1, 0, 1), Q * c) + std_term(1, (0,), Q)
+    x = x + std_term(-2, (1, 0), ONE)
+    out = std_to_kl(x)
+    assert out == std_to_kl_oracle(x)
+    assert KLLabel(1, (1, 0, 1)) not in out
+    assert out[KLLabel(1, (0, 1, 0))] == -Q * c
+    below = {label: coeff for label, coeff in out.items() if label.m == 1 and label.length() < 3}
+    assert below == {KLLabel(1, (0,)): Q, KLLabel(1, ()): -Q * Q}
 
 
 def test_kl_round_trips():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from affine_hecke.errors import NonIntegralCorrection, ZeroSpecialization
+from affine_hecke.errors import InvalidValue, NonIntegralCorrection, ZeroSpecialization
 from affine_hecke.laurent import ONE, Q, Q2, QINV, ZERO, LaurentPoly
 
 polys = st.dictionaries(st.integers(-8, 8), st.integers(-9, 9), max_size=6).map(LaurentPoly)
@@ -79,6 +79,8 @@ def test_pow_and_units():
     assert not Q2.is_unit()
     with pytest.raises(ValueError):
         Q2.unit_inverse()
+    with pytest.raises(InvalidValue):
+        LaurentPoly.const(2).unit_inverse()
 
 
 @given(polys, polys)
