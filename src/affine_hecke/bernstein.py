@@ -16,11 +16,13 @@ NonIntegralCorrection instead of silently corrupting results.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import RankMismatch
 from .hecke import HeckeElt
 from .laurent import ONE, Q, QINV, Combination, LaurentPoly, accumulate
 from .parabolic import bernstein_y, bernstein_y_inv
-from .weyl import identity, simple
+from .weyl import canonical_rex, identity, simple
 
 
 class BernsteinElt(Combination):
@@ -112,7 +114,7 @@ def _term_mul(n, w, lam, v, mu, coeff, out):
         if v1.is_identity():
             accumulate(out, (w1, tuple(x + y for x, y in zip(lam1, mu))), c1)
             continue
-        i = v1.to_rex().word[0]
+        i = canonical_rex(v1).word[0]
         v_rest = simple(n, i) * v1  # v1 = s_i * v_rest with lengths adding
         # y^lam1 T_i = T_i y^{s_i lam1} - correction
         swapped = _swap_slots(lam1, i)
@@ -137,39 +139,28 @@ def bernstein_mul(a, b):
 # ---------------------------------------------------------------------------
 # conversion to and from the standard extended basis
 
-_RHO_IMAGE_CACHE = {}
-
-
+@cache
 def _rho_images(n):
     """Normal forms of rho, rho^-1 and T_0 for rank n."""
-    cached = _RHO_IMAGE_CACHE.get(n)
-    if cached is None:
-        if n == 1:
-            rho_pos = BernsteinElt.y_monomial(1, (1,))
-            rho_neg = BernsteinElt.y_monomial(1, (-1,))
-            t0 = None
-        else:
-            # rho = y_1 T_1^-1 ... T_{n-1}^-1 and rho^-1 = T_{n-1} ... T_1 y_1^-1
-            rho_pos = BernsteinElt.y_monomial(n, (1,) + (0,) * (n - 1))
-            for j in range(1, n):
-                t_inv = BernsteinElt(
-                    n,
-                    {
-                        (simple(n, j), (0,) * n): ONE,
-                        (identity(n), (0,) * n): Q - QINV,
-                    },
-                )
-                rho_pos = bernstein_mul(rho_pos, t_inv)
-            word = identity(n)
-            for j in range(n - 1, 0, -1):
-                word = word * simple(n, j)
-            rho_neg = BernsteinElt.t_term(word, (-1,) + (0,) * (n - 1))
-            t0 = bernstein_mul(
-                bernstein_mul(rho_pos, BernsteinElt.t_term(simple(n, n - 1))), rho_neg
-            )
-        cached = (rho_pos, rho_neg, t0)
-        _RHO_IMAGE_CACHE[n] = cached
-    return cached
+    if n == 1:
+        return BernsteinElt.y_monomial(1, (1,)), BernsteinElt.y_monomial(1, (-1,)), None
+    # rho = y_1 T_1^-1 ... T_{n-1}^-1 and rho^-1 = T_{n-1} ... T_1 y_1^-1
+    rho_pos = BernsteinElt.y_monomial(n, (1,) + (0,) * (n - 1))
+    for j in range(1, n):
+        t_inv = BernsteinElt(
+            n,
+            {
+                (simple(n, j), (0,) * n): ONE,
+                (identity(n), (0,) * n): Q - QINV,
+            },
+        )
+        rho_pos = bernstein_mul(rho_pos, t_inv)
+    word = identity(n)
+    for j in range(n - 1, 0, -1):
+        word = word * simple(n, j)
+    rho_neg = BernsteinElt.t_term(word, (-1,) + (0,) * (n - 1))
+    t0 = bernstein_mul(bernstein_mul(rho_pos, BernsteinElt.t_term(simple(n, n - 1))), rho_neg)
+    return rho_pos, rho_neg, t0
 
 
 def to_bernstein(elt):
@@ -178,7 +169,7 @@ def to_bernstein(elt):
     rho_pos, rho_neg, t0 = _rho_images(n)
     out = {}
     for perm, coeff in elt.terms.items():
-        rex = perm.to_rex()
+        rex = canonical_rex(perm)
         acc = _bernstein_power(rho_pos, rho_neg, rex.m, n)
         for i in rex.word:
             factor = t0 if i == 0 else BernsteinElt.t_term(simple(n, i))
@@ -196,17 +187,10 @@ def _bernstein_power(rho_pos, rho_neg, m, n):
     return acc
 
 
-_Y_POWER_CACHE = {}
-
-
+@cache
 def _y_power(n, i, e):
-    key = (n, i, e)
-    cached = _Y_POWER_CACHE.get(key)
-    if cached is None:
-        base = bernstein_y(n, i) if e >= 0 else bernstein_y_inv(n, i)
-        cached = base ** abs(e)
-        _Y_POWER_CACHE[key] = cached
-    return cached
+    base = bernstein_y(n, i) if e >= 0 else bernstein_y_inv(n, i)
+    return base ** abs(e)
 
 
 def from_bernstein(b):

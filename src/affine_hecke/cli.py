@@ -205,6 +205,7 @@ def _run(args):
         print(_output(value, args.format))
         return 0
     if args.command == "induce":
+        ParabolicContext(args.n, args.k)  # raises BadIndex unless 1 <= k <= n-1
         left = _module_from_spec(args.left, args.k)
         right = _module_from_spec(args.right, args.n - args.k)
         print(_output(induce(left, right), args.format))

@@ -19,9 +19,9 @@ vector w and intertwines the generator actions.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
-from .errors import BadIndex, TruncationExceeded
+from .errors import BadIndex, InvalidValue, TruncationExceeded
 from .hecke import HeckeElt, KLLabel, alt_word, b_gen, kl_to_std, rho_gen, std_to_kl
 from .laurent import ONE, Q, Q2, QINV, ZERO, Combination, accumulate
 from .modules import induce, module_act, trivial_module
@@ -151,7 +151,7 @@ def u_act(gen, vec, engine="closed"):
         return UVec._raw(vec.n, out)
     if engine == "reduce":
         return u_reduce(gen_elt(gen) * lift(vec), vec.n)
-    raise ValueError(f"unknown engine {engine!r}")
+    raise InvalidValue(f"unknown engine {engine!r}")
 
 
 def act_elt(elt, vec):
@@ -162,7 +162,7 @@ def act_elt(elt, vec):
 # ---------------------------------------------------------------------------
 # the projection onto W
 
-@lru_cache(maxsize=1)
+@cache
 def w_module():
     """The two-dimensional target W, realized by induction from two copies
     of the trivial rank-1 module."""
@@ -170,7 +170,7 @@ def w_module():
     return induce(v, v)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _pi_basis(primed, k):
     # the image of u_k is the KL element b_{..1} acting on the cyclic
     # vector w = (1, 0); the primed vector adds one rho in front

@@ -11,8 +11,11 @@ T_i^-1 = T_i + (q - q^-1) and the Kazhdan-Lusztig generator is
 b_i = T_i + q with b_i^2 = [2] b_i.
 
 Multiplication folds the right factor's canonical reduced expression
-through the rule T_g T_i = T_{g s_i} (ascent) or T_{g s_i} + (q^-1 - q) T_g
-(descent); basis-pair products are memoized.
+(weyl.canonical_rex, the one memo of to_rex) through the rule
+T_g T_i = T_{g s_i} (ascent) or T_{g s_i} + (q^-1 - q) T_g (descent).
+Every memo in the package is a functools.cache on the function that
+computes the value; basis-pair products, basis inverses and KL expansions
+are cached as read-only tuples of (perm, coeff) pairs.
 
 For n = 2 every translation-free element has a unique reduced expression,
 an alternating binary word, and the KL basis layer (kl_to_std, std_to_kl,
@@ -23,10 +26,11 @@ or u = w, so std_to_kl is one O(#terms + length) suffix sum per rho-shift.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-from .errors import BadIndex, RankMismatch, RankUnsupported
+from .errors import BadIndex, InvalidValue, RankMismatch, RankUnsupported
 from .laurent import ONE, Q, Q2, QINV, ZERO, Combination, LaurentPoly, accumulate
-from .weyl import ReducedExpr, from_rex, identity, rho, simple
+from .weyl import ReducedExpr, canonical_rex, from_rex, identity, rho, simple
 
 _DESC = QINV - Q  # q^-1 - q, the descent correction
 _NEG_Q = -Q
@@ -64,7 +68,7 @@ class HeckeElt(Combination):
         self._join(other)  # raises RankMismatch
         out = {}
         for y, d in other.terms.items():
-            for perm, c in _basis_product(self.n, tuple(self.terms.items()), y).items():
+            for perm, c in _basis_product(tuple(self.terms.items()), y).items():
                 accumulate(out, perm, c * d)
         return HeckeElt._raw(self.n, out)
 
@@ -85,17 +89,17 @@ class HeckeElt(Combination):
     def inverse(self):
         """Inverse of a single-term element c * rho^m T_w with c a unit."""
         if len(self.terms) != 1:
-            raise ValueError("only basis multiples have a closed-form inverse")
+            raise InvalidValue("only basis multiples have a closed-form inverse")
         ((perm, coeff),) = self.terms.items()
-        inv = _basis_inverse(perm)
-        return HeckeElt._raw(self.n, dict(inv)).scale(coeff.unit_inverse())
+        unit = coeff.unit_inverse()
+        return HeckeElt._raw(self.n, {p: c * unit for p, c in _basis_inverse(perm)})
 
     def omega(self):
         """The q-antilinear antiinvolution: rho -> rho^-1, T_w -> T_w^-1."""
         out = {}
         for perm, coeff in self.terms.items():
             c = coeff.bar()
-            for p2, c2 in _basis_inverse(perm).items():
+            for p2, c2 in _basis_inverse(perm):
                 accumulate(out, p2, c * c2)
         return HeckeElt._raw(self.n, out)
 
@@ -146,18 +150,6 @@ def bott_samelson(n, word):
 # ---------------------------------------------------------------------------
 # basis-level multiplication with memoization
 
-_REX_CACHE = {}
-_PROD_CACHE = {}
-_INV_CACHE = {}
-
-
-def _rex(perm):
-    r = _REX_CACHE.get(perm)
-    if r is None:
-        r = perm.to_rex()
-        _REX_CACHE[perm] = r
-    return r
-
 
 def _mul_terms_simple(n, terms, i):
     """Multiply a term dict on the right by T_i."""
@@ -171,46 +163,39 @@ def _mul_terms_simple(n, terms, i):
     return out
 
 
+@cache
 def _basis_pair_product(x, y):
-    """Product of basis elements E_x * E_y as a term dict."""
-    key = (x, y)
-    cached = _PROD_CACHE.get(key)
-    if cached is None:
-        m, word = _rex(y).m, _rex(y).word
-        start = x * rho(x.n, m)
-        cached = {start: ONE}
-        for i in word:
-            cached = _mul_terms_simple(x.n, cached, i)
-        _PROD_CACHE[key] = cached
-    return cached
+    """Product of basis elements E_x * E_y as a tuple of (perm, coeff)."""
+    rex = canonical_rex(y)
+    terms = {x * rho(x.n, rex.m): ONE}
+    for i in rex.word:
+        terms = _mul_terms_simple(x.n, terms, i)
+    return tuple(terms.items())
 
 
-def _basis_product(n, left_items, y):
+def _basis_product(left_items, y):
     """Product (sum of left terms) * E_y as a term dict."""
     out = {}
     for x, c in left_items:
-        for perm, c2 in _basis_pair_product(x, y).items():
+        for perm, c2 in _basis_pair_product(x, y):
             accumulate(out, perm, c * c2)
     return out
 
 
+@cache
 def _basis_inverse(perm):
-    """Expansion of (rho^m T_w)^-1 = T_w^-1 rho^-m as a term dict."""
-    cached = _INV_CACHE.get(perm)
-    if cached is None:
-        n = perm.n
-        rex = _rex(perm)
-        terms = {identity(n): ONE}
-        for i in reversed(rex.word):
-            # right-multiply by T_i^-1 = T_i + (q - q^-1)
-            body = _mul_terms_simple(n, terms, i)
-            for g, c in terms.items():
-                accumulate(body, g, c * (Q - QINV))
-            terms = body
-        shift = rho(n, -rex.m)
-        cached = {g * shift: c for g, c in terms.items()}
-        _INV_CACHE[perm] = cached
-    return cached
+    """Expansion of (rho^m T_w)^-1 = T_w^-1 rho^-m as a tuple of (perm, coeff)."""
+    n = perm.n
+    rex = canonical_rex(perm)
+    terms = {identity(n): ONE}
+    for i in reversed(rex.word):
+        # right-multiply by T_i^-1 = T_i + (q - q^-1)
+        body = _mul_terms_simple(n, terms, i)
+        for g, c in terms.items():
+            accumulate(body, g, c * (Q - QINV))
+        terms = body
+    shift = rho(n, -rex.m)
+    return tuple((g * shift, c) for g, c in terms.items())
 
 
 def form(x, y):
@@ -272,12 +257,12 @@ def alt_word(length, last=None, first=None):
     if length == 0:
         return ()
     if last is None and first is None:
-        raise ValueError("fix the first or the last letter")
+        raise InvalidValue("fix the first or the last letter")
     if first is None:
         first = last if length % 2 else 1 - last
     word = tuple((first + k) % 2 for k in range(length))
     if last is not None and word[-1] != last:
-        raise ValueError(f"no alternating word of length {length} from {first} to {last}")
+        raise InvalidValue(f"no alternating word of length {length} from {first} to {last}")
     return word
 
 
@@ -286,24 +271,22 @@ def _require_n2(n):
         raise RankUnsupported(f"KL-basis layer is closed-form for n = 2 only, got n = {n}")
 
 
-_KL_STD_CACHE = {}
-
-
 def kl_to_std(label, n=2):
     """Expand rho^m b_w in the standard basis:
     b_w = sum over u below w of q^(l(w) - l(u)) T_u."""
     _require_n2(n)
-    cached = _KL_STD_CACHE.get(label)
-    if cached is None:
-        top = label.length()
-        lower = [u for k in range(top) for u in _alt_words(k)] + [label.word]
-        shift = rho(2, label.m)
-        cached = {
-            shift * from_rex(ReducedExpr(0, u), 2): LaurentPoly.q_power(top - len(u)) for u in lower
-        }
-        _KL_STD_CACHE[label] = cached
-    # a copy, so that a caller mutating the result cannot corrupt the memo
-    return HeckeElt._raw(2, dict(cached))
+    # a fresh dict over the read-only memo, so that callers may mutate it
+    return HeckeElt._raw(2, dict(_kl_std_terms(label)))
+
+
+@cache
+def _kl_std_terms(label):
+    top = label.length()
+    lower = [u for k in range(top) for u in _alt_words(k)] + [label.word]
+    shift = rho(2, label.m)
+    return tuple(
+        (shift * from_rex(ReducedExpr(0, u), 2), LaurentPoly.q_power(top - len(u))) for u in lower
+    )
 
 
 def _alt_words(k):
@@ -324,7 +307,7 @@ def std_to_kl(elt):
     _require_n2(elt.n)
     by_shift = {}
     for perm, coeff in elt.terms.items():
-        rex = _rex(perm)
+        rex = canonical_rex(perm)
         by_shift.setdefault(rex.m, {})[rex.word] = coeff
     out = {}
     for m, own in by_shift.items():

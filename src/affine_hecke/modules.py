@@ -19,12 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .bernstein import to_bernstein
 from .errors import BadIndex, DimUnsupported, InvalidValue, RankMismatch
 from .hecke import HeckeElt, rho_gen, t_gen
 from .laurent import ONE, Q, QINV, ZERO
 from .parabolic import coset_decompose, min_coset_reps, split_parabolic_factor
+from .weyl import canonical_rex
 
 # ---------------------------------------------------------------------------
 # small exact matrix helpers (tuples of tuples of LaurentPoly)
@@ -125,6 +127,8 @@ class FinDimModule:
     rho_inv_mat: tuple = field(default=None)
 
     def __post_init__(self):
+        if self.n < 1:
+            raise BadIndex(f"module rank must be at least 1, got {self.n}")
         if self.rho_inv_mat is None:
             object.__setattr__(self, "rho_inv_mat", mat_unit_inverse(self.rho_mat))
 
@@ -235,7 +239,7 @@ def module_act(mod, elt, vec):
         raise RankMismatch(f"element rank {elt.n} vs module rank {mod.n}")
     out = [ZERO] * mod.dim
     for perm, coeff in elt.terms.items():
-        rex = perm.to_rex()
+        rex = canonical_rex(perm)
         cur = list(vec)
         for i in reversed(rex.word):
             mat = mod.t(i)
@@ -255,22 +259,12 @@ def induce(m1, m2):
     index = {key: pos for pos, key in enumerate(basis)}
     dim = len(basis)
 
-    y_left = {}
-    y_right = {}
-
-    def y_mat_left(i, e):
-        key = (i, e)
-        if key not in y_left:
-            base = module_y(m1, i) if e > 0 else module_y_inv(m1, i)
-            y_left[key] = mat_pow(base, abs(e))
-        return y_left[key]
-
-    def y_mat_right(j, e):
-        key = (j, e)
-        if key not in y_right:
-            base = module_y(m2, j) if e > 0 else module_y_inv(m2, j)
-            y_right[key] = mat_pow(base, abs(e))
-        return y_right[key]
+    @cache
+    def y_mat(side, i, e):
+        """Matrix of y_i^e on the left (side 0) or right (side 1) factor."""
+        mod = (m1, m2)[side]
+        base = module_y(mod, i) if e > 0 else module_y_inv(mod, i)
+        return mat_pow(base, abs(e))
 
     def generator_matrix(g_elt):
         cols = [[ZERO] * dim for _ in range(dim)]  # cols[row][col]
@@ -280,17 +274,17 @@ def induce(m1, m2):
                 x2, u = coset_decompose(w, k)
                 u_l, u_r = split_parabolic_factor(u, k)
                 op_l = mat_eye(m1.dim)
-                for letter in u_l.to_rex().word:
+                for letter in canonical_rex(u_l).word:
                     op_l = mat_mul(op_l, m1.t(letter))
                 for i, e in enumerate(lam[:k], start=1):
                     if e:
-                        op_l = mat_mul(op_l, y_mat_left(i, e))
+                        op_l = mat_mul(op_l, y_mat(0, i, e))
                 op_r = mat_eye(m2.dim)
-                for letter in u_r.to_rex().word:
+                for letter in canonical_rex(u_r).word:
                     op_r = mat_mul(op_r, m2.t(letter))
                 for j, e in enumerate(lam[k:], start=1):
                     if e:
-                        op_r = mat_mul(op_r, y_mat_right(j, e))
+                        op_r = mat_mul(op_r, y_mat(1, j, e))
                 for a in range(m1.dim):
                     for b in range(m2.dim):
                         col = index[(x, a, b)]

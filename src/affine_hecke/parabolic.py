@@ -29,12 +29,12 @@ T_i^-1 y_i T_i^-1 = y_{i+1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations
 
 from .errors import BadIndex, ShiftNonzero
 from .hecke import HeckeElt, rho_gen, t_gen, t_inv_gen
 from .laurent import accumulate
-from .weyl import AffinePerm, identity
+from .weyl import AffinePerm, canonical_rex, identity
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def _psi_on_element(elt, rho_image, rho_inv_image, t_images):
     """Fold every standard term rho^m T_w of the source through the images."""
     out = {}
     for perm, coeff in elt.terms.items():
-        rex = perm.to_rex()
+        rex = canonical_rex(perm)
         img = rho_image**rex.m if rex.m >= 0 else rho_inv_image ** (-rex.m)
         for i in rex.word:
             img = img * t_images[i]
@@ -174,11 +174,11 @@ def min_coset_reps(n, k):
     """The binom(n, k) shortest representatives of the cosets w(S_k x S_{n-k}),
     i.e. the window permutations increasing on both blocks, sorted by length
     then window."""
+    values = range(1, n + 1)
     reps = []
-    for window in permutations(range(1, n + 1)):
-        if all(window[i] < window[i + 1] for i in range(k - 1)):
-            if all(window[i] < window[i + 1] for i in range(k, n - 1)):
-                reps.append(AffinePerm(n, window))
+    for left in combinations(values, k):
+        right = tuple(v for v in values if v not in left)
+        reps.append(AffinePerm(n, left + right))
     reps.sort(key=lambda w: (w.length(), w.window))
     return reps
 

@@ -21,7 +21,7 @@ from .example_n2 import UVec
 from .hecke import HeckeElt, KLLabel
 from .laurent import ONE, LaurentPoly, accumulate
 from .modules import FinDimModule
-from .weyl import AffinePerm
+from .weyl import AffinePerm, canonical_rex
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +54,7 @@ def _join_signed(parts):
 
 
 def _basis_text(perm):
-    rex = perm.to_rex()
+    rex = canonical_rex(perm)
     parts = []
     if rex.m == 1:
         parts.append("rho")
@@ -271,7 +271,7 @@ def _laurent_latex(poly):
 
 
 def _basis_latex(perm):
-    rex = perm.to_rex()
+    rex = canonical_rex(perm)
     parts = []
     if rex.m == 1:
         parts.append(r"\rho")

@@ -10,6 +10,7 @@ satisfies rho s_i rho^-1 = s_{i+1} with indices mod n.  Composition is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import BadIndex, InvalidValue, RankMismatch, ShiftNonzero
 
@@ -95,7 +96,7 @@ class AffinePerm:
         return ReducedExpr(m, tuple(reversed(rev)))
 
     def __str__(self):
-        rex = self.to_rex()
+        rex = canonical_rex(self)
         parts = []
         if rex.m:
             parts.append("rho" if rex.m == 1 else f"rho^{rex.m}")
@@ -114,6 +115,11 @@ class AffinePerm:
 class ReducedExpr:
     m: int
     word: tuple
+
+
+# The one memo of to_rex.  The method itself stays undecorated, so that a
+# profiler (perfbench/layers.py) can find its code object.
+canonical_rex = cache(AffinePerm.to_rex)
 
 
 def identity(n):

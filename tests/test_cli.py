@@ -1,6 +1,10 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affine_hecke.cli import main
 from affine_hecke.hecke import rho_gen, t_gen
@@ -121,6 +125,9 @@ def test_bad_index_exit_code(capsys):
         ["gradedrank", "rho^x*b01", "b1"],
         ["check", "--criteria", "x"],
         ["check", "--criteria", "99"],
+        ["induce", "--n", "2", "--k", "0", "--left", "trivial:0", "--right", "trivial:2"],
+        ["induce", "--n", "1", "--k", "0", "--left", "trivial:0", "--right", "trivial:1"],
+        ["induce", "--n", "2", "--k", "-1", "--left", "trivial:-1", "--right", "trivial:3"],
     ],
 )
 def test_bad_integer_or_rank_exit_code(capsys, argv):
@@ -151,3 +158,81 @@ def test_format_env_default(capsys, monkeypatch):
     code, out, _ = run(capsys, "eval", "-n", "2", "T1")
     assert code == 0
     assert json.loads(out)["basis"] == "standard"
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under random argv: 0 success, 2 usage, 3 data
+
+ATOMS = (
+    "q", "2", "T0", "T1", "T2", "T3", "T[4]", "rho", "b0", "b1", "b01", "b010",
+    "y1", "y2", "u0", "u3", "u'1",
+)
+ALPHABET = ATOMS + ("bs", "+", "-", "*", "^", "(", ")", ",", "1", "3")
+RANKS = st.integers(1, 4)
+INTS = st.integers(-3, 3)
+FORMATS = st.sampled_from(("text", "json", "latex"))
+LABELS = st.sampled_from(("b", "1", "b01", "rho*b10", "rho^-2*b0", "rho^x*b1", "b012", "c01"))
+VECTORS = st.sampled_from(("u0", "u'1", "q*u3 - u0", "2*u'0 + u1", "u19 + u20"))
+
+
+@st.composite
+def expressions(draw):
+    """Token soup, or a sum/product of powered atoms; at most 8 tokens."""
+    if draw(st.booleans()):
+        tokens = draw(st.lists(st.sampled_from(ALPHABET), max_size=8))
+    else:
+        tokens = []
+        for pos in range(draw(st.integers(1, 3))):
+            if pos:
+                tokens.append(draw(st.sampled_from("+-*")))
+            tokens.append(draw(st.sampled_from(ATOMS)))
+            e = draw(st.none() | INTS)
+            if e is not None:
+                tokens += ["^", "-", str(-e)] if e < 0 else ["^", str(e)]
+    return " ".join(tokens[:8])
+
+
+@st.composite
+def argvs(draw):
+    cmd = draw(st.sampled_from(
+        ("eval", "pair", "psi", "induce", "act", "reduce-u", "pi-uw", "yclass", "gradedrank")
+    ))
+    n, k = str(draw(RANKS)), str(draw(RANKS))
+    bound = ["--bound", str(draw(st.integers(-3, 20)))] if draw(st.booleans()) else []
+    e = expressions()
+    if cmd == "eval":
+        argv = ["eval", "-n", n, draw(e)] + (["--mod-rho2"] if draw(st.booleans()) else [])
+    elif cmd == "pair":
+        argv = ["pair", "-n", n, draw(e), draw(e)]
+    elif cmd == "psi":
+        side = draw(st.sampled_from(("L", "R", "both")))
+        exprs = draw(st.lists(e, min_size=1, max_size=2))
+        argv = ["psi", "--n", n, "--k", k, "--side", side] + exprs
+    elif cmd == "induce":
+        left = draw(st.just(int(k)) | INTS)
+        right = draw(st.just(int(n) - int(k)) | INTS)
+        argv = ["induce", "--n", n, "--k", k, "--left", f"trivial:{left}", "--right", f"trivial:{right}"]
+    elif cmd == "act":
+        argv = ["act"] + bound + [draw(e), draw(VECTORS | e)]
+    elif cmd == "pi-uw":
+        argv = ["pi-uw"] + bound + [draw(VECTORS | e)]
+    elif cmd == "reduce-u":
+        argv = ["reduce-u"] + bound + [draw(e)]
+    elif cmd == "yclass":
+        argv = ["yclass", str(draw(INTS)), str(draw(INTS))]
+    else:
+        argv = ["gradedrank", draw(LABELS | e), draw(LABELS | e)]
+    return argv + ["--format", draw(FORMATS)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+def test_exit_code_contract_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -1,6 +1,6 @@
 import pytest
 
-from affine_hecke.errors import TruncationExceeded
+from affine_hecke.errors import InvalidValue, TruncationExceeded
 from affine_hecke.example_n2 import (
     UVec,
     act_elt,
@@ -89,6 +89,11 @@ def test_engines_agree():
                 closed = u_act(g, vec, engine="closed")
                 reduced = u_act(g, vec, engine="reduce")
                 assert closed == reduced, (g, primed, k)
+
+
+def test_unknown_engine_is_invalid():
+    with pytest.raises(InvalidValue):
+        u_act("b1", UVec.basis(0), engine="table")
 
 
 def test_operator_relations_on_interior():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from affine_hecke.errors import BadIndex, RankMismatch, RankUnsupported
+from affine_hecke.errors import BadIndex, InvalidValue, RankMismatch, RankUnsupported
 from affine_hecke.hecke import (
     HeckeElt,
     KLLabel,
@@ -120,6 +120,11 @@ def test_associativity_random():
 def test_rank_mismatch():
     with pytest.raises(RankMismatch):
         t_gen(2, 1) * t_gen(3, 1)
+
+
+def test_inverse_of_a_sum_is_invalid():
+    with pytest.raises(InvalidValue):
+        (t_gen(2, 1) + one(2)).inverse()
 
 
 def test_sum_rank_mismatch():
@@ -274,6 +279,13 @@ def test_kl_label_validation():
         KLLabel(0, (0, 0))
     with pytest.raises(BadIndex):
         KLLabel(0, (2,))
+
+
+def test_alt_word_needs_one_consistent_end_letter():
+    with pytest.raises(InvalidValue):
+        alt_word(3)
+    with pytest.raises(InvalidValue):
+        alt_word(2, first=0, last=0)
 
 
 def test_kl_to_std_examples():

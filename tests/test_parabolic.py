@@ -201,6 +201,26 @@ def test_min_coset_reps_exhaustive(n, k):
         assert min(c.length() for c in coset) == x.length()
 
 
+def permutation_filter_reps(n, k):
+    # the factorial definition: windows increasing on both blocks
+    reps = [
+        AffinePerm(n, w)
+        for w in permutations(range(1, n + 1))
+        if list(w[:k]) == sorted(w[:k]) and list(w[k:]) == sorted(w[k:])
+    ]
+    return sorted(reps, key=lambda w: (w.length(), w.window))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_min_coset_reps_matches_permutation_filter(n):
+    for k in range(1, n):
+        assert min_coset_reps(n, k) == permutation_filter_reps(n, k)
+
+
+def test_min_coset_reps_rank10():
+    assert len(min_coset_reps(10, 5)) == 252
+
+
 def test_coset_decompose_example():
     w = simple(3, 1) * simple(3, 2)
     x, u = coset_decompose(w, 2)
