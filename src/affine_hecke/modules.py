@@ -1,9 +1,9 @@
 """Finite-dimensional modules as exact generator matrices.
 
-A module stores matrices for T_1, ..., T_{n-1} and rho over Z[q,q^-1];
-T_0 is derived as rho T_{n-1} rho^-1 and inverse generator matrices come
-from T_i^-1 = T_i + (q - q^-1) and the adjugate of rho (whose determinant
-must be a unit, which keeps every entry inside Z[q,q^-1]).  Columns act on
+A module stores matrices for T_1, ..., T_{n-1} and rho over Z[q,q^-1].
+rho^-1 comes from one fraction-free elimination (the determinant of rho
+must be a unit, which keeps every entry inside Z[q,q^-1]), T_0 is derived
+once as rho T_{n-1} rho^-1, and T_i^-1 = T_i + (q - q^-1).  Columns act on
 column vectors and the matrix of a product xy is [x][y].
 
 Zelevinsky induction realizes Ind along the parabolic embedding on the
@@ -50,60 +50,69 @@ def mat_scale(a, c):
 
 
 def mat_mul(a, b):
-    dim = len(a)
-    cols = len(b[0])
-    inner = len(b)
+    cols = range(len(b[0]))
     out = []
-    for i in range(dim):
-        row = []
-        for j in range(cols):
-            acc = ZERO
-            for t in range(inner):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(tuple(row))
+    for row in a:
+        acc = [ZERO for _ in cols]
+        for x, b_row in zip(row, b):
+            if x:
+                for j in cols:
+                    if b_row[j]:
+                        acc[j] = acc[j] + x * b_row[j]
+        out.append(tuple(acc))
     return tuple(out)
 
 
-def mat_det(a):
+def _eliminate(a):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination on [a | I].
+
+    Returns (det a, adj a), or (ZERO, None) when a is singular; a matrix
+    that is not square raises InvalidValue.  Step k replaces every other
+    row r by (p_k r - r[k] row_k) / p_{k-1}, where p_k is the k-th pivot;
+    each division is exact in Z[q,q^-1] (Bareiss, Math. Comp. 22, 1968).
+    The left block ends as p_n I with p_n = +-det a, the sign coming from
+    the row swaps, so the right block is +-adj a.
+    """
     dim = len(a)
-    if dim == 1:
-        return a[0][0]
-    acc = ZERO
-    for j in range(dim):
-        minor = tuple(row[:j] + row[j + 1 :] for row in a[1:])
-        term = a[0][j] * mat_det(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+    if any(len(row) != dim for row in a):
+        raise InvalidValue(f"matrix of {dim} rows is not square")
+    rows = [list(row) + [ONE if j == i else ZERO for j in range(dim)] for i, row in enumerate(a)]
+    sign, prev = 1, ONE
+    for k in range(dim):
+        p = next((r for r in range(k, dim) if rows[r][k]), None)
+        if p is None:
+            return ZERO, None
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for r in range(dim):
+            if r != k:
+                row, f = rows[r], rows[r][k]
+                rows[r] = row[: k + 1] + [
+                    (pivot * x - f * y).exact_div(prev)
+                    for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])
+                ]
+        prev = pivot
+    return prev * sign, tuple(tuple(x * sign for x in row[dim:]) for row in rows)
+
+
+def mat_det(a):
+    return _eliminate(a)[0]
 
 
 def mat_unit_inverse(a):
-    """Inverse via the adjugate; the determinant must be a unit +-q^k."""
-    dim = len(a)
-    det = mat_det(a)
+    """Inverse of a matrix whose determinant is a unit +-q^k."""
+    det, adj = _eliminate(a)
     if not det.is_unit():
         raise InvalidValue(f"matrix determinant {det} is not a unit in Z[q,q^-1]")
-    det_inv = det.unit_inverse()
-    adj = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            minor = tuple(
-                tuple(a[r][c] for c in range(dim) if c != i)
-                for r in range(dim)
-                if r != j
-            )
-            cof = mat_det(minor) if dim > 1 else ONE
-            row.append(cof * det_inv if (i + j) % 2 == 0 else -cof * det_inv)
-        adj.append(tuple(row))
-    return tuple(adj)
+    return mat_scale(adj, det.unit_inverse())
 
 
-def mat_pow(a, k, inv=None):
+def mat_pow(a, k):
     if k < 0:
-        if inv is None:
-            inv = mat_unit_inverse(a)
-        return mat_pow(inv, -k)
+        return mat_pow(mat_unit_inverse(a), -k)
     out = mat_eye(len(a))
     base = a
     while k:
@@ -125,33 +134,29 @@ class FinDimModule:
     t_mats: tuple  # entry i-1 is [T_i]
     rho_mat: tuple
     rho_inv_mat: tuple = field(default=None)
+    t0_mat: tuple = field(init=False, repr=False, compare=False)  # rho T_{n-1} rho^-1
 
     def __post_init__(self):
         if self.n < 1:
             raise BadIndex(f"module rank must be at least 1, got {self.n}")
         if self.rho_inv_mat is None:
             object.__setattr__(self, "rho_inv_mat", mat_unit_inverse(self.rho_mat))
+        t0 = None
+        if self.n >= 2:
+            t0 = mat_mul(mat_mul(self.rho_mat, self.t_mats[self.n - 2]), self.rho_inv_mat)
+        object.__setattr__(self, "t0_mat", t0)
 
     def t(self, i):
-        """Matrix of T_i for i in the affine index set; T_0 is derived."""
-        if i == 0:
-            return mat_mul(mat_mul(self.rho_mat, self.t(self.n - 1)), self.rho_inv_mat)
-        if not 1 <= i <= self.n - 1:
+        """Matrix of T_i for i in the affine index set 0..n-1 (empty for n = 1)."""
+        if self.n < 2 or not 0 <= i <= self.n - 1:
             raise BadIndex(f"no generator T_{i} in rank {self.n}")
-        return self.t_mats[i - 1]
+        return self.t_mats[i - 1] if i else self.t0_mat
 
     def t_inv(self, i):
         return mat_add(self.t(i), mat_scale(mat_eye(self.dim), Q - QINV))
 
     def b(self, i):
         return mat_add(self.t(i), mat_scale(mat_eye(self.dim), Q))
-
-    def gen(self, token):
-        if token == "rho":
-            return self.rho_mat
-        if token == "rho_inv":
-            return self.rho_inv_mat
-        raise BadIndex(f"unknown generator token {token!r}")
 
 
 def trivial_module(n=1):
@@ -244,7 +249,7 @@ def module_act(mod, elt, vec):
         for i in reversed(rex.word):
             mat = mod.t(i)
             cur = [sum((mat[r][c] * cur[c] for c in range(mod.dim)), ZERO) for r in range(mod.dim)]
-        shift = mat_pow(mod.rho_mat, rex.m, mod.rho_inv_mat)
+        shift = mat_pow(mod.rho_mat if rex.m >= 0 else mod.rho_inv_mat, abs(rex.m))
         cur = [sum((shift[r][c] * cur[c] for c in range(mod.dim)), ZERO) for r in range(mod.dim)]
         out = [a + coeff * b for a, b in zip(out, cur)]
     return tuple(out)

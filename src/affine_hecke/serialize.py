@@ -19,7 +19,7 @@ from __future__ import annotations
 from .bernstein import BernsteinElt
 from .example_n2 import UVec
 from .hecke import HeckeElt, KLLabel
-from .laurent import ONE, LaurentPoly, accumulate
+from .laurent import LaurentPoly, accumulate
 from .modules import FinDimModule
 from .weyl import AffinePerm, canonical_rex
 
@@ -27,18 +27,28 @@ from .weyl import AffinePerm, canonical_rex
 # ---------------------------------------------------------------------------
 # text (parseable back through expr.parse)
 
-def _coeff_prefix(coeff):
-    """Split a coefficient into (sign, text prefix); '' means coefficient 1."""
+def _monomial(e, a, latex=False):
+    """The positive integer a times q^e, as text or as LaTeX."""
+    if e == 0:
+        return str(a)
+    if latex:
+        p = "q" if e == 1 else f"q^{{{e}}}"
+        return p if a == 1 else f"{a}{p}"
+    p = "q" if e == 1 else f"q^{e}"
+    return p if a == 1 else f"{a}*{p}"
+
+
+def _coeff_prefix(coeff, latex=False):
+    """Split a coefficient into (sign, prefix); '' means coefficient +-1 and
+    a coefficient of several terms is parenthesised with sign +1."""
     terms = list(coeff.items())
     if len(terms) > 1:
-        return 1, f"({coeff})"
+        return 1, f"({_laurent_latex(coeff) if latex else coeff})"
     ((e, v),) = terms
     sign = -1 if v < 0 else 1
-    a = abs(v)
-    if e == 0:
-        return sign, "" if a == 1 else str(a)
-    p = "q" if e == 1 else f"q^{e}"
-    return sign, p if a == 1 else f"{a}*{p}"
+    if e == 0 and abs(v) == 1:
+        return sign, ""
+    return sign, _monomial(e, abs(v), latex)
 
 
 def _join_signed(parts):
@@ -65,13 +75,14 @@ def _basis_text(perm):
     return "*".join(parts)
 
 
-def _term_text(coeff, basis):
-    sign, prefix = _coeff_prefix(coeff)
+def _term(coeff, basis, latex=False):
+    """(sign, body) of one term; an empty basis is the identity."""
+    sign, prefix = _coeff_prefix(coeff, latex)
     if not basis:
         return sign, prefix if prefix else "1"
     if not prefix:
         return sign, basis
-    return sign, f"{prefix}*{basis}"
+    return sign, f"{prefix} {basis}" if latex else f"{prefix}*{basis}"
 
 
 def _hecke_sort_key(perm):
@@ -83,7 +94,7 @@ def to_text(value):
         return str(value)
     if isinstance(value, HeckeElt):
         parts = [
-            _term_text(coeff, _basis_text(perm))
+            _term(coeff, _basis_text(perm))
             for perm, coeff in sorted(value.items(), key=lambda kv: _hecke_sort_key(kv[0]))
         ]
         return _join_signed(parts)
@@ -98,13 +109,13 @@ def to_text(value):
                     basis.append(f"y{i}")
                 elif e:
                     basis.append(f"y{i}^{e}")
-            parts.append(_term_text(coeff, "*".join(basis)))
+            parts.append(_term(coeff, "*".join(basis)))
         return _join_signed(parts)
     if isinstance(value, UVec):
         parts = []
         for (primed, k), coeff in sorted(value.items()):
             name = f"u'{k}" if primed else f"u{k}"
-            parts.append(_term_text(coeff, name))
+            parts.append(_term(coeff, name))
         return _join_signed(parts)
     if isinstance(value, FinDimModule):
         gens = [("rho", value.rho_mat)] + [
@@ -248,26 +259,9 @@ def uvec_from_json(data):
 # LaTeX
 
 def _laurent_latex(poly):
-    if poly.is_zero:
-        return "0"
-    parts = []
-    for e in sorted(dict(poly.items())):
-        v = poly.coefficient(e)
-        sign = "-" if v < 0 else "+"
-        a = abs(v)
-        if e == 0:
-            body = str(a)
-        else:
-            p = "q" if e == 1 else f"q^{{{e}}}"
-            body = p if a == 1 else f"{a}{p}"
-        parts.append((sign, body))
-    out = []
-    for sign, body in parts:
-        if not out:
-            out.append(body if sign == "+" else f"-{body}")
-        else:
-            out.append(f" {sign} {body}")
-    return "".join(out)
+    return _join_signed(
+        [(-1 if v < 0 else 1, _monomial(e, abs(v), latex=True)) for e, v in sorted(poly.items())]
+    )
 
 
 def _basis_latex(perm):
@@ -280,8 +274,6 @@ def _basis_latex(perm):
     if rex.word:
         subscript = " ".join(f"s_{i}" for i in rex.word)
         parts.append(rf"T_{{{subscript}}}")
-    if not parts:
-        return "1"
     return " ".join(parts)
 
 
@@ -289,21 +281,12 @@ def to_latex(value):
     if isinstance(value, LaurentPoly):
         return _laurent_latex(value)
     if isinstance(value, HeckeElt):
-        if value.is_zero:
-            return "0"
-        parts = []
-        for perm, coeff in sorted(value.items(), key=lambda kv: _hecke_sort_key(kv[0])):
-            basis = _basis_latex(perm)
-            if coeff == ONE:
-                parts.append(basis)
-            elif len(list(coeff.items())) == 1:
-                parts.append(f"{_laurent_latex(coeff)} {basis}" if basis != "1" else _laurent_latex(coeff))
-            else:
-                parts.append(f"({_laurent_latex(coeff)}) {basis}")
-        return " + ".join(parts)
+        parts = [
+            _term(coeff, _basis_latex(perm), latex=True)
+            for perm, coeff in sorted(value.items(), key=lambda kv: _hecke_sort_key(kv[0]))
+        ]
+        return _join_signed(parts)
     if isinstance(value, dict) and all(isinstance(k, KLLabel) for k in value):
-        if not value:
-            return "0"
         parts = []
         for label, coeff in sorted(value.items(), key=lambda kv: (kv[0].m, kv[0].length(), kv[0].word)):
             word = "".join(map(str, label.word)) if label.word else "e"
@@ -312,11 +295,8 @@ def to_latex(value):
                 b = rf"\rho {b}"
             elif label.m:
                 b = rf"\rho^{{{label.m}}} {b}"
-            if coeff == ONE:
-                parts.append(b)
-            else:
-                parts.append(f"({_laurent_latex(coeff)}) {b}")
-        return " + ".join(parts)
+            parts.append(_term(coeff, b, latex=True))
+        return _join_signed(parts)
     if isinstance(value, FinDimModule):
         gens = [("\\rho", value.rho_mat)] + [
             (f"T_{i}", value.t_mats[i - 1]) for i in range(1, value.n)
@@ -329,13 +309,11 @@ def to_latex(value):
             blocks.append(f"[{name}] = \\begin{{pmatrix}} {rows} \\end{{pmatrix}}")
         return ", \\quad ".join(blocks)
     if isinstance(value, UVec):
-        if value.is_zero:
-            return "0"
         parts = []
         for (primed, k), coeff in sorted(value.items()):
             name = f"u'_{{{k}}}" if primed else f"u_{{{k}}}"
-            parts.append(name if coeff == ONE else f"({_laurent_latex(coeff)}) {name}")
-        return " + ".join(parts)
+            parts.append(_term(coeff, name, latex=True))
+        return _join_signed(parts)
     if isinstance(value, tuple):
         return r"\begin{pmatrix} " + r" \\ ".join(to_latex(v) for v in value) + r" \end{pmatrix}"
     raise TypeError(f"cannot serialize {type(value).__name__} as LaTeX")

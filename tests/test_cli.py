@@ -106,6 +106,25 @@ def test_gradedrank(capsys):
     assert out == "1 + 2*q^2 + q^4"
 
 
+@pytest.mark.parametrize(
+    "argv,dashed",
+    [
+        (["eval", "-n", "2", "-T1"], ["eval", "-n", "2", "--", "-T1"]),
+        (["reduce-u", "-b1"], ["reduce-u", "--", "-b1"]),
+    ],
+)
+def test_negated_atom_is_an_expression(capsys, argv, dashed):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == run(capsys, *dashed)
+    assert code == 0 and out.startswith("-")
+
+
+def test_unknown_option_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "-n", "2", "--bogus", "T1"])
+    assert exc.value.code == 2
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "eval", "-n", "2", "T1 + $")
     assert code == 2

@@ -165,3 +165,8 @@ def test_latex_snapshots():
     kl = {KLLabel(0, (0, 1)): ONE}
     assert serialize.to_latex(kl) == "b_{01}"
     assert serialize.to_latex(Q + QINV) == "q^{-1} + q"
+    assert serialize.to_latex(ev("q - T1")) == "q - T_{s_1}"
+    kl_neg = {KLLabel(0, ()): -Q, KLLabel(0, (0, 1)): -ONE, KLLabel(1, (1,)): -(Q + QINV)}
+    assert serialize.to_latex(kl_neg) == r"-q b_{e} - b_{01} + (-q^{-1} - q) \rho b_{1}"
+    uvec = UVec(20, {(False, 3): Q, (True, 0): -QINV})
+    assert serialize.to_latex(uvec) == "q u_{3} - q^{-1} u'_{0}"

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from affine_hecke.errors import DimUnsupported
+from affine_hecke.errors import BadIndex, DimUnsupported, InvalidValue
 from affine_hecke.hecke import b_gen, kl_to_std, KLLabel
 from affine_hecke.laurent import ONE, Q, QINV, ZERO, LaurentPoly
 from affine_hecke.modules import (
@@ -11,6 +12,7 @@ from affine_hecke.modules import (
     common_eigenvector_exists,
     induce,
     irreducible_at,
+    mat_det,
     mat_eye,
     mat_mul,
     mat_unit_inverse,
@@ -43,6 +45,105 @@ def test_matrix_inverse_guard():
     with pytest.raises(ValueError):
         mat_unit_inverse(((Q + ONE,),))
     assert mat_unit_inverse(((Q,),)) == ((QINV,),)
+
+
+def test_non_square_matrix_is_invalid():
+    with pytest.raises(InvalidValue):
+        mat_det(((ONE,), (ONE,)))
+    with pytest.raises(InvalidValue):
+        mat_unit_inverse(((ONE, ZERO),))
+
+
+def test_rank1_has_no_t0():
+    with pytest.raises(BadIndex):
+        trivial_module(1).t(0)
+
+
+def det_oracle(a):
+    """Recursive cofactor expansion along the first row: O(dim!), shares no
+    code with the fraction-free elimination behind mat_det."""
+    if len(a) == 1:
+        return a[0][0]
+    acc = ZERO
+    for j in range(len(a)):
+        minor = tuple(row[:j] + row[j + 1 :] for row in a[1:])
+        term = a[0][j] * det_oracle(minor)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+def random_poly(rng, zero_share=0.3):
+    if rng.random() < zero_share:
+        return ZERO
+    return LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3) for _ in range(rng.randint(1, 3))})
+
+
+def random_matrix(rng, dim):
+    return tuple(tuple(random_poly(rng) for _ in range(dim)) for _ in range(dim))
+
+
+def random_singular(rng, dim):
+    """A zero row, or one row a Laurent combination of two others."""
+    rows = [list(row) for row in random_matrix(rng, dim)]
+    r = rng.randrange(dim)
+    if dim == 1 or rng.random() < 0.3:
+        rows[r] = [ZERO] * dim
+    else:
+        i, j = rng.sample([x for x in range(dim) if x != r] * 2, 2)
+        c1, c2 = random_poly(rng, 0), random_poly(rng, 0)
+        rows[r] = [c1 * x + c2 * y for x, y in zip(rows[i], rows[j])]
+    return tuple(tuple(row) for row in rows)
+
+
+def random_unimodular(rng, dim):
+    """P L D U with L, U unitriangular, D a diagonal of units +-q^k and P a
+    permutation, so the determinant is a unit."""
+    lower = tuple(
+        tuple(random_poly(rng) if j < i else (ONE if j == i else ZERO) for j in range(dim))
+        for i in range(dim)
+    )
+    upper = tuple(
+        tuple(random_poly(rng) if j > i else (ZERO if j < i else ONE) for j in range(dim))
+        for i in range(dim)
+    )
+    diag = tuple(
+        tuple(LaurentPoly.q_power(rng.randint(-2, 2), rng.choice((1, -1))) if j == i else ZERO for j in range(dim))
+        for i in range(dim)
+    )
+    order = list(range(dim))
+    rng.shuffle(order)
+    perm = tuple(tuple(ONE if j == order[i] else ZERO for j in range(dim)) for i in range(dim))
+    return mat_mul(perm, mat_mul(lower, mat_mul(diag, upper)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_mat_det_matches_cofactor_oracle(dim):
+    rng = random.Random(100 + dim)
+    for _ in range(30):
+        a = random_matrix(rng, dim)
+        assert mat_det(a) == det_oracle(a), a
+        singular = random_singular(rng, dim)
+        assert mat_det(singular) == det_oracle(singular) == ZERO, singular
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_mat_unit_inverse_on_unit_determinants(dim):
+    rng = random.Random(200 + dim)
+    for _ in range(15):
+        a = random_unimodular(rng, dim)
+        assert det_oracle(a).is_unit()
+        inv = mat_unit_inverse(a)
+        assert mat_mul(a, inv) == mat_eye(dim)
+        assert mat_mul(inv, a) == mat_eye(dim)
+        # scaling one row by a non-unit makes the determinant a non-unit
+        r = rng.randrange(dim)
+        scaled = tuple(
+            tuple(x * (Q + ONE) for x in row) if i == r else row for i, row in enumerate(a)
+        )
+        with pytest.raises(InvalidValue):
+            mat_unit_inverse(scaled)
+        with pytest.raises(InvalidValue):
+            mat_unit_inverse(random_singular(rng, dim))
 
 
 def expected_w():
@@ -95,6 +196,19 @@ def test_module_act_matches_matrices():
 def test_induced_modules_pass_relations(m1, m2):
     mod = induce(m1, m2)
     assert all_pass(module_check_relations(mod))
+
+
+@pytest.mark.parametrize("k,m", [(2, 3), (2, 4), (3, 3)])
+def test_large_induced_modules(k, m):
+    mod = induce(trivial_module(k), trivial_module(m))
+    assert mod.dim == {(2, 3): 10, (2, 4): 15, (3, 3): 20}[(k, m)]
+    report = dict(module_check_relations(mod))
+    assert report["rho*rho^-1 = 1"]
+    assert all(report.values())
+    ys = [module_y(mod, i) for i in range(1, mod.n + 1)]
+    for i, yi in enumerate(ys):
+        for yj in ys[i + 1 :]:
+            assert mat_mul(yi, yj) == mat_mul(yj, yi)
 
 
 def test_induced_dimension_formula():
