@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from . import checks, expr, serialize
+from . import expr, serialize
 from .errors import AffineHeckeError, BadIndex, ParseError, RankMismatch
 from .example_n2 import DEFAULT_BOUND, act_elt, pi_uw, u_reduce
 from .hecke import KLLabel
@@ -226,6 +226,8 @@ def _run(args):
         print(_output(graded_hom_rank(left, right).poly, args.format))
         return 0
     if args.command == "check":
+        from . import checks  # the acceptance suite's imports are not paid by other commands
+
         numbers = None
         if args.criteria:
             numbers = [_int(tok, "criterion") for tok in args.criteria.split(",") if tok.strip()]

@@ -1,15 +1,15 @@
 """Finite-dimensional modules as exact generator matrices.
 
-A module stores matrices for T_1, ..., T_{n-1} and rho over Z[q,q^-1].
-rho^-1 comes from one fraction-free elimination (the determinant of rho
-must be a unit, which keeps every entry inside Z[q,q^-1]), T_0 is derived
-once as rho T_{n-1} rho^-1, and T_i^-1 = T_i + (q - q^-1).  Columns act on
-column vectors and the matrix of a product xy is [x][y].
+A module stores matrices for T_1, ..., T_{n-1}, rho and rho^-1 over
+Z[q,q^-1].  Induced modules take rho^-1 from their induction plan; only a
+supplied module inverts rho, by one fraction-free elimination (its
+determinant must be a unit).  T_0 is derived once as rho T_{n-1} rho^-1,
+T_i^-1 = T_i + (q - q^-1), and the matrix of a product xy is [x][y].
 
-Zelevinsky induction realizes Ind along the parabolic embedding on the
-basis {T_x (x) m1 (x) m2} indexed by minimal coset representatives:
-rewrite g T_x in Bernstein normal form, split each T_w = T_{x'} T_u along
-the coset decomposition, act by the two block factors of T_u through the
+Zelevinsky induction realizes Ind on the basis {T_x (x) m1 (x) m2} indexed
+by minimal coset representatives.  The plan, cached per (n, k), rewrites
+g T_x in Bernstein normal form and splits each T_w = T_{x'} T_u along the
+coset decomposition; induce acts by the block factors of T_u through the
 factor matrices and by y^lambda through the factor y-matrices (y_{k+j}
 routed to the right factor).
 """
@@ -19,11 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
+from itertools import product
 
-from .bernstein import to_bernstein
+from .bernstein import BernsteinElt, to_bernstein
 from .errors import BadIndex, DimUnsupported, InvalidValue, RankMismatch
-from .hecke import HeckeElt, rho_gen, t_gen
+from .hecke import rho_gen, t_gen
 from .laurent import ONE, Q, QINV, ZERO
 from .parabolic import coset_decompose, min_coset_reps, split_parabolic_factor
 from .weyl import canonical_rex
@@ -111,8 +112,6 @@ def mat_unit_inverse(a):
 
 
 def mat_pow(a, k):
-    if k < 0:
-        return mat_pow(mat_unit_inverse(a), -k)
     out = mat_eye(len(a))
     base = a
     while k:
@@ -139,6 +138,12 @@ class FinDimModule:
     def __post_init__(self):
         if self.n < 1:
             raise BadIndex(f"module rank must be at least 1, got {self.n}")
+        if len(self.t_mats) != self.n - 1:
+            raise InvalidValue(f"rank {self.n} needs {self.n - 1} T-matrices, got {len(self.t_mats)}")
+        mats = {f"T_{i}": m for i, m in enumerate(self.t_mats, start=1)}
+        for name, mat in {**mats, "rho": self.rho_mat, "rho^-1": self.rho_inv_mat}.items():
+            if mat is not None and (len(mat) != self.dim or any(len(row) != self.dim for row in mat)):
+                raise InvalidValue(f"matrix {name} is not {self.dim}x{self.dim}")
         if self.rho_inv_mat is None:
             object.__setattr__(self, "rho_inv_mat", mat_unit_inverse(self.rho_mat))
         t0 = None
@@ -255,55 +260,56 @@ def module_act(mod, elt, vec):
     return tuple(out)
 
 
+@cache
+def _induction_plan(n, k):
+    """Ind's work that depends on (n, k) alone: for g in T_1..T_{n-1}, rho,
+    rho^-1 and each representative x, the terms T_{x'} T_{u_l} T_{u_r} y^lam
+    of g T_x as (index of x', word of u_l, lam[:k], word of u_r, lam[k:], coeff)."""
+    reps = min_coset_reps(n, k)
+    index = {x: pos for pos, x in enumerate(reps)}
+
+    def split(w, lam, coeff):
+        x2, u = coset_decompose(w, k)
+        u_l, u_r = split_parabolic_factor(u, k)
+        return index[x2], canonical_rex(u_l).word, lam[:k], canonical_rex(u_r).word, lam[k:], coeff
+
+    gens = [t_gen(n, i) for i in range(1, n)] + [rho_gen(n), rho_gen(n, -1)]
+    return tuple(
+        tuple(tuple(split(w, lam, c) for (w, lam), c in (g * BernsteinElt.t_term(x)).items()) for x in reps)
+        for g in map(to_bernstein, gens)
+    )
+
+
 def induce(m1, m2):
     """The Zelevinsky tensor product, an exact module of dimension
     binom(n, k) * dim(m1) * dim(m2) with n = m1.n + m2.n and k = m1.n."""
     k, n = m1.n, m1.n + m2.n
-    reps = min_coset_reps(n, k)
-    basis = [(x, a, b) for x in reps for a in range(m1.dim) for b in range(m2.dim)]
-    index = {key: pos for pos, key in enumerate(basis)}
-    dim = len(basis)
+    d1, d2 = m1.dim, m2.dim
+    plan = _induction_plan(n, k)
+    dim = len(plan[0]) * d1 * d2  # T_x (x) e_a (x) e_b sits at (x d1 + a) d2 + b
 
     @cache
-    def y_mat(side, i, e):
-        """Matrix of y_i^e on the left (side 0) or right (side 1) factor."""
+    def factor_op(side, word, lam):
+        """Matrix of T_word y^lam on the left (side 0) or right (side 1) factor."""
         mod = (m1, m2)[side]
-        base = module_y(mod, i) if e > 0 else module_y_inv(mod, i)
-        return mat_pow(base, abs(e))
+        mats = [mod.t(letter) for letter in word] + [
+            mat_pow((module_y if e > 0 else module_y_inv)(mod, i), abs(e)) for i, e in enumerate(lam, 1) if e
+        ]
+        return reduce(mat_mul, mats, mat_eye(mod.dim))
 
-    def generator_matrix(g_elt):
+    def generator_matrix(plan_cols):
         cols = [[ZERO] * dim for _ in range(dim)]  # cols[row][col]
-        for x in reps:
-            normal = to_bernstein(g_elt * HeckeElt.from_term(x))
-            for (w, lam), coeff in normal.items():
-                x2, u = coset_decompose(w, k)
-                u_l, u_r = split_parabolic_factor(u, k)
-                op_l = mat_eye(m1.dim)
-                for letter in canonical_rex(u_l).word:
-                    op_l = mat_mul(op_l, m1.t(letter))
-                for i, e in enumerate(lam[:k], start=1):
-                    if e:
-                        op_l = mat_mul(op_l, y_mat(0, i, e))
-                op_r = mat_eye(m2.dim)
-                for letter in canonical_rex(u_r).word:
-                    op_r = mat_mul(op_r, m2.t(letter))
-                for j, e in enumerate(lam[k:], start=1):
-                    if e:
-                        op_r = mat_mul(op_r, y_mat(1, j, e))
-                for a in range(m1.dim):
-                    for b in range(m2.dim):
-                        col = index[(x, a, b)]
-                        for a2 in range(m1.dim):
-                            for b2 in range(m2.dim):
-                                entry = coeff * op_l[a2][a] * op_r[b2][b]
-                                if entry:
-                                    row = index[(x2, a2, b2)]
-                                    cols[row][col] = cols[row][col] + entry
+        for x, entries in enumerate(plan_cols):
+            for x2, word_l, lam_l, word_r, lam_r, coeff in entries:
+                op_l, op_r = factor_op(0, word_l, lam_l), factor_op(1, word_r, lam_r)
+                for (a, a2), (b, b2) in product(product(range(d1), repeat=2), product(range(d2), repeat=2)):
+                    entry = coeff * op_l[a2][a] * op_r[b2][b]
+                    if entry:
+                        cols[(x2 * d1 + a2) * d2 + b2][(x * d1 + a) * d2 + b] += entry
         return tuple(tuple(row) for row in cols)
 
-    t_mats = tuple(generator_matrix(t_gen(n, i)) for i in range(1, n))
-    rho_mat = generator_matrix(rho_gen(n))
-    return FinDimModule(n, dim, t_mats, rho_mat)
+    *t_mats, rho_mat, rho_inv_mat = map(generator_matrix, plan)
+    return FinDimModule(n, dim, tuple(t_mats), rho_mat, rho_inv_mat)
 
 
 # ---------------------------------------------------------------------------

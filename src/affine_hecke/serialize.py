@@ -17,6 +17,7 @@ Text output round-trips through the expression parser.  JSON schemas:
 from __future__ import annotations
 
 from .bernstein import BernsteinElt
+from .errors import InvalidValue
 from .example_n2 import UVec
 from .hecke import HeckeElt, KLLabel
 from .laurent import LaurentPoly, accumulate
@@ -237,6 +238,9 @@ def bernstein_from_json(data):
 def module_from_json(data):
     n, dim = int(data["n"]), int(data["dim"])
     gens = data["gens"]
+    missing = [name for name in [f"T{i}" for i in range(1, n)] + ["rho"] if name not in gens]
+    if missing:
+        raise InvalidValue(f"module JSON lacks generator {', '.join(missing)}")
 
     def mat(entries):
         return tuple(tuple(LaurentPoly.from_json(e) for e in row) for row in entries)

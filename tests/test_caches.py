@@ -9,7 +9,7 @@ from affine_hecke.bernstein import from_bernstein, to_bernstein
 from affine_hecke.example_n2 import UVec, pi_uw
 from affine_hecke.hecke import KLLabel, b_gen, kl_to_std, rho_gen, std_to_kl, t_gen, t_inv_gen
 from affine_hecke.laurent import Q
-from affine_hecke.modules import induce, trivial_module
+from affine_hecke.modules import induce, one_dimensional, trivial_module
 from affine_hecke.weyl import rho, simple
 
 MEMOS = {
@@ -21,6 +21,7 @@ MEMOS = {
     "bernstein._y_power",
     "example_n2.w_module",
     "example_n2._pi_basis",
+    "modules._induction_plan",
 }
 
 
@@ -51,6 +52,7 @@ def results():
         "to_bernstein": normal,
         "round_trip": from_bernstein(normal),
         "induce": induce(trivial_module(1), trivial_module(2)),
+        "induce_twisted": induce(one_dimensional(1, None, Q**2), trivial_module(2)),
         "pi_uw": pi_uw(UVec.basis(3) + UVec.basis(2, primed=True)),
     }
 

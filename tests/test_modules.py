@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from affine_hecke.errors import BadIndex, DimUnsupported, InvalidValue
+from affine_hecke.example_n2 import w_module
 from affine_hecke.hecke import b_gen, kl_to_std, KLLabel
 from affine_hecke.laurent import ONE, Q, QINV, ZERO, LaurentPoly
 from affine_hecke.modules import (
@@ -24,6 +25,7 @@ from affine_hecke.modules import (
     specialize,
     trivial_module,
 )
+from affine_hecke.serialize import module_from_json
 
 TWO = LaurentPoly.const(2)
 
@@ -198,10 +200,26 @@ def test_induced_modules_pass_relations(m1, m2):
     assert all_pass(module_check_relations(mod))
 
 
-@pytest.mark.parametrize("k,m", [(2, 3), (2, 4), (3, 3)])
-def test_large_induced_modules(k, m):
-    mod = induce(trivial_module(k), trivial_module(m))
-    assert mod.dim == {(2, 3): 10, (2, 4): 15, (3, 3): 20}[(k, m)]
+def rank1(e, sign=1):
+    """A rank-1 module with rho acting by sign * q^e."""
+    return one_dimensional(1, None, LaurentPoly.q_power(e, sign))
+
+
+LARGE_INDUCED = {
+    "2-3": (lambda: induce(trivial_module(2), trivial_module(3)), 10),
+    "2-4": (lambda: induce(trivial_module(2), trivial_module(4)), 15),
+    "3-3": (lambda: induce(trivial_module(3), trivial_module(3)), 20),
+    "4-4": (lambda: induce(trivial_module(4), trivial_module(4)), 70),
+    "W-W": (lambda: induce(w_module(), w_module()), 24),
+    "W-1-1": (lambda: induce(induce(w_module(), trivial_module(1)), trivial_module(1)), 24),
+}
+
+
+@pytest.mark.parametrize("case", LARGE_INDUCED)
+def test_large_induced_modules(case):
+    build, dim = LARGE_INDUCED[case]
+    mod = build()
+    assert mod.dim == dim
     report = dict(module_check_relations(mod))
     assert report["rho*rho^-1 = 1"]
     assert all(report.values())
@@ -209,6 +227,44 @@ def test_large_induced_modules(k, m):
     for i, yi in enumerate(ys):
         for yj in ys[i + 1 :]:
             assert mat_mul(yi, yj) == mat_mul(yj, yi)
+
+
+PLAN_INVERSE_PAIRS = {
+    "q2-(-q^-1)": lambda: (rank1(2), rank1(-1, -1)),
+    "(-q)-triv2": lambda: (rank1(1, -1), trivial_module(2)),
+    "triv2-q^-2": lambda: (trivial_module(2), rank1(-2)),
+    "W-q2": lambda: (w_module(), rank1(2)),
+    "(-q^-1)-W": lambda: (rank1(-1, -1), w_module()),
+    "W-triv2": lambda: (w_module(), trivial_module(2)),
+    "W-W": lambda: (w_module(), w_module()),
+}
+
+
+@pytest.mark.parametrize("case", PLAN_INVERSE_PAIRS)
+def test_plan_rho_inverse_matches_elimination(case):
+    mod = induce(*PLAN_INVERSE_PAIRS[case]())
+    assert mod.rho_inv_mat == mat_unit_inverse(mod.rho_mat)
+    assert all_pass(module_check_relations(mod))
+
+
+def test_malformed_module_is_invalid():
+    eye, t1 = mat_eye(2), ((QINV,),)
+    with pytest.raises(InvalidValue):
+        FinDimModule(3, 1, (t1,), ((ONE,),))  # rank 3 needs T_1 and T_2
+    with pytest.raises(InvalidValue):
+        FinDimModule(2, 1, (t1,), eye)  # 2x2 rho in dimension 1
+    with pytest.raises(InvalidValue):
+        FinDimModule(2, 2, (((QINV, ZERO),),), eye)  # 1x2 T_1
+    with pytest.raises(InvalidValue):
+        FinDimModule(2, 2, (eye,), eye, mat_eye(3))  # 3x3 rho^-1
+
+
+def test_malformed_module_json_is_invalid():
+    one = ONE.to_json()
+    with pytest.raises(InvalidValue):
+        module_from_json({"n": 2, "dim": 1, "gens": {"rho": [[one, one], [one, one]], "T1": [[one]]}})
+    with pytest.raises(InvalidValue):
+        module_from_json({"n": 3, "dim": 1, "gens": {"rho": [[one]], "T1": [[one]]}})
 
 
 def test_induced_dimension_formula():
