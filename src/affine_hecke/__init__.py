@@ -36,6 +36,7 @@ from .hecke import (
     std_to_kl,
     t_gen,
     t_inv_gen,
+    word_elt,
 )
 from .laurent import ONE, Q, Q2, QINV, ZERO, LaurentPoly
 from .modules import (
@@ -47,7 +48,7 @@ from .modules import (
     specialize,
     trivial_module,
 )
-from .pairing import GradedRank, euler_pair, graded_hom_rank, rouquier_class, y_class
+from .pairing import GradedRank, euler_pair, graded_hom_rank, y_class
 from .parabolic import (
     ParabolicContext,
     bernstein_y,

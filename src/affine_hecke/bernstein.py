@@ -16,10 +16,10 @@ NonIntegralCorrection instead of silently corrupting results.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 
 from .errors import RankMismatch
-from .hecke import HeckeElt
+from .hecke import HeckeElt, _mul_terms_simple, fold_word, inverse_word, rex_word
 from .laurent import ONE, Q, QINV, Combination, LaurentPoly, accumulate
 from .parabolic import bernstein_y, bernstein_y_inv
 from .weyl import canonical_rex, identity, simple
@@ -97,15 +97,6 @@ def bl_commute(n, i, lam):
     return BernsteinElt._raw(n, out)
 
 
-def _finite_mul_simple(perm, i):
-    """T_w T_i in the finite Hecke algebra as a list of (perm, coeff)."""
-    s = simple(perm.n, i)
-    ws = perm * s
-    if ws.length() > perm.length():
-        return [(ws, ONE)]
-    return [(ws, ONE), (perm, QINV - Q)]
-
-
 def _term_mul(n, w, lam, v, mu, coeff, out):
     """Accumulate T_w y^lam T_v y^mu into the term dict out."""
     stack = [(w, lam, v, coeff)]
@@ -118,8 +109,8 @@ def _term_mul(n, w, lam, v, mu, coeff, out):
         v_rest = simple(n, i) * v1  # v1 = s_i * v_rest with lengths adding
         # y^lam1 T_i = T_i y^{s_i lam1} - correction
         swapped = _swap_slots(lam1, i)
-        for w2, c2 in _finite_mul_simple(w1, i):
-            stack.append((w2, swapped, v_rest, c1 * c2))
+        for w2, c2 in _mul_terms_simple(n, {w1: c1}, i).items():
+            stack.append((w2, swapped, v_rest, c2))
         for lam2, corr in _correction_monomials(n, i, swapped):
             stack.append((w1, lam2, v_rest, -(c1 * corr)))
 
@@ -139,52 +130,44 @@ def bernstein_mul(a, b):
 # ---------------------------------------------------------------------------
 # conversion to and from the standard extended basis
 
+def _finite_letter(n, g, e):
+    """Normal form of T_g^e for 1 <= g <= n-1."""
+    t = BernsteinElt.t_term(simple(n, g))
+    return t if e == 1 else t + BernsteinElt.one(n).scale(Q - QINV)
+
+
 @cache
 def _rho_images(n):
-    """Normal forms of rho, rho^-1 and T_0 for rank n."""
+    """Normal forms of rho = y_1 T_1^-1 ... T_{n-1}^-1, of
+    rho^-1 = T_{n-1} ... T_1 y_1^-1 and of T_0 = rho T_{n-1} rho^-1."""
+    y_1, y_1_inv = (BernsteinElt.y_monomial(n, (e,) + (0,) * (n - 1)) for e in (1, -1))
+    down = tuple((j, -1) for j in range(1, n))
+
+    def fin(word):
+        return fold_word(word, partial(_finite_letter, n), bernstein_mul, partial(BernsteinElt.one, n))
+
+    rho_pos, rho_neg = bernstein_mul(y_1, fin(down)), bernstein_mul(fin(inverse_word(down)), y_1_inv)
     if n == 1:
-        return BernsteinElt.y_monomial(1, (1,)), BernsteinElt.y_monomial(1, (-1,)), None
-    # rho = y_1 T_1^-1 ... T_{n-1}^-1 and rho^-1 = T_{n-1} ... T_1 y_1^-1
-    rho_pos = BernsteinElt.y_monomial(n, (1,) + (0,) * (n - 1))
-    for j in range(1, n):
-        t_inv = BernsteinElt(
-            n,
-            {
-                (simple(n, j), (0,) * n): ONE,
-                (identity(n), (0,) * n): Q - QINV,
-            },
-        )
-        rho_pos = bernstein_mul(rho_pos, t_inv)
-    word = identity(n)
-    for j in range(n - 1, 0, -1):
-        word = word * simple(n, j)
-    rho_neg = BernsteinElt.t_term(word, (-1,) + (0,) * (n - 1))
-    t0 = bernstein_mul(bernstein_mul(rho_pos, BernsteinElt.t_term(simple(n, n - 1))), rho_neg)
-    return rho_pos, rho_neg, t0
+        return rho_pos, rho_neg, None
+    return rho_pos, rho_neg, bernstein_mul(bernstein_mul(rho_pos, _finite_letter(n, n - 1, 1)), rho_neg)
 
 
 def to_bernstein(elt):
     """Rewrite a standard-basis element in Bernstein normal form."""
     n = elt.n
     rho_pos, rho_neg, t0 = _rho_images(n)
+
+    def letter(g, e):
+        if g == "rho":
+            return rho_pos if e == 1 else rho_neg
+        return t0 if g == 0 else _finite_letter(n, g, e)
+
     out = {}
     for perm, coeff in elt.terms.items():
-        rex = canonical_rex(perm)
-        acc = _bernstein_power(rho_pos, rho_neg, rex.m, n)
-        for i in rex.word:
-            factor = t0 if i == 0 else BernsteinElt.t_term(simple(n, i))
-            acc = bernstein_mul(acc, factor)
+        acc = fold_word(rex_word(canonical_rex(perm)), letter, bernstein_mul, partial(BernsteinElt.one, n))
         for key, c in acc.terms.items():
             accumulate(out, key, c * coeff)
     return BernsteinElt._raw(n, out)
-
-
-def _bernstein_power(rho_pos, rho_neg, m, n):
-    acc = BernsteinElt.one(n)
-    base = rho_pos if m >= 0 else rho_neg
-    for _ in range(abs(m)):
-        acc = bernstein_mul(acc, base)
-    return acc
 
 
 @cache

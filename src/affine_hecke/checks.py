@@ -29,14 +29,17 @@ from .hecke import (
     KLLabel,
     alt_word,
     b_gen,
+    broken_relations,
     form,
     form_with_omega,
+    generator_letters,
     kl_mul_closed,
     kl_to_std,
     rho_gen,
     std_to_kl,
     t_gen,
     t_inv_gen,
+    word_elt,
 )
 from .laurent import ONE, Q, QINV, ZERO, LaurentPoly
 from .modules import (
@@ -51,7 +54,7 @@ from .modules import (
 )
 from .pairing import euler_pair, graded_hom_rank, y_class
 from .parabolic import ParabolicContext, psi, psi_L, psi_R, psi_rho_pair
-from .weyl import identity, rho, simple
+from .weyl import ReducedExpr, from_rex, rho, simple
 
 
 @dataclass
@@ -218,56 +221,20 @@ def check_trace_on_kl():
 
 # --- criteria 6 and 7 -----------------------------------------------------
 
-def _source_generators(rank):
-    gens = [rho_gen(rank, 1), rho_gen(rank, -1)]
-    if rank >= 2:
-        gens.extend(t_gen(rank, i) for i in range(rank))
-    return gens
-
-
-def _source_relations(rank):
-    """Defining relations of the rank-`rank` algebra as formal elements."""
-    rels = []
-    one = HeckeElt.one(rank)
-    rels.append(("rho rho^-1", rho_gen(rank, 1) * rho_gen(rank, -1) - one))
-    if rank >= 2:
-        for i in range(rank):
-            ti = t_gen(rank, i)
-            rels.append(
-                (f"quadratic T_{i}", (ti + one.scale(Q)) * (ti - one.scale(QINV)))
-            )
-            j = (i + 1) % rank
-            conj = rho_gen(rank, 1) * ti * rho_gen(rank, -1) - t_gen(rank, j)
-            rels.append((f"rho T_{i} rho^-1 = T_{j}", conj))
-    if rank >= 3:
-        for i in range(rank):
-            j = (i + 1) % rank
-            ti, tj = t_gen(rank, i), t_gen(rank, j)
-            rels.append((f"braid {i},{j}", ti * tj * ti - tj * ti * tj))
-    if rank >= 4:
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                if (j - i) % rank not in (1, rank - 1):
-                    ti, tj = t_gen(rank, i), t_gen(rank, j)
-                    rels.append((f"commute {i},{j}", ti * tj - tj * ti))
-    return rels
-
-
 PSI_CASES = ((2, 1), (3, 1), (3, 2), (4, 2))
 
 
 def check_psi_suite():
     for n, k in PSI_CASES:
         ctx = ParabolicContext(n, k)
-        for name, rel in _source_relations(k):
-            if not psi_L(ctx, rel).is_zero:
-                return False, f"psi_L({name}) != 0 at (n,k)=({n},{k})"
-        for name, rel in _source_relations(n - k):
-            if not psi_R(ctx, rel).is_zero:
-                return False, f"psi_R({name}) != 0 at (n,k)=({n},{k})"
-        for a in _source_generators(k):
-            for b in _source_generators(n - k):
-                if psi_L(ctx, a) * psi_R(ctx, b) != psi_R(ctx, b) * psi_L(ctx, a):
+        for side, embed, rank in (("L", psi_L, k), ("R", psi_R, n - k)):
+            broken = broken_relations(n, rank, lambda g, e: embed(ctx, word_elt(rank, ((g, e),))))
+            if broken:
+                return False, f"psi_{side} images break {broken[0]} at (n,k)=({n},{k})"
+        for a in generator_letters(k):
+            for b in generator_letters(n - k):
+                left, right = psi_L(ctx, word_elt(k, (a,))), psi_R(ctx, word_elt(n - k, (b,)))
+                if left * right != right * left:
                     return False, f"commuting pair fails at (n,k)=({n},{k})"
         if psi(ctx, rho_gen(k), rho_gen(n - k)) != psi_rho_pair(ctx):
             return False, f"rotation-pair identity fails at (n,k)=({n},{k})"
@@ -293,13 +260,9 @@ def check_associativity():
 # --- criterion 8 ----------------------------------------------------------
 
 def _random_element(rng, n, max_len):
-    elt = HeckeElt.one(n)
-    gens = [t_gen(n, i) for i in range(n)] if n >= 2 else []
-    gens += [t_inv_gen(n, i) for i in range(n)] if n >= 2 else []
-    gens += [rho_gen(n, 1), rho_gen(n, -1)]
-    for _ in range(rng.randrange(max_len + 1)):
-        elt = elt * rng.choice(gens)
-    return elt
+    letters = [(i, e) for e in (1, -1) for i in range(n)] if n >= 2 else []
+    letters += [("rho", 1), ("rho", -1)]
+    return word_elt(n, [rng.choice(letters) for _ in range(rng.randrange(max_len + 1))])
 
 
 def check_bernstein():
@@ -362,20 +325,13 @@ def check_u_module():
     if pi_uw(kernel_generator()) != (ZERO, ZERO):
         return False, "pi(T_1 u_0 - rho u_0) != 0"
     g1, g2 = ideal_generators()
-    probes = [HeckeElt.from_term(rho(2, m) * _word_perm(l, first)) for m in (0, 1)
+    probes = [HeckeElt.from_term(from_rex(ReducedExpr(m, alt_word(l, first=first)), 2)) for m in (0, 1)
               for l in range(0, 11) for first in ((0, 1) if l else (0,))]
     for x in probes:
         for g in (g1, g2):
             if not u_reduce(x * g, bound).is_zero:
                 return False, "left multiple of an ideal generator survived"
     return True, "engines agree to k=18, projection intertwines, ideal killed for l <= 10"
-
-
-def _word_perm(length, first):
-    w = identity(2)
-    for i in alt_word(length, first=first) if length else ():
-        w = w * simple(2, i)
-    return w
 
 
 # --- criterion 10 ---------------------------------------------------------

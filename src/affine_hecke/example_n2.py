@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import cache
 
 from .errors import BadIndex, InvalidValue, TruncationExceeded
-from .hecke import HeckeElt, KLLabel, alt_word, b_gen, kl_to_std, rho_gen, std_to_kl
+from .hecke import HeckeElt, KLLabel, alt_word, b_gen, kl_to_std, rho_gen, std_to_kl, t_gen
 from .laurent import ONE, Q, Q2, QINV, ZERO, Combination, accumulate
 from .modules import induce, module_act, trivial_module
 
@@ -128,8 +128,6 @@ def gen_elt(gen):
     if gen in ("b0", "b1"):
         return b_gen(2, int(gen[1]))
     if gen in ("T0", "T1"):
-        from .hecke import t_gen
-
         return t_gen(2, int(gen[1]))
     raise BadIndex(f"unknown generator {gen!r}")
 

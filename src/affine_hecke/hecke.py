@@ -8,11 +8,14 @@ are
 
 with braid and distant-commutation relations for n >= 3, so that
 T_i^-1 = T_i + (q - q^-1) and the Kazhdan-Lusztig generator is
-b_i = T_i + q with b_i^2 = [2] b_i.
+b_i = T_i + q with b_i^2 = [2] b_i.  defining_relations lists them once
+as pairs of words in the generators; fold_word evaluates a word in any
+target, and word_elt is its value in the algebra.
 
 Multiplication folds the right factor's canonical reduced expression
 (weyl.canonical_rex, the one memo of to_rex) through the rule
-T_g T_i = T_{g s_i} (ascent) or T_{g s_i} + (q^-1 - q) T_g (descent).
+T_g T_i = T_{g s_i} (ascent) or T_{g s_i} + (q^-1 - q) T_g (descent),
+with the O(1) window descent test AffinePerm.has_descent.
 Every memo in the package is a functools.cache on the function that
 computes the value; basis-pair products, basis inverses and KL expansions
 are cached as read-only tuples of (perm, coeff) pairs.
@@ -26,7 +29,8 @@ or u = w, so std_to_kl is one O(#terms + length) suffix sum per rho-shift.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial, reduce
+from itertools import combinations
 
 from .errors import BadIndex, InvalidValue, RankMismatch, RankUnsupported
 from .laurent import ONE, Q, Q2, QINV, ZERO, Combination, LaurentPoly, accumulate
@@ -139,6 +143,82 @@ def b_gen(n, i):
     return HeckeElt(n, {simple(n, i): ONE, identity(n): Q})
 
 
+# ---------------------------------------------------------------------------
+# words in the generators: tuples of letters (g, e) with e = +-1, where an
+# index g in 0..n-1 is T_g^e and g = "rho" is rho^e.  Every target (algebra
+# elements, module matrices, Bernstein forms, images of an embedding)
+# evaluates them by fold_word and sets T_i^-1 = T_i + (q - q^-1).
+
+
+def fold_word(word, letter, mul, one):
+    """The product under mul of letter(g, e) over the letters of a word;
+    the empty word is one()."""
+    for g, e in word:
+        if e not in (1, -1) or not (g == "rho" or isinstance(g, int)):
+            raise BadIndex(f"a letter is (index or 'rho', +-1), got {(g, e)}")
+    values = [letter(g, e) for g, e in word]
+    return reduce(mul, values) if values else one()
+
+
+def inverse_word(word):
+    """The word of the inverse: the letters reversed, their signs flipped."""
+    return tuple((g, -e) for g, e in reversed(word))
+
+
+def rex_word(rex):
+    """The word rho^m T_{i_1} ... T_{i_l} of a reduced expression."""
+    return (("rho", 1 if rex.m > 0 else -1),) * abs(rex.m) + tuple((i, 1) for i in rex.word)
+
+
+def _letter_elt(n, g, e):
+    if g == "rho":
+        return rho_gen(n, e)
+    return t_gen(n, g) if e == 1 else t_inv_gen(n, g)
+
+
+def word_elt(n, word):
+    """The rank-n algebra element of a word."""
+    return fold_word(word, partial(_letter_elt, n), HeckeElt.__mul__, partial(HeckeElt.one, n))
+
+
+def generator_letters(n):
+    """The letters rho, rho^-1 and T_0 .. T_{n-1} that generate the rank-n algebra."""
+    return [("rho", 1), ("rho", -1)] + [(i, 1) for i in (range(n) if n >= 2 else ())]
+
+
+def defining_relations(n):
+    """The defining relations of the rank-n algebra as (name, lhs, rhs) words.
+
+    The quadratic relation (T_i + q)(T_i - q^-1) = 0 is T_i T_i^-1 = 1, since
+    every target defines T_i^-1 = T_i + (q - q^-1).
+    """
+    rels = [("rho*rho^-1 = 1", (("rho", 1), ("rho", -1)), ())]
+    idx = range(n) if n >= 2 else ()
+    rels += [(f"(T_{i}+q)(T_{i}-q^-1) = 0", ((i, 1), (i, -1)), ()) for i in idx]
+    pairs = [(i, (i + 1) % n) for i in idx]
+    rels += [(f"rho T_{i} rho^-1 = T_{j}", (("rho", 1), (i, 1), ("rho", -1)), ((j, 1),)) for i, j in pairs]
+    rels += [
+        (f"T_{i} T_{j} T_{i} = T_{j} T_{i} T_{j}", ((i, 1), (j, 1), (i, 1)), ((j, 1), (i, 1), (j, 1)))
+        for i, j in pairs
+        if n >= 3
+    ]
+    distant = [(i, j) for i, j in combinations(idx, 2) if (j - i) % n not in (1, n - 1)]
+    rels += [(f"T_{i} T_{j} = T_{j} T_{i}", ((i, 1), (j, 1)), ((j, 1), (i, 1))) for i, j in distant]
+    return rels
+
+
+def broken_relations(n, rank, image):
+    """Names of the rank-`rank` defining relations that fail when each letter
+    goes to the rank-n element image(g, e) and each side to the product of
+    its letters' images."""
+    image = cache(image)
+
+    def value(word):
+        return fold_word(word, image, HeckeElt.__mul__, partial(HeckeElt.one, n))
+
+    return [name for name, lhs, rhs in defining_relations(rank) if value(lhs) != value(rhs)]
+
+
 def bott_samelson(n, word):
     """Product b_{i_1} ... b_{i_l}, defined for every rank."""
     out = HeckeElt.one(n)
@@ -156,9 +236,8 @@ def _mul_terms_simple(n, terms, i):
     s = simple(n, i)
     out = {}
     for g, c in terms.items():
-        gs = g * s
-        accumulate(out, gs, c)
-        if gs.length() < g.length():
+        accumulate(out, g * s, c)
+        if g.has_descent(i):
             accumulate(out, g, c * _DESC)
     return out
 

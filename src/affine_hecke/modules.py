@@ -4,7 +4,11 @@ A module stores matrices for T_1, ..., T_{n-1}, rho and rho^-1 over
 Z[q,q^-1].  Induced modules take rho^-1 from their induction plan; only a
 supplied module inverts rho, by one fraction-free elimination (its
 determinant must be a unit).  T_0 is derived once as rho T_{n-1} rho^-1,
-T_i^-1 = T_i + (q - q^-1), and the matrix of a product xy is [x][y].
+T_i^-1 = T_i + (q - q^-1), and the matrix of a product xy is [x][y].  A
+word in the generators (hecke.fold_word) acts by word_mat, the product of
+its letters' matrices: the relation check runs hecke.defining_relations
+through it, module_y the words parabolic.y_word, and module_act the word
+of each term's canonical reduced expression.
 
 Zelevinsky induction realizes Ind on the basis {T_x (x) m1 (x) m2} indexed
 by minimal coset representatives.  The plan, cached per (n, k), rewrites
@@ -19,14 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, partial
 from itertools import product
 
 from .bernstein import BernsteinElt, to_bernstein
 from .errors import BadIndex, DimUnsupported, InvalidValue, RankMismatch
-from .hecke import rho_gen, t_gen
+from .hecke import defining_relations, fold_word, inverse_word, rex_word, rho_gen, t_gen
 from .laurent import ONE, Q, QINV, ZERO
-from .parabolic import coset_decompose, min_coset_reps, split_parabolic_factor
+from .parabolic import coset_decompose, min_coset_reps, split_parabolic_factor, y_word
 from .weyl import canonical_rex
 
 # ---------------------------------------------------------------------------
@@ -36,10 +40,6 @@ def mat_eye(dim):
     return tuple(
         tuple(ONE if i == j else ZERO for j in range(dim)) for i in range(dim)
     )
-
-
-def mat_zero(dim):
-    return tuple(tuple(ZERO for _ in range(dim)) for _ in range(dim))
 
 
 def mat_add(a, b):
@@ -111,17 +111,6 @@ def mat_unit_inverse(a):
     return mat_scale(adj, det.unit_inverse())
 
 
-def mat_pow(a, k):
-    out = mat_eye(len(a))
-    base = a
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -138,6 +127,8 @@ class FinDimModule:
     def __post_init__(self):
         if self.n < 1:
             raise BadIndex(f"module rank must be at least 1, got {self.n}")
+        if self.dim < 1:
+            raise InvalidValue(f"module dimension must be at least 1, got {self.dim}")
         if len(self.t_mats) != self.n - 1:
             raise InvalidValue(f"rank {self.n} needs {self.n - 1} T-matrices, got {len(self.t_mats)}")
         mats = {f"T_{i}": m for i, m in enumerate(self.t_mats, start=1)}
@@ -177,86 +168,45 @@ def one_dimensional(n, t_scalar, rho_scalar):
     return FinDimModule(n, 1, tuple(t_mat for _ in range(n - 1)), ((rho_scalar,),))
 
 
+def word_mat(mod, word):
+    """Matrix of a generator word (hecke.fold_word); the empty word is the identity."""
+
+    def letter(g, e):
+        if g == "rho":
+            return mod.rho_mat if e == 1 else mod.rho_inv_mat
+        return mod.t(g) if e == 1 else mod.t_inv(g)
+
+    return fold_word(word, letter, mat_mul, partial(mat_eye, mod.dim))
+
+
 def module_check_relations(mod):
     """Evaluate every defining relation as an exact matrix identity.
 
     Returns a list of (name, passed) pairs.
     """
-    n, dim = mod.n, mod.dim
-    eye = mat_eye(dim)
-    zero = mat_zero(dim)
-    report = []
-    report.append(
-        ("rho*rho^-1 = 1", mat_mul(mod.rho_mat, mod.rho_inv_mat) == eye)
-    )
-    indices = list(range(n)) if n >= 2 else []
-    for i in indices:
-        ti = mod.t(i)
-        lhs = mat_mul(mat_add(ti, mat_scale(eye, Q)), mat_add(ti, mat_scale(eye, -QINV)))
-        report.append((f"(T_{i}+q)(T_{i}-q^-1) = 0", lhs == zero))
-    for i in indices:
-        j = (i + 1) % n
-        lhs = mat_mul(mat_mul(mod.rho_mat, mod.t(i)), mod.rho_inv_mat)
-        report.append((f"rho T_{i} rho^-1 = T_{j}", lhs == mod.t(j)))
-    if n >= 3:
-        for i in indices:
-            j = (i + 1) % n
-            lhs = mat_mul(mat_mul(mod.t(i), mod.t(j)), mod.t(i))
-            rhs = mat_mul(mat_mul(mod.t(j), mod.t(i)), mod.t(j))
-            report.append((f"T_{i} T_{j} T_{i} = T_{j} T_{i} T_{j}", lhs == rhs))
-    if n >= 4:
-        for i in indices:
-            for j in indices:
-                if i < j and (j - i) % n not in (1, n - 1):
-                    lhs = mat_mul(mod.t(i), mod.t(j))
-                    rhs = mat_mul(mod.t(j), mod.t(i))
-                    report.append((f"T_{i} T_{j} = T_{j} T_{i}", lhs == rhs))
-    return report
+    return [(name, word_mat(mod, lhs) == word_mat(mod, rhs)) for name, lhs, rhs in defining_relations(mod.n)]
 
 
 def module_y(mod, i):
     """Matrix of the Bernstein generator y_i."""
-    n = mod.n
-    if not 1 <= i <= n:
-        raise BadIndex(f"y_{i} needs 1 <= i <= n={n}")
-    out = mat_eye(mod.dim)
-    for j in range(i - 1, 0, -1):
-        out = mat_mul(out, mod.t_inv(j))
-    out = mat_mul(out, mod.rho_mat)
-    for j in range(n - 1, i - 1, -1):
-        out = mat_mul(out, mod.t(j))
-    return out
+    return word_mat(mod, y_word(mod.n, i))
 
 
 def module_y_inv(mod, i):
-    """Matrix of y_i^-1 from the reversed factor list."""
-    n = mod.n
-    if not 1 <= i <= n:
-        raise BadIndex(f"y_{i} needs 1 <= i <= n={n}")
-    out = mat_eye(mod.dim)
-    for j in range(i, n):
-        out = mat_mul(out, mod.t_inv(j))
-    out = mat_mul(out, mod.rho_inv_mat)
-    for j in range(1, i):
-        out = mat_mul(out, mod.t(j))
-    return out
+    """Matrix of y_i^-1, from the inverse word."""
+    return word_mat(mod, inverse_word(y_word(mod.n, i)))
 
 
 def module_act(mod, elt, vec):
-    """Act by an algebra element on a column vector, folding each standard
-    term rho^m T_{i_1...i_l} right to left through the generator matrices."""
+    """Act by an algebra element on a column vector: each standard term
+    rho^m T_{i_1...i_l} acts by the matrix of its word."""
     if elt.n != mod.n:
         raise RankMismatch(f"element rank {elt.n} vs module rank {mod.n}")
     out = [ZERO] * mod.dim
     for perm, coeff in elt.terms.items():
-        rex = canonical_rex(perm)
-        cur = list(vec)
-        for i in reversed(rex.word):
-            mat = mod.t(i)
-            cur = [sum((mat[r][c] * cur[c] for c in range(mod.dim)), ZERO) for r in range(mod.dim)]
-        shift = mat_pow(mod.rho_mat if rex.m >= 0 else mod.rho_inv_mat, abs(rex.m))
-        cur = [sum((shift[r][c] * cur[c] for c in range(mod.dim)), ZERO) for r in range(mod.dim)]
-        out = [a + coeff * b for a, b in zip(out, cur)]
+        mat = word_mat(mod, rex_word(canonical_rex(perm)))
+        for r, row in enumerate(mat):
+            out[r] += coeff * sum((x * v for x, v in zip(row, vec)), ZERO)
     return tuple(out)
 
 
@@ -292,10 +242,9 @@ def induce(m1, m2):
     def factor_op(side, word, lam):
         """Matrix of T_word y^lam on the left (side 0) or right (side 1) factor."""
         mod = (m1, m2)[side]
-        mats = [mod.t(letter) for letter in word] + [
-            mat_pow((module_y if e > 0 else module_y_inv)(mod, i), abs(e)) for i, e in enumerate(lam, 1) if e
-        ]
-        return reduce(mat_mul, mats, mat_eye(mod.dim))
+        ys = [(y_word(mod.n, i), e) for i, e in enumerate(lam, 1)]
+        y_pows = sum(((y if e > 0 else inverse_word(y)) * abs(e) for y, e in ys), ())
+        return word_mat(mod, tuple((g, 1) for g in word) + y_pows)
 
     def generator_matrix(plan_cols):
         cols = [[ZERO] * dim for _ in range(dim)]  # cols[row][col]

@@ -3,7 +3,8 @@ Y^{r,s} family and graded hom ranks via the sesquilinear form.
 
 Only Euler-characteristic data is computed here: the form of two KL
 classes is the graded rank of the corresponding hom space, and the classes
-of the braid lifts are T_i = b_i - q and T_i^-1 = b_i - q^-1.  The family
+of the braid lifts are T_i = b_i - q and T_i^-1 = b_i - q^-1, so a
+braid-group class is the element hecke.word_elt of its word.  The family
 Y^{r,s} = (rho T_1)^r (T_1^-1 rho)^s lives at rho-shift r + s, so it pairs
 to zero against anything concentrated at a different shift.
 """
@@ -12,29 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadIndex
-from .hecke import HeckeElt, form, kl_to_std, rho_gen, t_gen, t_inv_gen
+from .hecke import form, inverse_word, kl_to_std, word_elt
 from .laurent import LaurentPoly
-
-
-def rouquier_class(n, word):
-    """Product of braid-lift classes: word entries are (index, sign) with
-    sign +1 for T_i and -1 for T_i^-1."""
-    out = HeckeElt.one(n)
-    for i, sign in word:
-        if sign not in (1, -1):
-            raise BadIndex(f"sign must be +-1, got {sign}")
-        out = out * (t_gen(n, i) if sign == 1 else t_inv_gen(n, i))
-    return out
 
 
 def y_class(r, s):
     """The class (rho T_1)^r (T_1^-1 rho)^s in rank 2."""
-    a = rho_gen(2) * t_gen(2, 1)
-    b = t_inv_gen(2, 1) * rho_gen(2)
-    left = a**r if r >= 0 else (t_inv_gen(2, 1) * rho_gen(2, -1)) ** (-r)
-    right = b**s if s >= 0 else (rho_gen(2, -1) * t_gen(2, 1)) ** (-s)
-    return left * right
+    a, b = (("rho", 1), (1, 1)), ((1, -1), ("rho", 1))  # rho T_1 and T_1^-1 rho
+    left = (a if r >= 0 else inverse_word(a)) * abs(r)
+    right = (b if s >= 0 else inverse_word(b)) * abs(s)
+    return word_elt(2, left + right)
 
 
 @dataclass(frozen=True)

@@ -12,27 +12,29 @@ affine algebras).  On generators:
     psi_R(T_0)   = T_0 ... T_{k-1} T_k T_{k-1}^-1 ... T_0^-1
 
 The combined map psi(a (x) b) = psi_L(a) psi_R(b) is an algebra
-homomorphism.  Images of arbitrary elements are computed on demand by
-folding canonical reduced expressions through the generator images; the
-rank-1 sources have only rho-powers, so their elements fold with empty
-words.
+homomorphism.  The generator images are words in the sense of
+hecke.fold_word, and rho^-1 goes to the inverse word of the image of rho.
+Images of arbitrary elements are computed on demand by folding the word
+of each term's canonical reduced expression through the generator images;
+the rank-1 sources have only rho-powers, so their words have no T letters.
 
-The Bernstein generators are
+The Bernstein generators are the words y_word(n, i),
 
     y_1 = rho T_{n-1} ... T_1,
     y_i = T_{i-1}^-1 ... T_1^-1 rho T_{n-1} ... T_i,
 
 with y_n ending in the bare rho; they commute pairwise and satisfy
-T_i^-1 y_i T_i^-1 = y_{i+1}.
+T_i^-1 y_i T_i^-1 = y_{i+1}.  y_i^-1 is the element of the inverse word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import combinations
 
 from .errors import BadIndex, ShiftNonzero
-from .hecke import HeckeElt, rho_gen, t_gen, t_inv_gen
+from .hecke import HeckeElt, fold_word, inverse_word, rex_word, word_elt
 from .laurent import accumulate
 from .weyl import AffinePerm, canonical_rex, identity
 
@@ -47,82 +49,76 @@ class ParabolicContext:
             raise BadIndex(f"need 1 <= k <= n-1, got k={self.k}, n={self.n}")
 
 
-def _chain(n, factors):
-    out = HeckeElt.one(n)
-    for f in factors:
-        out = out * f
-    return out
+def _left_images(ctx):
+    """psi_L's generator images as words, keyed by source index or "rho"."""
+    n, k = ctx.n, ctx.k
+    down = tuple((j, 1) for j in range(n - 1, k - 1, -1))  # T_{n-1} ... T_k
+    return {
+        "rho": (("rho", 1),) + down,
+        0: inverse_word(down) + ((0, 1),) + down,
+        **{i: ((i, 1),) for i in range(1, k)},
+    }
+
+
+def _right_images(ctx):
+    """psi_R's generator images as words, keyed by source index or "rho"."""
+    n, k = ctx.n, ctx.k
+    up = tuple((j, 1) for j in range(k))  # T_0 ... T_{k-1}
+    return {
+        "rho": tuple((j, -1) for j in range(k, 0, -1)) + (("rho", 1),),
+        0: up + ((k, 1),) + inverse_word(up),
+        **{j: ((k + j, 1),) for j in range(1, n - k)},
+    }
 
 
 def psi_left_rho(ctx):
     """Image of the left source rotation: rho T_{n-1} ... T_k."""
-    n, k = ctx.n, ctx.k
-    return _chain(n, [rho_gen(n)] + [t_gen(n, j) for j in range(n - 1, k - 1, -1)])
+    return word_elt(ctx.n, _left_images(ctx)["rho"])
 
 
 def psi_left_t0(ctx):
     """Image of the left source T_0: T_k^-1 ... T_{n-1}^-1 T_0 T_{n-1} ... T_k."""
-    n, k = ctx.n, ctx.k
-    return _chain(
-        n,
-        [t_inv_gen(n, j) for j in range(k, n)]
-        + [t_gen(n, 0)]
-        + [t_gen(n, j) for j in range(n - 1, k - 1, -1)],
-    )
+    return word_elt(ctx.n, _left_images(ctx)[0])
 
 
 def psi_right_rho(ctx):
     """Image of the right source rotation: T_k^-1 ... T_1^-1 rho."""
-    n, k = ctx.n, ctx.k
-    return _chain(n, [t_inv_gen(n, j) for j in range(k, 0, -1)] + [rho_gen(n)])
+    return word_elt(ctx.n, _right_images(ctx)["rho"])
 
 
 def psi_right_t0(ctx):
     """Image of the right source T_0: T_0 ... T_{k-1} T_k T_{k-1}^-1 ... T_0^-1."""
-    n, k = ctx.n, ctx.k
-    return _chain(
-        n,
-        [t_gen(n, j) for j in range(0, k)]
-        + [t_gen(n, k)]
-        + [t_inv_gen(n, j) for j in range(k - 1, -1, -1)],
-    )
+    return word_elt(ctx.n, _right_images(ctx)[0])
 
 
-def _psi_on_element(elt, rho_image, rho_inv_image, t_images):
-    """Fold every standard term rho^m T_w of the source through the images."""
+def _psi_on_element(n, images, elt):
+    """Fold every standard term rho^m T_w of the source through the images;
+    the image of rho^-1 is the inverse word of the image of rho."""
+
+    @cache
+    def letter(g, e):
+        return word_elt(n, images[g] if e == 1 else inverse_word(images[g]))
+
     out = {}
     for perm, coeff in elt.terms.items():
-        rex = canonical_rex(perm)
-        img = rho_image**rex.m if rex.m >= 0 else rho_inv_image ** (-rex.m)
-        for i in rex.word:
-            img = img * t_images[i]
+        img = fold_word(rex_word(canonical_rex(perm)), letter, HeckeElt.__mul__, partial(HeckeElt.one, n))
         for key, c in img.terms.items():
             accumulate(out, key, c * coeff)
-    return HeckeElt._raw(rho_image.n, out)
+    return HeckeElt._raw(n, out)
 
 
 def psi_L(ctx, elt):
     """Image of an element of the rank-k extended affine Hecke algebra."""
-    n, k = ctx.n, ctx.k
-    if elt.n != k:
-        raise BadIndex(f"psi_L source must have rank k={k}, got {elt.n}")
-    t_images = {i: t_gen(n, i) for i in range(1, k)}
-    t_images[0] = psi_left_t0(ctx)
-    rho_img = psi_left_rho(ctx)  # a single standard term, invertible in place
-    return _psi_on_element(elt, rho_img, rho_img.inverse(), t_images)
+    if elt.n != ctx.k:
+        raise BadIndex(f"psi_L source must have rank k={ctx.k}, got {elt.n}")
+    return _psi_on_element(ctx.n, _left_images(ctx), elt)
 
 
 def psi_R(ctx, elt):
     """Image of an element of the rank-(n-k) extended affine Hecke algebra."""
-    n, k = ctx.n, ctx.k
-    if elt.n != n - k:
-        raise BadIndex(f"psi_R source must have rank n-k={n - k}, got {elt.n}")
-    t_images = {j: t_gen(n, k + j) for j in range(1, n - k)}
-    t_images[0] = psi_right_t0(ctx)
-    # the rotation image has several standard terms, so its inverse comes
-    # from the reversed factor list rho^-1 T_1 ... T_k
-    rho_inv_img = _chain(n, [rho_gen(n, -1)] + [t_gen(n, j) for j in range(1, k + 1)])
-    return _psi_on_element(elt, psi_right_rho(ctx), rho_inv_img, t_images)
+    if elt.n != ctx.n - ctx.k:
+        raise BadIndex(f"psi_R source must have rank n-k={ctx.n - ctx.k}, got {elt.n}")
+    return _psi_on_element(ctx.n, _right_images(ctx), elt)
 
 
 def psi(ctx, a, b):
@@ -134,37 +130,26 @@ def psi_rho_pair(ctx):
     """Closed form of psi(rho_L (x) rho_R):
     rho T_{n-1} ... T_{k+1} T_{k-1}^-1 ... T_1^-1 rho."""
     n, k = ctx.n, ctx.k
-    return _chain(
-        n,
-        [rho_gen(n)]
-        + [t_gen(n, j) for j in range(n - 1, k, -1)]
-        + [t_inv_gen(n, j) for j in range(k - 1, 0, -1)]
-        + [rho_gen(n)],
-    )
+    middle = tuple((j, 1) for j in range(n - 1, k, -1)) + tuple((j, -1) for j in range(k - 1, 0, -1))
+    return word_elt(n, (("rho", 1),) + middle + (("rho", 1),))
+
+
+def y_word(n, i):
+    """The word of y_i: T_{i-1}^-1 ... T_1^-1 rho T_{n-1} ... T_i."""
+    if not 1 <= i <= n:
+        raise BadIndex(f"y_{i} needs 1 <= i <= n={n}")
+    down = tuple((j, 1) for j in range(n - 1, i - 1, -1))
+    return tuple((j, -1) for j in range(i - 1, 0, -1)) + (("rho", 1),) + down
 
 
 def bernstein_y(n, i):
     """The commuting Bernstein generator y_i inside the rank-n algebra."""
-    if not 1 <= i <= n:
-        raise BadIndex(f"y_{i} needs 1 <= i <= n={n}")
-    return _chain(
-        n,
-        [t_inv_gen(n, j) for j in range(i - 1, 0, -1)]
-        + [rho_gen(n)]
-        + [t_gen(n, j) for j in range(n - 1, i - 1, -1)],
-    )
+    return word_elt(n, y_word(n, i))
 
 
 def bernstein_y_inv(n, i):
-    """y_i^-1 from the reversed factor list."""
-    if not 1 <= i <= n:
-        raise BadIndex(f"y_{i} needs 1 <= i <= n={n}")
-    return _chain(
-        n,
-        [t_inv_gen(n, j) for j in range(i, n)]
-        + [rho_gen(n, -1)]
-        + [t_gen(n, j) for j in range(1, i)],
-    )
+    """y_i^-1, the element of the inverse word of y_i."""
+    return word_elt(n, inverse_word(y_word(n, i)))
 
 
 # ---------------------------------------------------------------------------

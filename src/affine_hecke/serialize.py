@@ -16,8 +16,11 @@ Text output round-trips through the expression parser.  JSON schemas:
 
 from __future__ import annotations
 
+import re
+from functools import wraps
+
 from .bernstein import BernsteinElt
-from .errors import InvalidValue
+from .errors import AffineHeckeError, InvalidValue
 from .example_n2 import UVec
 from .hecke import HeckeElt, KLLabel
 from .laurent import LaurentPoly, accumulate
@@ -198,14 +201,34 @@ def _mat_json(mat):
     return [[entry.to_json() for entry in row] for row in mat]
 
 
+def _reader(read):
+    """One guard for every JSON reader: input of the wrong shape (a missing
+    key, a value of the wrong type, a string that is not an integer) raises
+    InvalidValue, and the package's own errors pass through."""
+
+    @wraps(read)
+    def guarded(data):
+        try:
+            return read(data)
+        except AffineHeckeError:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise InvalidValue(f"malformed JSON for {read.__name__}: {type(exc).__name__}: {exc}") from None
+
+    return guarded
+
+
+@_reader
 def laurent_from_json(data):
     return LaurentPoly.from_json(data)
 
 
+@_reader
 def perm_from_json(data):
     return AffinePerm.from_json(data)
 
 
+@_reader
 def hecke_from_json(data):
     n = int(data["n"])
     if data.get("basis", "standard") == "kl":
@@ -217,6 +240,7 @@ def hecke_from_json(data):
     return HeckeElt._raw(n, out)
 
 
+@_reader
 def kl_map_from_json(data):
     out = {}
     for term in data["terms"]:
@@ -225,6 +249,7 @@ def kl_map_from_json(data):
     return out
 
 
+@_reader
 def bernstein_from_json(data):
     n = int(data["n"])
     terms = {}
@@ -235,10 +260,14 @@ def bernstein_from_json(data):
     return BernsteinElt(n, terms)
 
 
+@_reader
 def module_from_json(data):
     n, dim = int(data["n"]), int(data["dim"])
     gens = data["gens"]
-    missing = [name for name in [f"T{i}" for i in range(1, n)] + ["rho"] if name not in gens]
+    # for n > len(gens) one of T1 .. T{len(gens)}, rho is missing anyway, so
+    # the names stop there and a huge n builds no huge list
+    names = [f"T{i}" for i in range(1, min(n, len(gens) + 1))] + ["rho"]
+    missing = [name for name in names if name not in gens]
     if missing:
         raise InvalidValue(f"module JSON lacks generator {', '.join(missing)}")
 
@@ -249,13 +278,15 @@ def module_from_json(data):
     return FinDimModule(n, dim, t_mats, mat(gens["rho"]))
 
 
+@_reader
 def uvec_from_json(data):
     bound = int(data["N"])
     coeffs = {}
     for name, coeff in data["coeffs"].items():
-        primed = name.startswith("u'")
-        k = int(name[2:] if primed else name[1:])
-        coeffs[(primed, k)] = LaurentPoly.from_json(coeff)
+        match = re.fullmatch(r"u(')?([0-9]+)", name)
+        if match is None:
+            raise InvalidValue(f"not a basis vector of U: {name!r}")
+        coeffs[(match[1] is not None, int(match[2]))] = LaurentPoly.from_json(coeff)
     return UVec(bound, coeffs)
 
 

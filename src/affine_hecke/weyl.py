@@ -64,15 +64,13 @@ class AffinePerm:
                 total += abs((w[j] - w[i]) // n)
         return total
 
+    def has_descent(self, i):
+        """l(w s_i) < l(w), read off the window: w(i) > w(i+1), w(0) = w(n) - n."""
+        return self(i) > self(i + 1)
+
     def right_descents(self):
         """Indices i with l(w s_i) < l(w)."""
-        out = set()
-        for i in range(1, self.n):
-            if self.window[i - 1] > self.window[i]:
-                out.add(i)
-        if self.n >= 2 and self.window[-1] - self.n > self.window[0]:
-            out.add(0)
-        return out
+        return {i for i in range(self.n) if self.has_descent(i)}
 
     def is_identity(self):
         return self.window == tuple(range(1, self.n + 1))
@@ -155,20 +153,22 @@ def bruhat_leq(u, w):
     """Bruhat order on the translation-free affine symmetric group.
 
     Standard descent recursion: pick a right descent s of w; if it descends
-    u, recurse on (us, ws), else on (u, ws).
+    u, recurse on (us, ws), else on (u, ws).  Each step lowers l(w) by one,
+    and l(u) by one exactly when s descends u.
     """
     if u.n != w.n:
         raise RankMismatch(f"rank mismatch: {u.n} vs {w.n}")
     if u.shift or w.shift:
         raise ShiftNonzero("Bruhat order is only defined at shift 0")
+    lu, lw = u.length(), w.length()
     while True:
         dw = w.right_descents()
         if not dw:
             return u.is_identity()
-        if u.length() > w.length():
+        if lu > lw:
             return False
         i = min(dw)
         s = simple(w.n, i)
-        w = w * s
-        if i in u.right_descents():
-            u = u * s
+        w, lw = w * s, lw - 1
+        if u.has_descent(i):
+            u, lu = u * s, lu - 1

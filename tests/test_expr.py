@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affine_hecke import expr
 from affine_hecke import serialize
 from affine_hecke.bernstein import to_bernstein
-from affine_hecke.errors import BadIndex, InvalidValue, ParseError, RankUnsupported
+from affine_hecke.errors import AffineHeckeError, BadIndex, InvalidValue, ParseError, RankUnsupported
 from affine_hecke.example_n2 import UVec
 from affine_hecke.hecke import (
     HeckeElt,
@@ -157,6 +159,49 @@ def test_malformed_json_raises_typed_error():
         serialize.hecke_from_json({"n": 2, "terms": [{"window": [1, 2, 3], "coeff": {"0": 1}}]})
     with pytest.raises(InvalidValue):
         serialize.module_from_json({"n": 1, "dim": 1, "gens": {"rho": [[{"0": 2}]]}})
+
+
+MALFORMED = {
+    "module-entry-not-an-object": (serialize.module_from_json, {"n": 1, "dim": 1, "gens": {"rho": ["ab"]}}),
+    "module-coeff-not-an-integer": (serialize.module_from_json, {"n": 1, "dim": 1, "gens": {"rho": [[{"0": "a"}]]}}),
+    "module-without-gens": (serialize.module_from_json, {"n": 1, "dim": 1}),
+    "module-of-dimension-0": (serialize.module_from_json, {"n": 2, "dim": 0, "gens": {"T1": [], "rho": []}}),
+    "module-without-n": (serialize.module_from_json, {"dim": 1, "gens": {"rho": [[{"0": 1}]]}}),
+    "hecke-without-n": (serialize.hecke_from_json, {"terms": []}),
+    "hecke-terms-not-a-list": (serialize.hecke_from_json, {"n": 2, "terms": 5}),
+    "bernstein-without-lambda": (serialize.bernstein_from_json, {"n": 2, "terms": [{"perm": [1, 2], "coeff": {}}]}),
+    "laurent-exponent-not-an-integer": (serialize.laurent_from_json, {"x": 1}),
+    "uvec-name-not-u": (serialize.uvec_from_json, {"N": 20, "coeffs": {"v3": {"0": 1}}}),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_json_is_invalid_value(case):
+    reader, data = MALFORMED[case]
+    with pytest.raises(InvalidValue):
+        reader(data)
+
+
+JSON_KEYS = ["n", "dim", "gens", "terms", "window", "coeff", "perm", "lambda", "label", "m", "word",
+             "basis", "N", "coeffs", "rho", "T1", "T2", "0", "1", "-1", "u3", "u'0", "kl"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(JSON_KEYS) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(JSON_KEYS) | st.text(max_size=2), inner, max_size=4),
+    max_leaves=12,
+)
+READERS = [serialize.laurent_from_json, serialize.perm_from_json, serialize.hecke_from_json,
+           serialize.kl_map_from_json, serialize.bernstein_from_json, serialize.module_from_json,
+           serialize.uvec_from_json]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(READERS), json_values)
+def test_json_readers_end_in_a_value_or_a_typed_error(reader, data):
+    try:
+        reader(data)
+    except AffineHeckeError:
+        pass
 
 
 def test_latex_snapshots():

@@ -9,6 +9,8 @@ from affine_hecke.hecke import (
     alt_word,
     b_gen,
     bott_samelson,
+    broken_relations,
+    defining_relations,
     form,
     kl_combo_to_std,
     kl_mul_closed,
@@ -17,6 +19,7 @@ from affine_hecke.hecke import (
     std_to_kl,
     t_gen,
     t_inv_gen,
+    word_elt,
 )
 from affine_hecke.laurent import ONE, Q, Q2, QINV, ZERO, LaurentPoly
 from affine_hecke.weyl import ReducedExpr, bruhat_leq, from_rex, identity, rho, simple
@@ -72,6 +75,42 @@ def test_rho_relations(n):
     for i in range(n):
         lhs = rho_gen(n, 1) * t_gen(n, i) * rho_gen(n, -1)
         assert lhs == t_gen(n, (i + 1) % n)
+
+
+def relation_count(n):
+    """One rotation relation; for n >= 2 a quadratic and a conjugation per
+    T_i, for n >= 3 a braid relation per cyclic neighbour pair and for
+    n >= 4 a commutation per distant pair."""
+    if n == 1:
+        return 1
+    return 1 + 2 * n + (n if n >= 3 else 0) + (n * (n - 3) // 2 if n >= 4 else 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_defining_relations_hold_in_the_algebra(n):
+    rels = defining_relations(n)
+    names = [name for name, _, _ in rels]
+    assert len(set(names)) == len(names) == relation_count(n)
+    for name, lhs, rhs in rels:
+        assert word_elt(n, lhs) == word_elt(n, rhs), name
+    assert broken_relations(n, n, lambda g, e: word_elt(n, ((g, e),))) == []
+
+
+def test_broken_relations_names_a_wrong_image():
+    def image(g, e):
+        value = word_elt(2, ((g, e),))
+        return value.scale(Q) if (g, e) == (1, 1) else value
+
+    assert broken_relations(2, 2, image) == ["(T_1+q)(T_1-q^-1) = 0", "rho T_0 rho^-1 = T_1", "rho T_1 rho^-1 = T_0"]
+
+
+def test_word_elt():
+    assert word_elt(3, ()) == one(3)
+    assert word_elt(3, ((1, 1), ("rho", -1), (2, -1))) == t_gen(3, 1) * rho_gen(3, -1) * t_inv_gen(3, 2)
+    with pytest.raises(BadIndex):
+        word_elt(2, (("rh", 1),))
+    with pytest.raises(BadIndex):
+        word_elt(2, ((2, 1),))
 
 
 def test_t_squared():

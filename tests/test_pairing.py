@@ -1,12 +1,11 @@
 import pytest
 
 from affine_hecke.errors import BadIndex
-from affine_hecke.hecke import HeckeElt, KLLabel, alt_word, kl_to_std, rho_gen, t_gen, t_inv_gen
+from affine_hecke.hecke import HeckeElt, KLLabel, alt_word, kl_to_std, rho_gen, t_gen, t_inv_gen, word_elt
 from affine_hecke.laurent import ONE, Q, QINV
 from affine_hecke.pairing import (
     euler_pair,
     graded_hom_rank,
-    rouquier_class,
     y_class,
 )
 
@@ -20,12 +19,13 @@ def labels(max_len, m=0):
 
 
 def test_rouquier_classes():
-    assert rouquier_class(2, [(1, 1)]) == t_gen(2, 1)
-    assert rouquier_class(2, [(1, 1), (1, -1)]) == HeckeElt.one(2)
-    assert rouquier_class(2, [(0, 1), (1, 1)]) == t_gen(2, 0) * t_gen(2, 1)
-    assert rouquier_class(3, [(2, -1)]) == t_inv_gen(3, 2)
+    assert word_elt(2, [(1, 1)]) == t_gen(2, 1)
+    assert word_elt(2, [(1, 1), (1, -1)]) == HeckeElt.one(2)
+    assert word_elt(2, [(0, 1), (1, 1)]) == t_gen(2, 0) * t_gen(2, 1)
+    assert word_elt(3, [(2, -1)]) == t_inv_gen(3, 2)
+    assert word_elt(2, [(1, -1), ("rho", 1)]) == t_inv_gen(2, 1) * rho_gen(2, 1)
     with pytest.raises(BadIndex):
-        rouquier_class(2, [(1, 2)])
+        word_elt(2, [(1, 2)])
 
 
 def test_rouquier_kl_identities():
@@ -33,8 +33,8 @@ def test_rouquier_kl_identities():
     from affine_hecke.hecke import b_gen
 
     one = HeckeElt.one(2)
-    assert rouquier_class(2, [(1, 1)]) == b_gen(2, 1) - one.scale(Q)
-    assert rouquier_class(2, [(1, -1)]) == b_gen(2, 1) - one.scale(QINV)
+    assert word_elt(2, [(1, 1)]) == b_gen(2, 1) - one.scale(Q)
+    assert word_elt(2, [(1, -1)]) == b_gen(2, 1) - one.scale(QINV)
 
 
 def test_y_class_values():

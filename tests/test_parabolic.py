@@ -3,8 +3,8 @@ from itertools import permutations
 import pytest
 
 from affine_hecke.errors import BadIndex, ShiftNonzero
-from affine_hecke.hecke import HeckeElt, rho_gen, t_gen, t_inv_gen
-from affine_hecke.laurent import Q, QINV
+from affine_hecke.hecke import HeckeElt, broken_relations, generator_letters, rho_gen, t_gen, t_inv_gen, word_elt
+from affine_hecke.laurent import Q
 from affine_hecke.parabolic import (
     ParabolicContext,
     bernstein_y,
@@ -28,28 +28,6 @@ CASES = ((2, 1), (3, 1), (3, 2), (4, 2))
 
 def one(n):
     return HeckeElt.one(n)
-
-
-def source_relations(rank):
-    rels = [rho_gen(rank, 1) * rho_gen(rank, -1) - one(rank)]
-    if rank >= 2:
-        for i in range(rank):
-            ti = t_gen(rank, i)
-            rels.append((ti + one(rank).scale(Q)) * (ti - one(rank).scale(QINV)))
-            rels.append(rho_gen(rank, 1) * ti * rho_gen(rank, -1) - t_gen(rank, (i + 1) % rank))
-    if rank >= 3:
-        for i in range(rank):
-            j = (i + 1) % rank
-            ti, tj = t_gen(rank, i), t_gen(rank, j)
-            rels.append(ti * tj * ti - tj * ti * tj)
-    return rels
-
-
-def source_generators(rank):
-    gens = [rho_gen(rank, 1), rho_gen(rank, -1)]
-    if rank >= 2:
-        gens.extend(t_gen(rank, i) for i in range(rank))
-    return gens
 
 
 def test_context_bounds():
@@ -82,21 +60,37 @@ def test_left_images_fix_finite_generators():
     assert psi_R(ctx42, t_gen(2, 1)) == t_gen(4, 3)
 
 
+def letter_images(ctx, embed, rank):
+    """image(g, e) of a source letter under psi_L or psi_R."""
+    return lambda g, e: embed(ctx, word_elt(rank, ((g, e),)))
+
+
 @pytest.mark.parametrize("n,k", CASES)
 def test_homomorphism_property(n, k):
+    # products of the letters' images, not the image of a product: the
+    # engine has already reduced every relation, as an element, to zero
     ctx = ParabolicContext(n, k)
-    for rel in source_relations(k):
-        assert psi_L(ctx, rel).is_zero
-    for rel in source_relations(n - k):
-        assert psi_R(ctx, rel).is_zero
+    assert broken_relations(n, k, letter_images(ctx, psi_L, k)) == []
+    assert broken_relations(n, n - k, letter_images(ctx, psi_R, n - k)) == []
+
+
+def test_relation_check_catches_a_wrong_rho_inverse_image():
+    ctx = ParabolicContext(2, 1)
+    image = letter_images(ctx, psi_R, 1)
+
+    def wrong(g, e):
+        return image(g, e).scale(Q) if (g, e) == ("rho", -1) else image(g, e)
+
+    assert broken_relations(2, 1, wrong) == ["rho*rho^-1 = 1"]
 
 
 @pytest.mark.parametrize("n,k", CASES)
 def test_commuting_pair(n, k):
     ctx = ParabolicContext(n, k)
-    for a in source_generators(k):
-        for b in source_generators(n - k):
-            assert psi_L(ctx, a) * psi_R(ctx, b) == psi_R(ctx, b) * psi_L(ctx, a)
+    for a in generator_letters(k):
+        for b in generator_letters(n - k):
+            left, right = psi_L(ctx, word_elt(k, (a,))), psi_R(ctx, word_elt(n - k, (b,)))
+            assert left * right == right * left
 
 
 @pytest.mark.parametrize("n,k", CASES)

@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from itertools import product
 
 import pytest
 
@@ -123,7 +124,7 @@ def test_descents_match_length_drop():
             ds = w.right_descents()
             for i in range(n):
                 drops = (w * simple(n, i)).length() < w.length()
-                assert (i in ds) == drops
+                assert (i in ds) == drops == w.has_descent(i)
 
 
 def test_to_rex_examples():
@@ -215,6 +216,19 @@ def test_bruhat_rank3_compatible_with_length():
                 assert u.length() <= w.length()
                 if u.length() == w.length():
                     assert u == w
+
+
+def test_bruhat_rank3_is_the_subword_order():
+    # u <= w iff u is the product of a subword of a reduced word of w
+    elts = list(brute_force_lengths(3, 4))
+    for w in elts:
+        word = w.to_rex().word
+        below = {
+            from_rex(ReducedExpr(0, tuple(i for i, keep in zip(word, mask) if keep)), 3)
+            for mask in product((0, 1), repeat=len(word))
+        }
+        for u in elts:
+            assert bruhat_leq(u, w) == (u in below)
 
 
 def test_json_round_trip():
