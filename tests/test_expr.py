@@ -8,7 +8,7 @@ from affine_hecke import expr
 from affine_hecke import serialize
 from affine_hecke.bernstein import to_bernstein
 from affine_hecke.errors import AffineHeckeError, BadIndex, InvalidValue, ParseError, RankUnsupported
-from affine_hecke.example_n2 import UVec
+from affine_hecke.example_n2 import UVec, pi_uw, w_module
 from affine_hecke.hecke import (
     HeckeElt,
     KLLabel,
@@ -215,3 +215,29 @@ def test_latex_snapshots():
     assert serialize.to_latex(kl_neg) == r"-q b_{e} - b_{01} + (-q^{-1} - q) \rho b_{1}"
     uvec = UVec(20, {(False, 3): Q, (True, 0): -QINV})
     assert serialize.to_latex(uvec) == "q u_{3} - q^{-1} u'_{0}"
+
+
+def test_module_text_and_latex_snapshots():
+    module = w_module()
+    assert serialize.to_text(module) == "rho = [[0, 1], [1, 0]]\nT1 = [[0, 1], [1, q^-1 - q]]"
+    assert serialize.to_latex(module) == (
+        r"[\rho] = \begin{pmatrix} 0 & 1 \\ 1 & 0 \end{pmatrix}, \quad "
+        r"[T_1] = \begin{pmatrix} 0 & 1 \\ 1 & q^{-1} - q \end{pmatrix}"
+    )
+
+
+def test_tuple_snapshots():
+    value = pi_uw(UVec.basis(1))
+    assert serialize.to_text(value) == "(q, 1)"
+    assert serialize.to_latex(value) == r"\begin{pmatrix} q \\ 1 \end{pmatrix}"
+    assert serialize.to_json(value) == [{"1": 1}, {"0": 1}]
+
+
+def test_bernstein_text_snapshot():
+    b = to_bernstein(rho_gen(2, -1) * t_inv_gen(2, 0).scale(Q) + rho_gen(2, 1) * t_gen(2, 0) + t_gen(2, 1).scale(Q + QINV))
+    assert serialize.to_text(b) == "q*y1^-1 + y2 + (q^-1 + q)*T1 + (q^-1 - q)*T1*y2"
+
+
+def test_two_digit_index_text_snapshot():
+    h = t_gen(12, 10) * t_gen(12, 1) - rho_gen(12, 1).scale(Q + QINV)
+    assert serialize.to_text(h) == "T[10]*T1 + (-q^-1 - q)*rho"
