@@ -11,6 +11,7 @@ Usage: python scripts/kl_products.py [--max-len 4]
 import argparse
 
 from affine_hecke import KLLabel, alt_word, kl_mul_closed, kl_to_std, std_to_kl
+from affine_hecke.serialize import to_text
 
 
 def labels(max_len):
@@ -19,13 +20,6 @@ def labels(max_len):
         out.append(KLLabel(0, alt_word(l, first=0)))
         out.append(KLLabel(0, alt_word(l, first=1)))
     return out
-
-
-def fmt(combo):
-    parts = []
-    for label, coeff in sorted(combo.items(), key=lambda kv: (kv[0].length(), kv[0].word)):
-        parts.append(f"({coeff})*{label}" if str(coeff) != "1" else str(label))
-    return " + ".join(parts) if parts else "0"
 
 
 def main():
@@ -40,7 +34,7 @@ def main():
             oracle = std_to_kl(kl_to_std(a) * kl_to_std(b))
             mark = "" if closed == oracle else "   <-- MISMATCH"
             mismatches += closed != oracle
-            print(f"{a} * {b} = {fmt(closed)}{mark}")
+            print(f"{a} * {b} = {to_text(closed)}{mark}")
     print()
     print("all products match the oracle" if not mismatches else f"{mismatches} MISMATCHES")
     return 0 if not mismatches else 1

@@ -167,19 +167,23 @@ def _module_from_spec(spec, rank):
 def _run(args):
     if getattr(args, "n", 1) < 1:
         raise BadIndex(f"rank must be at least 1, got {args.n}")
+    if args.command == "check":
+        return _check(args)
+    print(_output(_value(args), args.format))
+    return 0
+
+
+def _value(args):
+    """The value a subcommand other than check prints."""
     if args.command == "eval":
         value = expr.eval_algebra(expr.parse(args.expression), args.n)
-        if args.mod_rho2:
-            value = value.reduce_rho_squared()
-        print(_output(value, args.format))
-        return 0
+        return value.reduce_rho_squared() if args.mod_rho2 else value
     if args.command == "pair":
         from .hecke import form
 
         left = expr.eval_algebra(expr.parse(args.left), args.n)
         right = expr.eval_algebra(expr.parse(args.right), args.n)
-        print(_output(form(left, right), args.format))
-        return 0
+        return form(left, right)
     if args.command == "psi":
         ctx = ParabolicContext(args.n, args.k)
         exprs = args.expression
@@ -188,65 +192,52 @@ def _run(args):
                 raise BadIndex("side=both needs two expressions (left and right factors)")
             a = expr.eval_algebra(expr.parse(exprs[0]), args.k)
             b = expr.eval_algebra(expr.parse(exprs[1]), args.n - args.k)
-            value = psi(ctx, a, b)
-        else:
-            if len(exprs) != 1:
-                raise BadIndex("side=L or side=R needs exactly one expression")
-            if args.side == "L":
-                value = psi_L(ctx, expr.eval_algebra(expr.parse(exprs[0]), args.k))
-            else:
-                value = psi_R(ctx, expr.eval_algebra(expr.parse(exprs[0]), args.n - args.k))
-        print(_output(value, args.format))
-        return 0
+            return psi(ctx, a, b)
+        if len(exprs) != 1:
+            raise BadIndex("side=L or side=R needs exactly one expression")
+        if args.side == "L":
+            return psi_L(ctx, expr.eval_algebra(expr.parse(exprs[0]), args.k))
+        return psi_R(ctx, expr.eval_algebra(expr.parse(exprs[0]), args.n - args.k))
     if args.command == "induce":
         ParabolicContext(args.n, args.k)  # raises BadIndex unless 1 <= k <= n-1
         left = _module_from_spec(args.left, args.k)
         right = _module_from_spec(args.right, args.n - args.k)
-        print(_output(induce(left, right), args.format))
-        return 0
+        return induce(left, right)
     if args.command == "act":
         elt = expr.eval_algebra(expr.parse(args.expression), 2)
-        vec = expr.eval_uvec(expr.parse(args.vector), args.bound)
-        print(_output(act_elt(elt, vec), args.format))
-        return 0
+        return act_elt(elt, expr.eval_uvec(expr.parse(args.vector), args.bound))
     if args.command == "reduce-u":
-        elt = expr.eval_algebra(expr.parse(args.expression), 2)
-        print(_output(u_reduce(elt, args.bound), args.format))
-        return 0
+        return u_reduce(expr.eval_algebra(expr.parse(args.expression), 2), args.bound)
     if args.command == "pi-uw":
-        vec = expr.eval_uvec(expr.parse(args.vector), args.bound)
-        print(_output(pi_uw(vec), args.format))
-        return 0
+        return pi_uw(expr.eval_uvec(expr.parse(args.vector), args.bound))
     if args.command == "yclass":
-        print(_output(y_class(args.r, args.s), args.format))
-        return 0
+        return y_class(args.r, args.s)
     if args.command == "gradedrank":
-        left = _parse_kl_label(args.left)
-        right = _parse_kl_label(args.right)
-        print(_output(graded_hom_rank(left, right).poly, args.format))
-        return 0
-    if args.command == "check":
-        from . import checks  # the acceptance suite's imports are not paid by other commands
-
-        numbers = None
-        if args.criteria:
-            numbers = [_int(tok, "criterion") for tok in args.criteria.split(",") if tok.strip()]
-            for num in numbers:
-                if num not in checks.CRITERIA:
-                    raise BadIndex(f"unknown criterion {num}")
-        results = checks.run_criteria(numbers)
-        failed = 0
-        for res in results:
-            status = "PASS" if res.ok else "FAIL"
-            extra = "" if res.passed else f" [{res.detail}]"
-            if res.passed and res.elapsed > res.budget:
-                extra = f" [exceeded {res.budget:.0f}s budget]"
-            print(f"[{status}] criterion {res.number:2d} ({res.elapsed:6.2f}s) {res.name}{extra}")
-            if not res.ok:
-                failed += 1
-        print(f"{len(results) - failed}/{len(results)} criteria passed")
-        return 0 if failed == 0 else 1
+        return graded_hom_rank(_parse_kl_label(args.left), _parse_kl_label(args.right)).poly
     raise AssertionError(f"unhandled command {args.command!r}")
+
+
+def _check(args):
+    from . import checks  # the acceptance suite's imports are not paid by other commands
+
+    numbers = None
+    if args.criteria:
+        numbers = [_int(tok, "criterion") for tok in args.criteria.split(",") if tok.strip()]
+        for num in numbers:
+            if num not in checks.CRITERIA:
+                raise BadIndex(f"unknown criterion {num}")
+    results = checks.run_criteria(numbers)
+    failed = 0
+    for res in results:
+        status = "PASS" if res.ok else "FAIL"
+        extra = "" if res.passed else f" [{res.detail}]"
+        if res.passed and res.elapsed > res.budget:
+            extra = f" [exceeded {res.budget:.0f}s budget]"
+        print(f"[{status}] criterion {res.number:2d} ({res.elapsed:6.2f}s) {res.name}{extra}")
+        if not res.ok:
+            failed += 1
+    print(f"{len(results) - failed}/{len(results)} criteria passed")
+    return 0 if failed == 0 else 1
 
 
 def main(argv=None):

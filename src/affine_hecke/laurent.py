@@ -204,23 +204,10 @@ class LaurentPoly:
         return hash(tuple(sorted(self._c.items())))
 
     def __str__(self):
-        if not self._c:
-            return "0"
-        parts = []
-        for e in sorted(self._c):
-            v = self._c[e]
-            sign = "-" if v < 0 else "+"
-            a = abs(v)
-            if e == 0:
-                body = str(a)
-            else:
-                p = "q" if e == 1 else f"q^{e}"
-                body = p if a == 1 else f"{a}*{p}"
-            if not parts:
-                parts.append(body if v > 0 else f"-{body}")
-            else:
-                parts.append(f" {sign} {body}")
-        return "".join(parts)
+        # serialize imports this module, so it is imported late
+        from .serialize import to_text
+
+        return to_text(self)
 
     def __repr__(self):
         return f"LaurentPoly({dict(sorted(self._c.items()))!r})"

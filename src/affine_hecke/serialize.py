@@ -1,6 +1,13 @@
-"""Serialization of the core types: parseable text, JSON, and LaTeX.
+"""Serialization of the core types: parseable text, LaTeX and JSON.
 
-Text output round-trips through the expression parser.  JSON schemas:
+Every combination (HeckeElt, BernsteinElt, UVec and a rank-2 KL map, a
+dict KLLabel -> LaurentPoly) is printed by one walk: ``_terms`` yields its
+terms in one print order, each as its key, its coefficient and its basis
+atoms.  Text and LaTeX spell the atoms (``rho*T1*T0`` or
+``\\rho T_{s_1 s_0}``) under one set of sign and coefficient rules, and
+JSON writes the keys of the same ordered terms.  Text re-parses through the
+expression parser, a KL map at rank 2.  A module prints its generator
+matrices and a tuple its entries.  JSON schemas:
 
     LaurentPoly   {"<exp>": <int>, ...}
     AffinePerm    {"n": 2, "window": [0, 3]}
@@ -29,176 +36,179 @@ from .weyl import AffinePerm, canonical_rex
 
 
 # ---------------------------------------------------------------------------
-# text (parseable back through expr.parse)
+# terms in print order: (key, coeff, atoms)
 
-def _monomial(e, a, latex=False):
-    """The positive integer a times q^e, as text or as LaTeX."""
+def _rho_atoms(m):
+    return [("rho", m)] if m else []
+
+
+def _perm_atoms(perm):
+    rex = canonical_rex(perm)
+    return _rho_atoms(rex.m) + ([("T", rex.word)] if rex.word else [])
+
+
+def _hecke_terms(elt):
+    for perm, coeff in sorted(elt.items(), key=lambda kv: (kv[0].shift, kv[0].length(), kv[0].window)):
+        yield perm, coeff, _perm_atoms(perm)
+
+
+def _bernstein_terms(elt):
+    for (perm, lam), coeff in sorted(elt.items(), key=lambda kv: (kv[0][0].length(), kv[0][0].window, kv[0][1])):
+        yield (perm, lam), coeff, _perm_atoms(perm) + [("y", (i, e)) for i, e in enumerate(lam, 1) if e]
+
+
+def _uvec_terms(vec):
+    for key, coeff in sorted(vec.items()):
+        yield key, coeff, [("u", key)]
+
+
+def _kl_terms(combo):
+    for label, coeff in sorted(combo.items(), key=lambda kv: (kv[0].m, kv[0].length(), kv[0].word)):
+        yield label, coeff, _rho_atoms(label.m) + [("b", label.word)]
+
+
+def _terms(value, fmt):
+    if isinstance(value, HeckeElt):
+        return _hecke_terms(value)
+    if isinstance(value, BernsteinElt):
+        return _bernstein_terms(value)
+    if isinstance(value, UVec):
+        return _uvec_terms(value)
+    if isinstance(value, dict) and all(isinstance(k, KLLabel) for k in value):
+        return _kl_terms(value)
+    raise TypeError(f"cannot serialize {type(value).__name__} as {fmt}")
+
+
+def _module_gens(module, latex=False):
+    """(name, matrix) of every generator of a module, rho first."""
+    return [(r"\rho" if latex else "rho", module.rho_mat)] + [
+        (f"T_{_sub(i)}" if latex else f"T{i}", mat) for i, mat in enumerate(module.t_mats, 1)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# spelling: text (parseable back through expr.parse) or LaTeX
+
+def _sub(i):
+    """A LaTeX subscript: braced from two digits on."""
+    return str(i) if i < 10 else f"{{{i}}}"
+
+
+def _atom(kind, arg, latex):
+    if kind == "rho":  # rho^arg
+        if arg == 1:
+            return r"\rho" if latex else "rho"
+        return rf"\rho^{{{arg}}}" if latex else f"rho^{arg}"
+    if kind == "T":  # T_w for the reduced word arg
+        if latex:
+            return "T_{" + " ".join(f"s_{_sub(i)}" for i in arg) + "}"
+        return "*".join(f"T{i}" if i < 10 else f"T[{i}]" for i in arg)
+    if kind == "b":  # the KL basis element of the alternating word arg
+        word = "".join(map(str, arg))
+        if latex:
+            return f"b_{{{word or 'e'}}}"
+        return f"b{word}" if word else ""
+    if kind == "y":  # y_i^e
+        i, e = arg
+        if latex:
+            return f"y_{{{i}}}" + ("" if e == 1 else f"^{{{e}}}")
+        return f"y{i}" + ("" if e == 1 else f"^{e}")
+    primed, k = arg  # u_k or u'_k
+    name = "u'" if primed else "u"
+    return f"{name}_{{{k}}}" if latex else f"{name}{k}"
+
+
+def _monomial(e, a, latex):
+    """The positive integer a times q^e."""
     if e == 0:
         return str(a)
-    if latex:
-        p = "q" if e == 1 else f"q^{{{e}}}"
-        return p if a == 1 else f"{a}{p}"
-    p = "q" if e == 1 else f"q^{e}"
-    return p if a == 1 else f"{a}*{p}"
-
-
-def _coeff_prefix(coeff, latex=False):
-    """Split a coefficient into (sign, prefix); '' means coefficient +-1 and
-    a coefficient of several terms is parenthesised with sign +1."""
-    terms = list(coeff.items())
-    if len(terms) > 1:
-        return 1, f"({_laurent_latex(coeff) if latex else coeff})"
-    ((e, v),) = terms
-    sign = -1 if v < 0 else 1
-    if e == 0 and abs(v) == 1:
-        return sign, ""
-    return sign, _monomial(e, abs(v), latex)
+    p = "q" if e == 1 else f"q^{{{e}}}" if latex else f"q^{e}"
+    if a == 1:
+        return p
+    return f"{a}{p}" if latex else f"{a}*{p}"
 
 
 def _join_signed(parts):
+    """Join (sign, body) pairs into one signed sum; no parts is 0."""
     if not parts:
         return "0"
-    out = []
-    for sign, body in parts:
-        if not out:
-            out.append(body if sign > 0 else f"-{body}")
-        else:
-            out.append(f" + {body}" if sign > 0 else f" - {body}")
-    return "".join(out)
+    text = "".join((" + " if sign > 0 else " - ") + body for sign, body in parts)
+    return ("" if parts[0][0] > 0 else "-") + text[3:]
 
 
-def _basis_text(perm):
-    rex = canonical_rex(perm)
-    parts = []
-    if rex.m == 1:
-        parts.append("rho")
-    elif rex.m:
-        parts.append(f"rho^{rex.m}")
-    for i in rex.word:
-        parts.append(f"T{i}" if i < 10 else f"T[{i}]")
-    return "*".join(parts)
+def _laurent(poly, latex):
+    return _join_signed([(-1 if v < 0 else 1, _monomial(e, abs(v), latex)) for e, v in sorted(poly.items())])
 
 
-def _term(coeff, basis, latex=False):
-    """(sign, body) of one term; an empty basis is the identity."""
-    sign, prefix = _coeff_prefix(coeff, latex)
+def _term(coeff, atoms, latex):
+    """(sign, body) of one term: a coefficient of several terms is
+    parenthesised with sign +1, a coefficient +-1 is dropped unless the
+    basis is empty (the identity)."""
+    if len(coeff.items()) > 1:
+        sign, prefix = 1, f"({_laurent(coeff, latex)})"
+    else:
+        ((e, v),) = coeff.items()
+        sign = -1 if v < 0 else 1
+        prefix = "" if e == 0 and abs(v) == 1 else _monomial(e, abs(v), latex)
+    basis = (" " if latex else "*").join(filter(None, (_atom(kind, arg, latex) for kind, arg in atoms)))
     if not basis:
-        return sign, prefix if prefix else "1"
+        return sign, prefix or "1"
     if not prefix:
         return sign, basis
     return sign, f"{prefix} {basis}" if latex else f"{prefix}*{basis}"
 
 
-def _hecke_sort_key(perm):
-    return (perm.shift, perm.length(), perm.window)
+def _matrix(rows, latex):
+    if latex:
+        return r"\begin{pmatrix} " + r" \\ ".join(" & ".join(row) for row in rows) + r" \end{pmatrix}"
+    return "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
+
+
+def _render(value, latex):
+    if isinstance(value, LaurentPoly):
+        return _laurent(value, latex)
+    if isinstance(value, FinDimModule):
+        blocks = []
+        for name, mat in _module_gens(value, latex):
+            entries = _matrix([[_laurent(e, latex) for e in row] for row in mat], latex)
+            blocks.append(f"[{name}] = {entries}" if latex else f"{name} = {entries}")
+        return (r", \quad " if latex else "\n").join(blocks)
+    if isinstance(value, tuple):
+        parts = [_render(v, latex) for v in value]
+        return _matrix([[p] for p in parts], True) if latex else "(" + ", ".join(parts) + ")"
+    terms = _terms(value, "LaTeX" if latex else "text")
+    return _join_signed([_term(coeff, atoms, latex) for _, coeff, atoms in terms])
 
 
 def to_text(value):
-    if isinstance(value, LaurentPoly):
-        return str(value)
-    if isinstance(value, HeckeElt):
-        parts = [
-            _term(coeff, _basis_text(perm))
-            for perm, coeff in sorted(value.items(), key=lambda kv: _hecke_sort_key(kv[0]))
-        ]
-        return _join_signed(parts)
-    if isinstance(value, BernsteinElt):
-        parts = []
-        for (perm, lam), coeff in sorted(
-            value.items(), key=lambda kv: (kv[0][0].length(), kv[0][0].window, kv[0][1])
-        ):
-            basis = [_basis_text(perm)] if not perm.is_identity() else []
-            for i, e in enumerate(lam, start=1):
-                if e == 1:
-                    basis.append(f"y{i}")
-                elif e:
-                    basis.append(f"y{i}^{e}")
-            parts.append(_term(coeff, "*".join(basis)))
-        return _join_signed(parts)
-    if isinstance(value, UVec):
-        parts = []
-        for (primed, k), coeff in sorted(value.items()):
-            name = f"u'{k}" if primed else f"u{k}"
-            parts.append(_term(coeff, name))
-        return _join_signed(parts)
-    if isinstance(value, FinDimModule):
-        gens = [("rho", value.rho_mat)] + [
-            (f"T{i}", value.t_mats[i - 1]) for i in range(1, value.n)
-        ]
-        return "\n".join(
-            f"{name} = [" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in mat) + "]"
-            for name, mat in gens
-        )
-    if isinstance(value, tuple):
-        return "(" + ", ".join(to_text(v) for v in value) + ")"
-    raise TypeError(f"cannot serialize {type(value).__name__} as text")
+    return _render(value, False)
+
+
+def to_latex(value):
+    return _render(value, True)
 
 
 # ---------------------------------------------------------------------------
 # JSON
 
 def to_json(value):
-    if isinstance(value, LaurentPoly):
+    if isinstance(value, (LaurentPoly, AffinePerm)):
         return value.to_json()
-    if isinstance(value, AffinePerm):
-        return value.to_json()
-    if isinstance(value, HeckeElt):
-        return {
-            "n": value.n,
-            "basis": "standard",
-            "terms": [
-                {"window": list(perm.window), "coeff": coeff.to_json()}
-                for perm, coeff in sorted(value.items(), key=lambda kv: _hecke_sort_key(kv[0]))
-            ],
-        }
-    if isinstance(value, dict) and all(isinstance(k, KLLabel) for k in value):
-        return {
-            "n": 2,
-            "basis": "kl",
-            "terms": [
-                {
-                    "label": {"m": label.m, "word": list(label.word)},
-                    "coeff": coeff.to_json(),
-                }
-                for label, coeff in sorted(
-                    value.items(), key=lambda kv: (kv[0].m, kv[0].length(), kv[0].word)
-                )
-            ],
-        }
-    if isinstance(value, BernsteinElt):
-        return {
-            "n": value.n,
-            "terms": [
-                {
-                    "perm": list(perm.window),
-                    "lambda": list(lam),
-                    "coeff": coeff.to_json(),
-                }
-                for (perm, lam), coeff in sorted(
-                    value.items(), key=lambda kv: (kv[0][0].window, kv[0][1])
-                )
-            ],
-        }
     if isinstance(value, FinDimModule):
-        gens = {"rho": _mat_json(value.rho_mat)}
-        for i in range(1, value.n):
-            gens[f"T{i}"] = _mat_json(value.t_mats[i - 1])
+        gens = {name: [[e.to_json() for e in row] for row in mat] for name, mat in _module_gens(value)}
         return {"n": value.n, "dim": value.dim, "gens": gens}
-    if isinstance(value, UVec):
-        return {
-            "N": value.n,
-            "coeffs": {
-                (f"u'{k}" if primed else f"u{k}"): coeff.to_json()
-                for (primed, k), coeff in sorted(value.items())
-            },
-        }
     if isinstance(value, tuple):
         return [to_json(v) for v in value]
-    raise TypeError(f"cannot serialize {type(value).__name__} as JSON")
-
-
-def _mat_json(mat):
-    return [[entry.to_json() for entry in row] for row in mat]
+    terms = _terms(value, "JSON")
+    if isinstance(value, UVec):
+        return {"N": value.n, "coeffs": {_atom("u", key, False): coeff.to_json() for key, coeff, _ in terms}}
+    if isinstance(value, HeckeElt):
+        head, fields = {"n": value.n, "basis": "standard"}, lambda perm: {"window": list(perm.window)}
+    elif isinstance(value, BernsteinElt):
+        head, fields = {"n": value.n}, lambda key: {"perm": list(key[0].window), "lambda": list(key[1])}
+    else:
+        head, fields = {"n": 2, "basis": "kl"}, lambda label: {"label": {"m": label.m, "word": list(label.word)}}
+    return {**head, "terms": [{**fields(key), "coeff": coeff.to_json()} for key, coeff, _ in terms]}
 
 
 def _reader(read):
@@ -218,6 +228,13 @@ def _reader(read):
     return guarded
 
 
+def _at_least(value, least, what):
+    number = int(value)
+    if number < least:
+        raise InvalidValue(f"{what} must be at least {least}, got {number}")
+    return number
+
+
 @_reader
 def laurent_from_json(data):
     return LaurentPoly.from_json(data)
@@ -230,7 +247,7 @@ def perm_from_json(data):
 
 @_reader
 def hecke_from_json(data):
-    n = int(data["n"])
+    n = _at_least(data["n"], 1, "rank")
     if data.get("basis", "standard") == "kl":
         return kl_map_from_json(data)
     out = {}
@@ -242,6 +259,8 @@ def hecke_from_json(data):
 
 @_reader
 def kl_map_from_json(data):
+    if int(data.get("n", 2)) != 2:
+        raise InvalidValue(f"a KL map has rank 2, got {data['n']}")
     out = {}
     for term in data["terms"]:
         label = KLLabel(int(term["label"]["m"]), tuple(int(i) for i in term["label"]["word"]))
@@ -251,7 +270,7 @@ def kl_map_from_json(data):
 
 @_reader
 def bernstein_from_json(data):
-    n = int(data["n"])
+    n = _at_least(data["n"], 1, "rank")
     terms = {}
     for term in data["terms"]:
         perm = AffinePerm(n, tuple(int(v) for v in term["perm"]))
@@ -280,7 +299,7 @@ def module_from_json(data):
 
 @_reader
 def uvec_from_json(data):
-    bound = int(data["N"])
+    bound = _at_least(data["N"], 0, "truncation bound")
     coeffs = {}
     for name, coeff in data["coeffs"].items():
         match = re.fullmatch(r"u(')?([0-9]+)", name)
@@ -288,67 +307,3 @@ def uvec_from_json(data):
             raise InvalidValue(f"not a basis vector of U: {name!r}")
         coeffs[(match[1] is not None, int(match[2]))] = LaurentPoly.from_json(coeff)
     return UVec(bound, coeffs)
-
-
-# ---------------------------------------------------------------------------
-# LaTeX
-
-def _laurent_latex(poly):
-    return _join_signed(
-        [(-1 if v < 0 else 1, _monomial(e, abs(v), latex=True)) for e, v in sorted(poly.items())]
-    )
-
-
-def _basis_latex(perm):
-    rex = canonical_rex(perm)
-    parts = []
-    if rex.m == 1:
-        parts.append(r"\rho")
-    elif rex.m:
-        parts.append(rf"\rho^{{{rex.m}}}")
-    if rex.word:
-        subscript = " ".join(f"s_{i}" for i in rex.word)
-        parts.append(rf"T_{{{subscript}}}")
-    return " ".join(parts)
-
-
-def to_latex(value):
-    if isinstance(value, LaurentPoly):
-        return _laurent_latex(value)
-    if isinstance(value, HeckeElt):
-        parts = [
-            _term(coeff, _basis_latex(perm), latex=True)
-            for perm, coeff in sorted(value.items(), key=lambda kv: _hecke_sort_key(kv[0]))
-        ]
-        return _join_signed(parts)
-    if isinstance(value, dict) and all(isinstance(k, KLLabel) for k in value):
-        parts = []
-        for label, coeff in sorted(value.items(), key=lambda kv: (kv[0].m, kv[0].length(), kv[0].word)):
-            word = "".join(map(str, label.word)) if label.word else "e"
-            b = f"b_{{{word}}}"
-            if label.m == 1:
-                b = rf"\rho {b}"
-            elif label.m:
-                b = rf"\rho^{{{label.m}}} {b}"
-            parts.append(_term(coeff, b, latex=True))
-        return _join_signed(parts)
-    if isinstance(value, FinDimModule):
-        gens = [("\\rho", value.rho_mat)] + [
-            (f"T_{i}", value.t_mats[i - 1]) for i in range(1, value.n)
-        ]
-        blocks = []
-        for name, mat in gens:
-            rows = " \\\\ ".join(
-                " & ".join(_laurent_latex(entry) for entry in row) for row in mat
-            )
-            blocks.append(f"[{name}] = \\begin{{pmatrix}} {rows} \\end{{pmatrix}}")
-        return ", \\quad ".join(blocks)
-    if isinstance(value, UVec):
-        parts = []
-        for (primed, k), coeff in sorted(value.items()):
-            name = f"u'_{{{k}}}" if primed else f"u_{{{k}}}"
-            parts.append(_term(coeff, name, latex=True))
-        return _join_signed(parts)
-    if isinstance(value, tuple):
-        return r"\begin{pmatrix} " + r" \\ ".join(to_latex(v) for v in value) + r" \end{pmatrix}"
-    raise TypeError(f"cannot serialize {type(value).__name__} as LaTeX")

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from affine_hecke import expr
 from affine_hecke import serialize
-from affine_hecke.bernstein import to_bernstein
+from affine_hecke.bernstein import BernsteinElt, to_bernstein
 from affine_hecke.errors import AffineHeckeError, BadIndex, InvalidValue, ParseError, RankUnsupported
 from affine_hecke.example_n2 import UVec, pi_uw, w_module
 from affine_hecke.hecke import (
@@ -14,13 +15,18 @@ from affine_hecke.hecke import (
     KLLabel,
     b_gen,
     bott_samelson,
+    kl_combo_to_std,
     kl_to_std,
     rho_gen,
+    std_to_kl,
     t_gen,
     t_inv_gen,
+    word_elt,
 )
 from affine_hecke.laurent import ONE, Q, QINV, LaurentPoly
+from affine_hecke.modules import induce, trivial_module
 from affine_hecke.parabolic import bernstein_y
+from affine_hecke.weyl import AffinePerm
 
 
 def ev(src, n=2):
@@ -172,6 +178,11 @@ MALFORMED = {
     "bernstein-without-lambda": (serialize.bernstein_from_json, {"n": 2, "terms": [{"perm": [1, 2], "coeff": {}}]}),
     "laurent-exponent-not-an-integer": (serialize.laurent_from_json, {"x": 1}),
     "uvec-name-not-u": (serialize.uvec_from_json, {"N": 20, "coeffs": {"v3": {"0": 1}}}),
+    "hecke-of-negative-rank": (serialize.hecke_from_json, {"n": -3, "terms": []}),
+    "bernstein-of-rank-0": (serialize.bernstein_from_json, {"n": 0, "terms": []}),
+    "uvec-of-negative-bound": (serialize.uvec_from_json, {"N": -4, "coeffs": {}}),
+    "hecke-kl-map-of-rank-5": (serialize.hecke_from_json, {"n": 5, "basis": "kl", "terms": []}),
+    "kl-map-of-rank-5": (serialize.kl_map_from_json, {"n": 5, "terms": []}),
 }
 
 
@@ -195,6 +206,14 @@ READERS = [serialize.laurent_from_json, serialize.perm_from_json, serialize.heck
            serialize.uvec_from_json]
 
 
+def test_smallest_ranks_and_bounds_are_read():
+    assert serialize.uvec_from_json({"N": 0, "coeffs": {"u0": {"0": 1}}}) == UVec.basis(0, bound=0)
+    assert serialize.hecke_from_json({"n": 1, "terms": []}) == HeckeElt.zero(1)
+    kl = {KLLabel(1, (0,)): Q}
+    assert serialize.hecke_from_json(serialize.to_json(kl)) == kl
+    assert serialize.kl_map_from_json({"terms": []}) == {}
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(READERS), json_values)
 def test_json_readers_end_in_a_value_or_a_typed_error(reader, data):
@@ -215,6 +234,10 @@ def test_latex_snapshots():
     assert serialize.to_latex(kl_neg) == r"-q b_{e} - b_{01} + (-q^{-1} - q) \rho b_{1}"
     uvec = UVec(20, {(False, 3): Q, (True, 0): -QINV})
     assert serialize.to_latex(uvec) == "q u_{3} - q^{-1} u'_{0}"
+    # subscripts of two digits are braced, one digit stays as it was
+    assert serialize.to_latex(t_gen(12, 10) * t_gen(12, 1)) == "T_{s_{10} s_1}"
+    module = serialize.to_latex(induce(trivial_module(11), trivial_module(1)))
+    assert r"[T_9] = \begin{pmatrix}" in module and r", \quad [T_{11}] = \begin{pmatrix}" in module
 
 
 def test_module_text_and_latex_snapshots():
@@ -236,6 +259,36 @@ def test_tuple_snapshots():
 def test_bernstein_text_snapshot():
     b = to_bernstein(rho_gen(2, -1) * t_inv_gen(2, 0).scale(Q) + rho_gen(2, 1) * t_gen(2, 0) + t_gen(2, 1).scale(Q + QINV))
     assert serialize.to_text(b) == "q*y1^-1 + y2 + (q^-1 + q)*T1 + (q^-1 - q)*T1*y2"
+
+
+def test_bernstein_latex_snapshot():
+    b = to_bernstein(rho_gen(2, -1) * t_inv_gen(2, 0).scale(Q) + rho_gen(2, 1) * t_gen(2, 0) + t_gen(2, 1).scale(Q + QINV))
+    assert serialize.to_latex(b) == r"q y_{1}^{-1} + y_{2} + (q^{-1} + q) T_{s_1} + (q^{-1} - q) T_{s_1} y_{2}"
+
+
+def test_bernstein_json_uses_the_text_term_order():
+    # by window alone (1, 4, 3, 2) would come first; the print order puts length first
+    b = BernsteinElt(4, {(AffinePerm(4, (1, 4, 3, 2)), (0, 0, 0, 0)): ONE, (AffinePerm(4, (2, 1, 3, 4)), (1, 0, 0, 0)): Q})
+    assert [term["perm"] for term in serialize.to_json(b)["terms"]] == [[2, 1, 3, 4], [1, 4, 3, 2]]
+    assert serialize.to_text(b) == "q*T1*y1 + T2*T3*T2"
+
+
+def test_kl_text_reparses():
+    rng = random.Random(2718)
+    letters = [(0, 1), (1, 1), (0, -1), (1, -1), ("rho", 1), ("rho", -1)]
+    for _ in range(60):
+        value = word_elt(2, [rng.choice(letters) for _ in range(rng.randrange(9))]).scale(rng.choice((ONE, -Q, Q + QINV)))
+        kl = std_to_kl(value)
+        back = expr.eval_algebra(expr.parse(serialize.to_text(kl)), 2)
+        assert back == kl_combo_to_std(kl) == value
+
+
+def test_every_value_type_prints_in_every_format():
+    elt = rho_gen(2, 1) * t_gen(2, 0) - t_inv_gen(2, 1).scale(Q)
+    values = [Q + QINV, elt, to_bernstein(elt), std_to_kl(elt), UVec.basis(3).scale(Q), w_module(), pi_uw(UVec.basis(1))]
+    for value in values:
+        for render in (serialize.to_text, serialize.to_latex, lambda v: json.dumps(serialize.to_json(v))):
+            assert isinstance(render(value), str) and render(value)
 
 
 def test_two_digit_index_text_snapshot():
