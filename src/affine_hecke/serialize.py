@@ -281,7 +281,7 @@ def bernstein_from_json(data):
 
 @_reader
 def module_from_json(data):
-    n, dim = int(data["n"]), int(data["dim"])
+    n, dim = _at_least(data["n"], 1, "rank"), int(data["dim"])
     gens = data["gens"]
     # for n > len(gens) one of T1 .. T{len(gens)}, rho is missing anyway, so
     # the names stop there and a huge n builds no huge list

@@ -173,6 +173,7 @@ MALFORMED = {
     "module-without-gens": (serialize.module_from_json, {"n": 1, "dim": 1}),
     "module-of-dimension-0": (serialize.module_from_json, {"n": 2, "dim": 0, "gens": {"T1": [], "rho": []}}),
     "module-without-n": (serialize.module_from_json, {"dim": 1, "gens": {"rho": [[{"0": 1}]]}}),
+    "module-of-rank-0": (serialize.module_from_json, {"n": 0, "dim": 1, "gens": {"rho": [[{"0": 1}]]}}),
     "hecke-without-n": (serialize.hecke_from_json, {"terms": []}),
     "hecke-terms-not-a-list": (serialize.hecke_from_json, {"n": 2, "terms": 5}),
     "bernstein-without-lambda": (serialize.bernstein_from_json, {"n": 2, "terms": [{"perm": [1, 2], "coeff": {}}]}),
@@ -288,7 +289,8 @@ def test_every_value_type_prints_in_every_format():
     values = [Q + QINV, elt, to_bernstein(elt), std_to_kl(elt), UVec.basis(3).scale(Q), w_module(), pi_uw(UVec.basis(1))]
     for value in values:
         for render in (serialize.to_text, serialize.to_latex, lambda v: json.dumps(serialize.to_json(v))):
-            assert isinstance(render(value), str) and render(value)
+            out = render(value)
+            assert isinstance(out, str) and out
 
 
 def test_two_digit_index_text_snapshot():
