@@ -20,7 +20,7 @@ from functools import cache, partial
 
 from .errors import RankMismatch
 from .hecke import HeckeElt, _mul_terms_simple, fold_word, inverse_word, rex_word
-from .laurent import ONE, Q, QINV, Combination, LaurentPoly, accumulate
+from .laurent import ONE, Q, QINV, Combination, LaurentPoly, accumulate, add_product, sealed
 from .parabolic import bernstein_y, bernstein_y_inv
 from .weyl import canonical_rex, identity, simple
 
@@ -162,12 +162,12 @@ def to_bernstein(elt):
             return rho_pos if e == 1 else rho_neg
         return t0 if g == 0 else _finite_letter(n, g, e)
 
-    out = {}
+    acc = {}
     for perm, coeff in elt.terms.items():
-        acc = fold_word(rex_word(canonical_rex(perm)), letter, bernstein_mul, partial(BernsteinElt.one, n))
-        for key, c in acc.terms.items():
-            accumulate(out, key, c * coeff)
-    return BernsteinElt._raw(n, out)
+        img = fold_word(rex_word(canonical_rex(perm)), letter, bernstein_mul, partial(BernsteinElt.one, n))
+        for key, c in img.terms.items():
+            add_product(acc, key, c, coeff)
+    return BernsteinElt._raw(n, sealed(acc))
 
 
 @cache

@@ -23,7 +23,7 @@ from functools import cache
 
 from .errors import BadIndex, InvalidValue, TruncationExceeded
 from .hecke import HeckeElt, KLLabel, alt_word, b_gen, kl_to_std, rho_gen, std_to_kl, t_gen
-from .laurent import ONE, Q, Q2, QINV, ZERO, Combination, accumulate
+from .laurent import ONE, Q, Q2, QINV, ZERO, Combination, add_product, sealed
 from .modules import induce, module_act, trivial_module
 
 DEFAULT_BOUND = 20
@@ -64,29 +64,26 @@ class UVec(Combination):
 
 def u_reduce(elt, bound=DEFAULT_BOUND):
     """Image of a rank-2 element under the projection onto U."""
-    out = {}
+    acc = {}
     for label, coeff in std_to_kl(elt).items():
         k = label.length()
         if k > bound:
             raise TruncationExceeded(
                 f"KL word of length {k} exceeds truncation bound {bound}"
             )
-        primed = label.m % 2 == 1
-        if k == 0 or label.word[-1] == 1:
-            accumulate(out, (primed, k), coeff)
-        else:
-            accumulate(out, (not primed, k), coeff * QINV)
-    return UVec._raw(bound, out)
+        flip = k > 0 and label.word[-1] == 0  # b_{..0} -> q^-1 u_k on the other row
+        add_product(acc, (label.m % 2 != flip, k), coeff, QINV if flip else ONE)
+    return UVec._raw(bound, sealed(acc))
 
 
 def lift(vec):
     """Section of the projection: u_k -> b_{..1}, u'_k -> rho b_{..1}."""
-    out = {}
+    acc = {}
     for (primed, k), coeff in vec.terms.items():
         label = KLLabel(1 if primed else 0, alt_word(k, last=1))
         for perm, c in kl_to_std(label).items():
-            accumulate(out, perm, c * coeff)
-    return HeckeElt._raw(2, out)
+            add_product(acc, perm, c, coeff)
+    return HeckeElt._raw(2, sealed(acc))
 
 
 _GENERATORS = ("rho", "b0", "b1", "T0", "T1")
@@ -142,11 +139,11 @@ def u_act(gen, vec, engine="closed"):
         # T_i = b_i - q
         return u_act("b" + gen[1], vec, engine) - vec.scale(Q)
     if engine == "closed":
-        out = {}
+        acc = {}
         for (primed, k), coeff in vec.terms.items():
             for key, factor in _act_basis_closed(gen, primed, k, vec.n).items():
-                accumulate(out, key, coeff * factor)
-        return UVec._raw(vec.n, out)
+                add_product(acc, key, coeff, factor)
+        return UVec._raw(vec.n, sealed(acc))
     if engine == "reduce":
         return u_reduce(gen_elt(gen) * lift(vec), vec.n)
     raise InvalidValue(f"unknown engine {engine!r}")

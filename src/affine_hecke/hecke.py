@@ -18,7 +18,8 @@ T_g T_i = T_{g s_i} (ascent) or T_{g s_i} + (q^-1 - q) T_g (descent),
 with the O(1) window descent test AffinePerm.has_descent.
 Every memo in the package is a functools.cache on the function that
 computes the value; basis-pair products, basis inverses and KL expansions
-are cached as read-only tuples of (perm, coeff) pairs.
+are cached as read-only tuples of (perm, coeff) pairs.  Products, omega and
+the form sum c * d * E_x E_y by laurent.add_product, then laurent.sealed.
 
 For n = 2 every translation-free element has a unique reduced expression,
 an alternating binary word, and the KL basis layer (kl_to_std, std_to_kl,
@@ -33,7 +34,7 @@ from functools import cache, partial, reduce
 from itertools import combinations
 
 from .errors import BadIndex, InvalidValue, RankMismatch, RankUnsupported
-from .laurent import ONE, Q, Q2, QINV, ZERO, Combination, LaurentPoly, accumulate
+from .laurent import ONE, Q, Q2, QINV, ZERO, Combination, LaurentPoly, accumulate, add_product, sealed
 from .weyl import ReducedExpr, canonical_rex, from_rex, identity, rho, simple
 
 _DESC = QINV - Q  # q^-1 - q, the descent correction
@@ -70,11 +71,13 @@ class HeckeElt(Combination):
         if not isinstance(other, HeckeElt):
             return NotImplemented
         self._join(other)  # raises RankMismatch
-        out = {}
+        acc = {}
         for y, d in other.terms.items():
-            for perm, c in _basis_product(tuple(self.terms.items()), y).items():
-                accumulate(out, perm, c * d)
-        return HeckeElt._raw(self.n, out)
+            for x, c in self.terms.items():
+                cd = c * d
+                for perm, c2 in _basis_pair_product(x, y):
+                    add_product(acc, perm, cd, c2)
+        return HeckeElt._raw(self.n, sealed(acc))
 
     def __pow__(self, k):
         if not isinstance(k, int):
@@ -100,12 +103,12 @@ class HeckeElt(Combination):
 
     def omega(self):
         """The q-antilinear antiinvolution: rho -> rho^-1, T_w -> T_w^-1."""
-        out = {}
+        acc = {}
         for perm, coeff in self.terms.items():
             c = coeff.bar()
             for p2, c2 in _basis_inverse(perm):
-                accumulate(out, p2, c * c2)
-        return HeckeElt._raw(self.n, out)
+                add_product(acc, p2, c, c2)
+        return HeckeElt._raw(self.n, sealed(acc))
 
     def trace(self):
         """Coefficient of the identity basis element rho^0 T_e."""
@@ -252,15 +255,6 @@ def _basis_pair_product(x, y):
     return tuple(terms.items())
 
 
-def _basis_product(left_items, y):
-    """Product (sum of left terms) * E_y as a term dict."""
-    out = {}
-    for x, c in left_items:
-        for perm, c2 in _basis_pair_product(x, y):
-            accumulate(out, perm, c * c2)
-    return out
-
-
 @cache
 def _basis_inverse(perm):
     """Expansion of (rho^m T_w)^-1 = T_w^-1 rho^-m as a tuple of (perm, coeff)."""
@@ -290,12 +284,10 @@ def form(x, y):
 
 def form_with_omega(omega_x, y):
     """The form value given an already-computed omega(x); for sweeps."""
-    total = ZERO
+    acc = {}
     for h, d in y.terms.items():
-        c = omega_x.terms.get(h.inverse())
-        if c is not None:
-            total = total + c * d
-    return total
+        add_product(acc, None, omega_x.terms.get(h.inverse(), ZERO), d)
+    return sealed(acc).get(None, ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +360,7 @@ def _kl_std_terms(label):
     )
 
 
+@cache
 def _alt_words(k):
     """The alternating words of length k: two for k > 0, the empty word at 0."""
     return (alt_word(k, first=0), alt_word(k, first=1)) if k else ((),)
@@ -417,11 +410,7 @@ def kl_mul_closed(a, b):
     # move b's rho-part to the front: b_X rho^c = rho^c b_{flip^c X}
     c = b.m
     flipped = tuple((x + c) % 2 for x in a.word)
-    m_total = a.m + c
-    out = {}
-    for word, mult in _kl_word_product(flipped, b.word).items():
-        accumulate(out, KLLabel(m_total, word), mult)
-    return out
+    return {KLLabel(a.m + c, word): mult for word, mult in _kl_word_product(flipped, b.word).items()}
 
 
 def _kl_word_product(p, r):
@@ -452,8 +441,8 @@ def _kl_word_product(p, r):
 def kl_combo_to_std(combo, n=2):
     """Expand a dict KLLabel -> LaurentPoly in the standard basis."""
     _require_n2(n)
-    out = {}
+    acc = {}
     for label, coeff in combo.items():
-        for perm, c in kl_to_std(label).items():
-            accumulate(out, perm, c * coeff)
-    return HeckeElt._raw(2, out)
+        for perm, c in _kl_std_terms(label):
+            add_product(acc, perm, c, coeff)
+    return HeckeElt._raw(2, sealed(acc))

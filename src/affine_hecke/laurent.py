@@ -7,7 +7,9 @@ the package.  Rational specializations use ``fractions.Fraction``.
 
 Every other value of the package is a finite combination over this ring:
 ``accumulate`` is the one add-and-drop-zero step on a term dict, and
-``Combination`` is the shared base of the combination types.
+``Combination`` is the shared base of the combination types.  Sums of
+products go into an accumulator key -> {exponent: int}: ``add_product`` adds
+a * b in place and ``sealed`` drops the zeros (S. C. Johnson, SIGSAM 1974).
 """
 
 from __future__ import annotations
@@ -217,7 +219,8 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, data):
-        return cls({int(e): int(v) for e, v in data.items()})
+        from .serialize import laurent_from_json  # the strict reader; it imports this module
+        return laurent_from_json(data)
 
 
 ZERO = LaurentPoly.const(0)
@@ -238,6 +241,23 @@ def accumulate(terms, key, coeff):
         terms[key] = coeff
     elif old is not None:
         del terms[key]
+
+
+def add_product(acc, key, a, b):
+    """acc[key] += a * b in place, on raw exponent -> int dicts; zeros stay until sealed."""
+    c = acc.get(key)
+    if c is None:
+        c = acc[key] = {}
+    b = b._c.items()
+    for e1, v1 in a._c.items():
+        for e2, v2 in b:
+            e = e1 + e2
+            c[e] = c.get(e, 0) + v1 * v2
+
+
+def sealed(acc):
+    """The accumulator as {key: LaurentPoly}, without zero coefficients or zero sums."""
+    return {key: LaurentPoly._raw(nz) for key, c in acc.items() if (nz := {e: v for e, v in c.items() if v})}
 
 
 class Combination:

@@ -3,8 +3,8 @@
 A module stores matrices for T_1, ..., T_{n-1}, rho and rho^-1 over
 Z[q,q^-1].  Induced modules take rho^-1 from their induction plan; only a
 supplied module inverts rho, by one fraction-free elimination (its
-determinant must be a unit).  T_0 is derived once as rho T_{n-1} rho^-1,
-T_i^-1 = T_i + (q - q^-1), and the matrix of a product xy is [x][y].  A
+determinant must be a unit).  T_0 = rho T_{n-1} rho^-1 and the T_i^-1 are
+built once per module.  [xy] = [x][y], summed by laurent.add_product.  A
 word in the generators (hecke.fold_word) acts by word_mat, the product of
 its letters' matrices: the relation check runs hecke.defining_relations
 through it, module_y the words parabolic.y_word, and module_act the word
@@ -24,12 +24,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
-from itertools import product
 
 from .bernstein import BernsteinElt, to_bernstein
 from .errors import BadIndex, DimUnsupported, InvalidValue, RankMismatch
 from .hecke import defining_relations, fold_word, inverse_word, rex_word, rho_gen, t_gen
-from .laurent import ONE, Q, QINV, ZERO
+from .laurent import ONE, Q, QINV, ZERO, add_product, sealed
 from .parabolic import coset_decompose, min_coset_reps, split_parabolic_factor, y_word
 from .weyl import canonical_rex
 
@@ -51,17 +50,17 @@ def mat_scale(a, c):
 
 
 def mat_mul(a, b):
-    cols = range(len(b[0]))
-    out = []
-    for row in a:
-        acc = [ZERO for _ in cols]
-        for x, b_row in zip(row, b):
+    b_rows = [[(j, y) for j, y in enumerate(b_row) if y] for b_row in b]
+    acc = {}
+    for i, row in enumerate(a):
+        for x, b_row in zip(row, b_rows):
             if x:
-                for j in cols:
-                    if b_row[j]:
-                        acc[j] = acc[j] + x * b_row[j]
-        out.append(tuple(acc))
-    return tuple(out)
+                for j, y in b_row:
+                    add_product(acc, (i, j), x, y)
+    out = [[ZERO] * len(b[0]) for _ in a]
+    for (i, j), entry in sealed(acc).items():
+        out[i][j] = entry
+    return tuple(map(tuple, out))
 
 
 def _eliminate(a):
@@ -123,6 +122,7 @@ class FinDimModule:
     rho_mat: tuple
     rho_inv_mat: tuple = field(default=None)
     t0_mat: tuple = field(init=False, repr=False, compare=False)  # rho T_{n-1} rho^-1
+    t_inv_mats: tuple = field(init=False, repr=False, compare=False)  # entry i is [T_i^-1]
 
     def __post_init__(self):
         if self.n < 1:
@@ -137,10 +137,13 @@ class FinDimModule:
                 raise InvalidValue(f"matrix {name} is not {self.dim}x{self.dim}")
         if self.rho_inv_mat is None:
             object.__setattr__(self, "rho_inv_mat", mat_unit_inverse(self.rho_mat))
-        t0 = None
+        t0, t_inv = None, ()
         if self.n >= 2:
             t0 = mat_mul(mat_mul(self.rho_mat, self.t_mats[self.n - 2]), self.rho_inv_mat)
+            shift = mat_scale(mat_eye(self.dim), Q - QINV)
+            t_inv = tuple(mat_add(m, shift) for m in (t0, *self.t_mats))
         object.__setattr__(self, "t0_mat", t0)
+        object.__setattr__(self, "t_inv_mats", t_inv)
 
     def t(self, i):
         """Matrix of T_i for i in the affine index set 0..n-1 (empty for n = 1)."""
@@ -149,7 +152,9 @@ class FinDimModule:
         return self.t_mats[i - 1] if i else self.t0_mat
 
     def t_inv(self, i):
-        return mat_add(self.t(i), mat_scale(mat_eye(self.dim), Q - QINV))
+        """Matrix of T_i^-1 = T_i + (q - q^-1), built once per module."""
+        self.t(i)  # raises BadIndex
+        return self.t_inv_mats[i]
 
     def b(self, i):
         return mat_add(self.t(i), mat_scale(mat_eye(self.dim), Q))
@@ -202,12 +207,14 @@ def module_act(mod, elt, vec):
     rho^m T_{i_1...i_l} acts by the matrix of its word."""
     if elt.n != mod.n:
         raise RankMismatch(f"element rank {elt.n} vs module rank {mod.n}")
-    out = [ZERO] * mod.dim
+    acc = {}
     for perm, coeff in elt.terms.items():
-        mat = word_mat(mod, rex_word(canonical_rex(perm)))
-        for r, row in enumerate(mat):
-            out[r] += coeff * sum((x * v for x, v in zip(row, vec)), ZERO)
-    return tuple(out)
+        scaled = [coeff * v for v in vec]
+        for r, row in enumerate(word_mat(mod, rex_word(canonical_rex(perm)))):
+            for x, v in zip(row, scaled):
+                add_product(acc, r, x, v)
+    acc = sealed(acc)
+    return tuple(acc.get(r, ZERO) for r in range(mod.dim))
 
 
 @cache
@@ -240,22 +247,23 @@ def induce(m1, m2):
 
     @cache
     def factor_op(side, word, lam):
-        """Matrix of T_word y^lam on the left (side 0) or right (side 1) factor."""
+        """Nonzero (row, col, value) of T_word y^lam on the left (side 0) or right (side 1) factor."""
         mod = (m1, m2)[side]
         ys = [(y_word(mod.n, i), e) for i, e in enumerate(lam, 1)]
         y_pows = sum(((y if e > 0 else inverse_word(y)) * abs(e) for y, e in ys), ())
-        return word_mat(mod, tuple((g, 1) for g in word) + y_pows)
+        mat = word_mat(mod, tuple((g, 1) for g in word) + y_pows)
+        return [(r, c, v) for r, row in enumerate(mat) for c, v in enumerate(row) if v]
 
     def generator_matrix(plan_cols):
-        cols = [[ZERO] * dim for _ in range(dim)]  # cols[row][col]
+        acc = {}  # (row, col) -> entry
         for x, entries in enumerate(plan_cols):
             for x2, word_l, lam_l, word_r, lam_r, coeff in entries:
-                op_l, op_r = factor_op(0, word_l, lam_l), factor_op(1, word_r, lam_r)
-                for (a, a2), (b, b2) in product(product(range(d1), repeat=2), product(range(d2), repeat=2)):
-                    entry = coeff * op_l[a2][a] * op_r[b2][b]
-                    if entry:
-                        cols[(x2 * d1 + a2) * d2 + b2][(x * d1 + a) * d2 + b] += entry
-        return tuple(tuple(row) for row in cols)
+                for a2, a, v_l in factor_op(0, word_l, lam_l):
+                    c = coeff * v_l
+                    for b2, b, v_r in factor_op(1, word_r, lam_r):
+                        add_product(acc, ((x2 * d1 + a2) * d2 + b2, (x * d1 + a) * d2 + b), c, v_r)
+        acc = sealed(acc)
+        return tuple(tuple(acc.get((r, c), ZERO) for c in range(dim)) for r in range(dim))
 
     *t_mats, rho_mat, rho_inv_mat = map(generator_matrix, plan)
     return FinDimModule(n, dim, tuple(t_mats), rho_mat, rho_inv_mat)

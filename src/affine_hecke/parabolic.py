@@ -35,7 +35,7 @@ from itertools import combinations
 
 from .errors import BadIndex, ShiftNonzero
 from .hecke import HeckeElt, fold_word, inverse_word, rex_word, word_elt
-from .laurent import accumulate
+from .laurent import add_product, sealed
 from .weyl import AffinePerm, canonical_rex, identity
 
 
@@ -99,12 +99,12 @@ def _psi_on_element(n, images, elt):
     def letter(g, e):
         return word_elt(n, images[g] if e == 1 else inverse_word(images[g]))
 
-    out = {}
+    acc = {}
     for perm, coeff in elt.terms.items():
         img = fold_word(rex_word(canonical_rex(perm)), letter, HeckeElt.__mul__, partial(HeckeElt.one, n))
         for key, c in img.terms.items():
-            accumulate(out, key, c * coeff)
-    return HeckeElt._raw(n, out)
+            add_product(acc, key, c, coeff)
+    return HeckeElt._raw(n, sealed(acc))
 
 
 def psi_L(ctx, elt):

@@ -228,60 +228,63 @@ def _reader(read):
     return guarded
 
 
-def _at_least(value, least, what):
-    number = int(value)
-    if number < least:
-        raise InvalidValue(f"{what} must be at least {least}, got {number}")
-    return number
+def _int(value, least=None, what="value"):
+    """The one JSON integer reader, at least `least` if given; a float, bool or string raises."""
+    if type(value) is not int:
+        raise InvalidValue(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise InvalidValue(f"{what} must be at least {least}, got {value}")
+    return value
+
+
+def _ints(values):
+    return tuple(map(_int, values))
 
 
 @_reader
 def laurent_from_json(data):
-    return LaurentPoly.from_json(data)
+    # exponent keys are strings that parse with int(); coefficients are integers
+    return LaurentPoly({int(e): _int(v) for e, v in data.items()})
 
 
 @_reader
 def perm_from_json(data):
-    return AffinePerm.from_json(data)
+    return AffinePerm(_int(data["n"]), _ints(data["window"]))
 
 
 @_reader
 def hecke_from_json(data):
-    n = _at_least(data["n"], 1, "rank")
+    n = _int(data["n"], 1, "rank")
     if data.get("basis", "standard") == "kl":
         return kl_map_from_json(data)
     out = {}
     for term in data["terms"]:
-        perm = AffinePerm(n, tuple(int(v) for v in term["window"]))
-        accumulate(out, perm, LaurentPoly.from_json(term["coeff"]))
+        accumulate(out, AffinePerm(n, _ints(term["window"])), laurent_from_json(term["coeff"]))
     return HeckeElt._raw(n, out)
 
 
 @_reader
 def kl_map_from_json(data):
-    if int(data.get("n", 2)) != 2:
+    if _int(data.get("n", 2)) != 2:
         raise InvalidValue(f"a KL map has rank 2, got {data['n']}")
     out = {}
     for term in data["terms"]:
-        label = KLLabel(int(term["label"]["m"]), tuple(int(i) for i in term["label"]["word"]))
-        out[label] = LaurentPoly.from_json(term["coeff"])
+        out[KLLabel(_int(term["label"]["m"]), _ints(term["label"]["word"]))] = laurent_from_json(term["coeff"])
     return out
 
 
 @_reader
 def bernstein_from_json(data):
-    n = _at_least(data["n"], 1, "rank")
+    n = _int(data["n"], 1, "rank")
     terms = {}
     for term in data["terms"]:
-        perm = AffinePerm(n, tuple(int(v) for v in term["perm"]))
-        lam = tuple(int(v) for v in term["lambda"])
-        terms[(perm, lam)] = LaurentPoly.from_json(term["coeff"])
+        terms[(AffinePerm(n, _ints(term["perm"])), _ints(term["lambda"]))] = laurent_from_json(term["coeff"])
     return BernsteinElt(n, terms)
 
 
 @_reader
 def module_from_json(data):
-    n, dim = _at_least(data["n"], 1, "rank"), int(data["dim"])
+    n, dim = _int(data["n"], 1, "rank"), _int(data["dim"])
     gens = data["gens"]
     # for n > len(gens) one of T1 .. T{len(gens)}, rho is missing anyway, so
     # the names stop there and a huge n builds no huge list
@@ -291,7 +294,7 @@ def module_from_json(data):
         raise InvalidValue(f"module JSON lacks generator {', '.join(missing)}")
 
     def mat(entries):
-        return tuple(tuple(LaurentPoly.from_json(e) for e in row) for row in entries)
+        return tuple(tuple(laurent_from_json(e) for e in row) for row in entries)
 
     t_mats = tuple(mat(gens[f"T{i}"]) for i in range(1, n))
     return FinDimModule(n, dim, t_mats, mat(gens["rho"]))
@@ -299,11 +302,11 @@ def module_from_json(data):
 
 @_reader
 def uvec_from_json(data):
-    bound = _at_least(data["N"], 0, "truncation bound")
+    bound = _int(data["N"], 0, "truncation bound")
     coeffs = {}
     for name, coeff in data["coeffs"].items():
         match = re.fullmatch(r"u(')?([0-9]+)", name)
         if match is None:
             raise InvalidValue(f"not a basis vector of U: {name!r}")
-        coeffs[(match[1] is not None, int(match[2]))] = LaurentPoly.from_json(coeff)
+        coeffs[(match[1] is not None, int(match[2]))] = laurent_from_json(coeff)
     return UVec(bound, coeffs)

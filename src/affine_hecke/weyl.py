@@ -106,7 +106,8 @@ class AffinePerm:
 
     @classmethod
     def from_json(cls, data):
-        return cls(int(data["n"]), tuple(int(v) for v in data["window"]))
+        from .serialize import perm_from_json  # the strict reader; it imports this module
+        return perm_from_json(data)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ MEMOS = {
     "hecke._basis_pair_product",
     "hecke._basis_inverse",
     "hecke._kl_std_terms",
+    "hecke._alt_words",
     "bernstein._rho_images",
     "bernstein._y_power",
     "example_n2.w_module",

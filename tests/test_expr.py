@@ -194,6 +194,40 @@ def test_malformed_json_is_invalid_value(case):
         reader(data)
 
 
+COEFF = {"0": 1}
+NOT_AN_INTEGER = {
+    "laurent-coeff-float": (serialize.laurent_from_json, {"1": 2.9}),
+    "laurent-coeff-half": (serialize.laurent_from_json, {"0": 1.5}),
+    "laurent-coeff-bool": (serialize.laurent_from_json, {"0": True}),
+    "laurent-coeff-string": (serialize.laurent_from_json, {"0": "2"}),
+    "perm-rank-float": (serialize.perm_from_json, {"n": 2.0, "window": [1, 2]}),
+    "perm-window-float": (serialize.perm_from_json, {"n": 2, "window": [1.0, 2]}),
+    "hecke-rank-float": (serialize.hecke_from_json, {"n": 2.7, "terms": [{"window": [1, 2], "coeff": COEFF}]}),
+    "hecke-rank-bool": (serialize.hecke_from_json, {"n": True, "terms": []}),
+    "hecke-window-bool": (serialize.hecke_from_json, {"n": 2, "terms": [{"window": [True, 2], "coeff": COEFF}]}),
+    "hecke-coeff-float": (serialize.hecke_from_json, {"n": 2, "terms": [{"window": [1, 2], "coeff": {"0": 0.5}}]}),
+    "kl-rank-float": (serialize.kl_map_from_json, {"n": 2.0, "terms": []}),
+    "kl-label-m-float": (serialize.kl_map_from_json, {"terms": [{"label": {"m": 0.5, "word": []}, "coeff": COEFF}]}),
+    "kl-word-letter-bool": (serialize.kl_map_from_json, {"terms": [{"label": {"m": 0, "word": [True]}, "coeff": COEFF}]}),
+    "kl-word-letter-string": (serialize.kl_map_from_json, {"terms": [{"label": {"m": 0, "word": ["1"]}, "coeff": COEFF}]}),
+    "bernstein-rank-float": (serialize.bernstein_from_json, {"n": 1.5, "terms": []}),
+    "bernstein-lambda-float": (serialize.bernstein_from_json,
+                               {"n": 2, "terms": [{"perm": [1, 2], "lambda": [0.5, 0], "coeff": COEFF}]}),
+    "module-rank-float": (serialize.module_from_json, {"n": 1.0, "dim": 1, "gens": {"rho": [[COEFF]]}}),
+    "module-dim-bool": (serialize.module_from_json, {"n": 1, "dim": True, "gens": {"rho": [[COEFF]]}}),
+    "module-entry-float": (serialize.module_from_json, {"n": 1, "dim": 1, "gens": {"rho": [[{"0": 1.0}]]}}),
+    "uvec-bound-float": (serialize.uvec_from_json, {"N": 20.5, "coeffs": {}}),
+    "uvec-coeff-bool": (serialize.uvec_from_json, {"N": 20, "coeffs": {"u3": {"0": False}}}),
+}
+
+
+@pytest.mark.parametrize("case", NOT_AN_INTEGER)
+def test_json_integers_are_never_truncated(case):
+    reader, data = NOT_AN_INTEGER[case]
+    with pytest.raises(InvalidValue):
+        reader(data)
+
+
 JSON_KEYS = ["n", "dim", "gens", "terms", "window", "coeff", "perm", "lambda", "label", "m", "word",
              "basis", "N", "coeffs", "rho", "T1", "T2", "0", "1", "-1", "u3", "u'0", "kl"]
 json_values = st.recursive(

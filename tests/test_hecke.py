@@ -6,6 +6,7 @@ from affine_hecke.errors import BadIndex, InvalidValue, RankMismatch, RankUnsupp
 from affine_hecke.hecke import (
     HeckeElt,
     KLLabel,
+    _basis_pair_product,
     alt_word,
     b_gen,
     bott_samelson,
@@ -154,6 +155,37 @@ def test_associativity_random():
         b = random_product(rng, n, 5)
         c = random_product(rng, n, 5)
         assert (a * b) * c == a * (b * c)
+
+
+def assert_no_stored_zero(elt):
+    assert all(c and all(v for _, v in c.items()) for c in elt.terms.values())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cancelling_products_store_no_zero(n):
+    for i in range(n):
+        prod = (t_gen(n, i) + q_times(n, Q)) * (t_gen(n, i) - q_times(n, QINV))
+        assert prod.terms == {}
+        assert (b_gen(n, i) * b_gen(n, i) - b_gen(n, i).scale(Q2)).terms == {}
+
+
+def test_products_match_termwise_sum():
+    """a * b equals the sum of c * d * E_x E_y over the terms c E_x of a and
+    d E_y of b, built with plain LaurentPoly arithmetic."""
+    rng = random.Random(271)
+    for _ in range(60):
+        n = rng.choice((2, 3, 4))
+        a = random_product(rng, n, 4).scale(LaurentPoly({rng.randint(-2, 2): rng.choice((1, -2))}))
+        b = random_product(rng, n, 4) + rho_gen(n, rng.randint(-1, 1)).scale(Q)
+        expect = {}
+        for x, c in a.terms.items():
+            for y, d in b.terms.items():
+                for perm, c2 in _basis_pair_product(x, y):
+                    expect[perm] = expect.get(perm, ZERO) + c * d * c2
+        prod = a * b
+        assert prod.terms == {perm: c for perm, c in expect.items() if c}
+        assert_no_stored_zero(prod)
+        assert_no_stored_zero(prod.omega())
 
 
 def test_rank_mismatch():

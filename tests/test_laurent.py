@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from affine_hecke.errors import InvalidValue, NonIntegralCorrection, ZeroSpecialization
-from affine_hecke.laurent import ONE, Q, Q2, QINV, ZERO, LaurentPoly
+from affine_hecke.laurent import ONE, Q, Q2, QINV, ZERO, LaurentPoly, add_product, sealed
 
 polys = st.dictionaries(st.integers(-8, 8), st.integers(-9, 9), max_size=6).map(LaurentPoly)
 rationals = st.fractions(
@@ -122,3 +123,30 @@ def test_min_term_and_degrees():
     assert p.valuation() == -2
     assert p.degree() == 3
     assert ZERO.min_term() is None
+
+
+def test_sealed_drops_cancelled_sums():
+    acc = {}
+    add_product(acc, "gone", Q + ONE, Q - ONE)  # q^2 - 1
+    add_product(acc, "gone", Q, -Q)
+    add_product(acc, "gone", ONE, ONE)
+    add_product(acc, "kept", Q + QINV, Q - QINV)  # q^2 - q^-2: the q^0 terms cancel
+    add_product(acc, "zero factor", ZERO, Q)
+    out = sealed(acc)
+    assert out == {"kept": LaurentPoly({2: 1, -2: -1})}
+    assert all(c and all(v for _, v in c.items()) for c in out.values())
+
+
+def test_add_product_sums_match_plain_arithmetic():
+    rng = random.Random(9)
+
+    def poly():
+        return LaurentPoly({rng.randint(-3, 3): rng.randint(-3, 3) for _ in range(rng.randint(0, 4))})
+
+    for _ in range(200):
+        pairs = [(rng.randrange(4), poly(), poly()) for _ in range(rng.randint(0, 8))]
+        acc, expect = {}, {}
+        for key, a, b in pairs:
+            add_product(acc, key, a, b)
+            expect[key] = expect.get(key, ZERO) + a * b
+        assert sealed(acc) == {key: c for key, c in expect.items() if c}

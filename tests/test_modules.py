@@ -43,6 +43,46 @@ def test_trivial_rank1():
     assert module_y(v, 1) == ((ONE,),)
 
 
+def naive_mat_mul(a, b):
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
+def test_mat_mul_matches_naive_triple_loop():
+    rng = random.Random(17)
+    entries = [ZERO] * 6 + [ONE, -ONE, Q, -Q, QINV, Q + TWO, Q - QINV]
+    for _ in range(150):
+        rows, inner, cols = (rng.randint(1, 5) for _ in range(3))
+        a = tuple(tuple(rng.choice(entries) for _ in range(inner)) for _ in range(rows))
+        b = tuple(tuple(rng.choice(entries) for _ in range(cols)) for _ in range(inner))
+        assert mat_mul(a, b) == naive_mat_mul(a, b)
+
+
+def test_cancelling_matrix_products_store_no_zero():
+    a = ((Q, Q), (Q, -Q))
+    b = ((Q, ONE), (-Q, ONE))
+    prod = mat_mul(a, b)
+    assert prod == ((ZERO, TWO * Q), (TWO * Q * Q, ZERO))
+    mats = [prod]
+    for mod in (induce(trivial_module(2), one_dimensional(1, None, -Q)), w_module()):
+        mats += [*mod.t_mats, mod.rho_mat, mod.rho_inv_mat, *mod.t_inv_mats]
+    # an entry is ZERO (no items) or holds nonzero coefficients only
+    assert all(v for mat in mats for row in mat for x in row for _, v in x.items())
+
+
+def test_t_inv_matrices_are_built_once():
+    mod = induce(trivial_module(1), trivial_module(2))
+    for i in range(mod.n):
+        assert mod.t_inv(i) is mod.t_inv(i)
+        assert mat_mul(mod.t(i), mod.t_inv(i)) == mat_eye(mod.dim)
+    with pytest.raises(BadIndex):
+        mod.t_inv(mod.n)
+    with pytest.raises(BadIndex):
+        trivial_module(1).t_inv(0)
+
+
 def test_matrix_inverse_guard():
     with pytest.raises(ValueError):
         mat_unit_inverse(((Q + ONE,),))
