@@ -3,12 +3,22 @@
 A module stores matrices for T_1, ..., T_{n-1}, rho and rho^-1 over
 Z[q,q^-1].  Induced modules take rho^-1 from their induction plan; only a
 supplied module inverts rho, by one fraction-free elimination (its
-determinant must be a unit).  T_0 = rho T_{n-1} rho^-1 and the T_i^-1 are
-built once per module.  [xy] = [x][y], summed by laurent.add_product.  A
-word in the generators (hecke.fold_word) acts by word_mat, the product of
-its letters' matrices: the relation check runs hecke.defining_relations
-through it, module_y the words parabolic.y_word, and module_act the word
-of each term's canonical reduced expression.
+determinant must be a unit).
+
+Matrices are sparse inside this module: the row form of a matrix is a
+tuple of rows {col: LaurentPoly} holding only the nonzero entries, so two
+row forms are equal exactly when the matrices are.  Each module builds the
+row form of every letter once: rho, rho^-1, T_1..T_{n-1},
+T_0 = rho T_{n-1} rho^-1 and T_i^-1 = T_i + (q - q^-1) on the diagonal.
+[xy] = [x][y] is one row-form product, summed by laurent.add_product.  A
+word in the generators (hecke.fold_word) is the product of its letters'
+row forms: the relation check compares the two sides of each of
+hecke.defining_relations in row form, module_y evaluates the words
+parabolic.y_word, and module_act the word of each term's canonical
+reduced expression.  Matrices are dense tuples of tuples at the edges:
+the fields t_mats, rho_mat, rho_inv_mat and t0_mat, the values of t, t_inv,
+word_mat and module_y, the helpers mat_mul, mat_add, mat_scale and mat_eye,
+and the elimination behind mat_det and mat_unit_inverse.
 
 Zelevinsky induction realizes Ind on the basis {T_x (x) m1 (x) m2} indexed
 by minimal coset representatives.  The plan, cached per (n, k), rewrites
@@ -28,17 +38,54 @@ from functools import cache, partial
 from .bernstein import BernsteinElt, to_bernstein
 from .errors import BadIndex, DimUnsupported, InvalidValue, RankMismatch
 from .hecke import defining_relations, fold_word, inverse_word, rex_word, rho_gen, t_gen
-from .laurent import ONE, Q, QINV, ZERO, add_product, sealed
+from .laurent import ONE, Q, QINV, ZERO, accumulate, add_product, sealed
 from .parabolic import coset_decompose, min_coset_reps, split_parabolic_factor, y_word
 from .weyl import canonical_rex
 
 # ---------------------------------------------------------------------------
-# small exact matrix helpers (tuples of tuples of LaurentPoly)
+# exact matrices: row forms inside this module, dense tuples of tuples at the edges
+
+def _rows(mat):
+    # the identity test skips the shared ZERO that _dense writes without a call
+    return tuple({j: x for j, x in enumerate(row) if x is not ZERO and x} for row in mat)
+
+
+def _dense(rows, cols):
+    out = []
+    for row in rows:
+        dense = [ZERO] * cols
+        for j, x in row.items():
+            dense[j] = x
+        out.append(tuple(dense))
+    return tuple(out)
+
+
+def _eye(dim):
+    return tuple({i: ONE} for i in range(dim))
+
+
+def _mul(a, b):
+    """The row form of ab: row i sums x * b[k] over the entries (k, x) of a[i]."""
+    out = []
+    for row in a:
+        acc = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                add_product(acc, j, x, y)
+        out.append(sealed(acc))
+    return tuple(out)
+
+
+def _shift_diagonal(rows, c):
+    """The row form of rows + c I."""
+    out = tuple(map(dict, rows))
+    for i, row in enumerate(out):
+        accumulate(row, i, c)
+    return out
+
 
 def mat_eye(dim):
-    return tuple(
-        tuple(ONE if i == j else ZERO for j in range(dim)) for i in range(dim)
-    )
+    return _dense(_eye(dim), dim)
 
 
 def mat_add(a, b):
@@ -50,17 +97,7 @@ def mat_scale(a, c):
 
 
 def mat_mul(a, b):
-    b_rows = [[(j, y) for j, y in enumerate(b_row) if y] for b_row in b]
-    acc = {}
-    for i, row in enumerate(a):
-        for x, b_row in zip(row, b_rows):
-            if x:
-                for j, y in b_row:
-                    add_product(acc, (i, j), x, y)
-    out = [[ZERO] * len(b[0]) for _ in a]
-    for (i, j), entry in sealed(acc).items():
-        out[i][j] = entry
-    return tuple(map(tuple, out))
+    return _dense(_mul(_rows(a), _rows(b)), len(b[0]))
 
 
 def _eliminate(a):
@@ -123,6 +160,7 @@ class FinDimModule:
     rho_inv_mat: tuple = field(default=None)
     t0_mat: tuple = field(init=False, repr=False, compare=False)  # rho T_{n-1} rho^-1
     t_inv_mats: tuple = field(init=False, repr=False, compare=False)  # entry i is [T_i^-1]
+    _letters: dict = field(init=False, repr=False, compare=False)  # (g, e) -> row form of the letter
 
     def __post_init__(self):
         if self.n < 1:
@@ -137,13 +175,18 @@ class FinDimModule:
                 raise InvalidValue(f"matrix {name} is not {self.dim}x{self.dim}")
         if self.rho_inv_mat is None:
             object.__setattr__(self, "rho_inv_mat", mat_unit_inverse(self.rho_mat))
+        rho, rho_inv = _rows(self.rho_mat), _rows(self.rho_inv_mat)
+        letters = {("rho", 1): rho, ("rho", -1): rho_inv}
         t0, t_inv = None, ()
         if self.n >= 2:
-            t0 = mat_mul(mat_mul(self.rho_mat, self.t_mats[self.n - 2]), self.rho_inv_mat)
-            shift = mat_scale(mat_eye(self.dim), Q - QINV)
-            t_inv = tuple(mat_add(m, shift) for m in (t0, *self.t_mats))
+            ts = (_mul(_mul(rho, _rows(self.t_mats[-1])), rho_inv), *map(_rows, self.t_mats))
+            for i, t in enumerate(ts):
+                letters[i, 1], letters[i, -1] = t, _shift_diagonal(t, Q - QINV)
+            t0 = _dense(ts[0], self.dim)
+            t_inv = tuple(_dense(letters[i, -1], self.dim) for i in range(self.n))
         object.__setattr__(self, "t0_mat", t0)
         object.__setattr__(self, "t_inv_mats", t_inv)
+        object.__setattr__(self, "_letters", letters)
 
     def t(self, i):
         """Matrix of T_i for i in the affine index set 0..n-1 (empty for n = 1)."""
@@ -173,15 +216,21 @@ def one_dimensional(n, t_scalar, rho_scalar):
     return FinDimModule(n, 1, tuple(t_mat for _ in range(n - 1)), ((rho_scalar,),))
 
 
-def word_mat(mod, word):
-    """Matrix of a generator word (hecke.fold_word); the empty word is the identity."""
+def _word_rows(mod, word):
+    """Row form of a generator word (hecke.fold_word); the empty word is the identity."""
 
     def letter(g, e):
-        if g == "rho":
-            return mod.rho_mat if e == 1 else mod.rho_inv_mat
-        return mod.t(g) if e == 1 else mod.t_inv(g)
+        rows = mod._letters.get((g, e))
+        if rows is None:
+            raise BadIndex(f"no generator T_{g} in rank {mod.n}")
+        return rows
 
-    return fold_word(word, letter, mat_mul, partial(mat_eye, mod.dim))
+    return fold_word(word, letter, _mul, partial(_eye, mod.dim))
+
+
+def word_mat(mod, word):
+    """Matrix of a generator word (hecke.fold_word); the empty word is the identity."""
+    return _dense(_word_rows(mod, word), mod.dim)
 
 
 def module_check_relations(mod):
@@ -189,7 +238,7 @@ def module_check_relations(mod):
 
     Returns a list of (name, passed) pairs.
     """
-    return [(name, word_mat(mod, lhs) == word_mat(mod, rhs)) for name, lhs, rhs in defining_relations(mod.n)]
+    return [(name, _word_rows(mod, lhs) == _word_rows(mod, rhs)) for name, lhs, rhs in defining_relations(mod.n)]
 
 
 def module_y(mod, i):
@@ -207,12 +256,14 @@ def module_act(mod, elt, vec):
     rho^m T_{i_1...i_l} acts by the matrix of its word."""
     if elt.n != mod.n:
         raise RankMismatch(f"element rank {elt.n} vs module rank {mod.n}")
+    if len(vec) != mod.dim:
+        raise InvalidValue(f"vector of length {len(vec)} in a module of dimension {mod.dim}")
     acc = {}
     for perm, coeff in elt.terms.items():
         scaled = [coeff * v for v in vec]
-        for r, row in enumerate(word_mat(mod, rex_word(canonical_rex(perm)))):
-            for x, v in zip(row, scaled):
-                add_product(acc, r, x, v)
+        for r, row in enumerate(_word_rows(mod, rex_word(canonical_rex(perm)))):
+            for c, x in row.items():
+                add_product(acc, r, x, scaled[c])
     acc = sealed(acc)
     return tuple(acc.get(r, ZERO) for r in range(mod.dim))
 
@@ -251,19 +302,18 @@ def induce(m1, m2):
         mod = (m1, m2)[side]
         ys = [(y_word(mod.n, i), e) for i, e in enumerate(lam, 1)]
         y_pows = sum(((y if e > 0 else inverse_word(y)) * abs(e) for y, e in ys), ())
-        mat = word_mat(mod, tuple((g, 1) for g in word) + y_pows)
-        return [(r, c, v) for r, row in enumerate(mat) for c, v in enumerate(row) if v]
+        rows = _word_rows(mod, tuple((g, 1) for g in word) + y_pows)
+        return [(r, c, v) for r, row in enumerate(rows) for c, v in row.items()]
 
     def generator_matrix(plan_cols):
-        acc = {}  # (row, col) -> entry
+        acc = [{} for _ in range(dim)]  # row -> col -> entry
         for x, entries in enumerate(plan_cols):
             for x2, word_l, lam_l, word_r, lam_r, coeff in entries:
                 for a2, a, v_l in factor_op(0, word_l, lam_l):
                     c = coeff * v_l
                     for b2, b, v_r in factor_op(1, word_r, lam_r):
-                        add_product(acc, ((x2 * d1 + a2) * d2 + b2, (x * d1 + a) * d2 + b), c, v_r)
-        acc = sealed(acc)
-        return tuple(tuple(acc.get((r, c), ZERO) for c in range(dim)) for r in range(dim))
+                        add_product(acc[(x2 * d1 + a2) * d2 + b2], (x * d1 + a) * d2 + b, c, v_r)
+        return _dense(map(sealed, acc), dim)
 
     *t_mats, rho_mat, rho_inv_mat = map(generator_matrix, plan)
     return FinDimModule(n, dim, tuple(t_mats), rho_mat, rho_inv_mat)

@@ -243,8 +243,13 @@ def _ints(values):
 
 @_reader
 def laurent_from_json(data):
-    # exponent keys are strings that parse with int(); coefficients are integers
-    return LaurentPoly({int(e): _int(v) for e, v in data.items()})
+    # exponent keys are integers written as str(int(key)), so no two name one exponent
+    out = {}
+    for key, v in data.items():
+        if str(e := int(key)) != key:
+            raise InvalidValue(f"exponent key must be written as {str(e)!r}, got {key!r}")
+        out[e] = _int(v)
+    return LaurentPoly(out)
 
 
 @_reader

@@ -9,25 +9,30 @@ satisfies rho s_i rho^-1 = s_{i+1} with indices mod n.  Composition is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 from .errors import BadIndex, InvalidValue, RankMismatch, ShiftNonzero
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffinePerm:
     n: int
     window: tuple
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, w = self.n, self.window
-        if n < 1 or len(w) != n:
-            raise InvalidValue(f"window must have length n={n}: {w}")
+        if n < 1 or type(w) is not tuple or len(w) != n:
+            raise InvalidValue(f"window must be a tuple of length n={n}: {w}")
         if len({v % n for v in w}) != n:
             raise InvalidValue(f"window residues mod {n} must be distinct: {w}")
         if sum(w[i] - (i + 1) for i in range(n)) % n != 0:
             raise InvalidValue(f"window shift is not integral: {w}")
+        object.__setattr__(self, "_hash", hash((n, w)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def shift(self):

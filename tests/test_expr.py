@@ -178,6 +178,10 @@ MALFORMED = {
     "hecke-terms-not-a-list": (serialize.hecke_from_json, {"n": 2, "terms": 5}),
     "bernstein-without-lambda": (serialize.bernstein_from_json, {"n": 2, "terms": [{"perm": [1, 2], "coeff": {}}]}),
     "laurent-exponent-not-an-integer": (serialize.laurent_from_json, {"x": 1}),
+    "laurent-exponent-leading-zero-duplicate": (serialize.laurent_from_json, {"1": 1, "01": 2}),
+    "laurent-exponent-space-duplicate": (serialize.laurent_from_json, {"1": 1, " 1": 5}),
+    "laurent-exponent-plus-sign": (serialize.laurent_from_json, {"+1": 1}),
+    "hecke-coeff-exponent-leading-zero": (serialize.hecke_from_json, {"n": 2, "terms": [{"window": [1, 2], "coeff": {"00": 1}}]}),
     "uvec-name-not-u": (serialize.uvec_from_json, {"N": 20, "coeffs": {"v3": {"0": 1}}}),
     "hecke-of-negative-rank": (serialize.hecke_from_json, {"n": -3, "terms": []}),
     "bernstein-of-rank-0": (serialize.bernstein_from_json, {"n": 0, "terms": []}),

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affine_hecke.errors import BadIndex, DimUnsupported, InvalidValue
 from affine_hecke.example_n2 import w_module
@@ -13,9 +15,11 @@ from affine_hecke.modules import (
     common_eigenvector_exists,
     induce,
     irreducible_at,
+    mat_add,
     mat_det,
     mat_eye,
     mat_mul,
+    mat_scale,
     mat_unit_inverse,
     module_act,
     module_check_relations,
@@ -44,20 +48,38 @@ def test_trivial_rank1():
 
 
 def naive_mat_mul(a, b):
+    """The dense triple loop in LaurentPoly * and + alone."""
     return tuple(
         tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO) for j in range(len(b[0])))
         for i in range(len(a))
     )
 
 
-def test_mat_mul_matches_naive_triple_loop():
-    rng = random.Random(17)
-    entries = [ZERO] * 6 + [ONE, -ONE, Q, -Q, QINV, Q + TWO, Q - QINV]
-    for _ in range(150):
-        rows, inner, cols = (rng.randint(1, 5) for _ in range(3))
-        a = tuple(tuple(rng.choice(entries) for _ in range(inner)) for _ in range(rows))
-        b = tuple(tuple(rng.choice(entries) for _ in range(cols)) for _ in range(inner))
-        assert mat_mul(a, b) == naive_mat_mul(a, b)
+# entries drawn from units that cancel in sums, or small random polynomials
+entries = st.sampled_from([ZERO, ONE, -ONE, Q, -Q, QINV, -QINV]) | st.dictionaries(
+    st.integers(-2, 2), st.integers(-3, 3), max_size=3
+).map(LaurentPoly)
+
+
+@st.composite
+def matrix_pairs(draw):
+    """a (rows x inner) and b (inner x cols), some rows of a and columns of b zero."""
+    rows, inner, cols = (draw(st.integers(1, 5)) for _ in range(3))
+    a = [[draw(entries) for _ in range(inner)] for _ in range(rows)]
+    b = [[draw(entries) for _ in range(cols)] for _ in range(inner)]
+    for i in draw(st.sets(st.integers(0, rows - 1))):
+        a[i] = [ZERO] * inner
+    for j in draw(st.sets(st.integers(0, cols - 1))):
+        for row in b:
+            row[j] = ZERO
+    return tuple(map(tuple, a)), tuple(map(tuple, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_pairs())
+def test_mat_mul_matches_naive_triple_loop(pair):
+    a, b = pair
+    assert mat_mul(a, b) == naive_mat_mul(a, b)
 
 
 def test_cancelling_matrix_products_store_no_zero():
@@ -224,6 +246,9 @@ def test_module_act_matches_matrices():
     # KL element acts through its standard expansion: b_101 = 3 b_1 on W
     out = module_act(w, kl_to_std(KLLabel(0, (1, 0, 1))), vec)
     assert out == (Q * 3, LaurentPoly.const(3))
+    for short_or_long in ((ONE,), (ONE, ZERO, ZERO)):
+        with pytest.raises(InvalidValue):
+            module_act(w, b_gen(2, 1), short_or_long)
 
 
 @pytest.mark.parametrize(
@@ -250,6 +275,7 @@ LARGE_INDUCED = {
     "2-4": (lambda: induce(trivial_module(2), trivial_module(4)), 15),
     "3-3": (lambda: induce(trivial_module(3), trivial_module(3)), 20),
     "4-4": (lambda: induce(trivial_module(4), trivial_module(4)), 70),
+    "4-5": (lambda: induce(trivial_module(4), trivial_module(5)), 126),
     "W-W": (lambda: induce(w_module(), w_module()), 24),
     "W-1-1": (lambda: induce(induce(w_module(), trivial_module(1)), trivial_module(1)), 24),
 }
@@ -263,6 +289,9 @@ def test_large_induced_modules(case):
     report = dict(module_check_relations(mod))
     assert report["rho*rho^-1 = 1"]
     assert all(report.values())
+    shift = mat_scale(mat_eye(mod.dim), Q - QINV)
+    for i in range(mod.n):
+        assert mod.t_inv(i) == mat_add(mod.t(i), shift)
     ys = [module_y(mod, i) for i in range(1, mod.n + 1)]
     for i, yi in enumerate(ys):
         for yj in ys[i + 1 :]:

@@ -41,6 +41,8 @@ def test_window_invariants_rejected():
         AffinePerm(2, (2, 2))
     with pytest.raises(ValueError):
         AffinePerm(2, (1, 2, 3))
+    with pytest.raises(ValueError):
+        AffinePerm(2, [1, 2])  # the hash is computed at construction
 
 
 def test_compose_examples():
@@ -234,6 +236,20 @@ def test_bruhat_rank3_is_the_subword_order():
 def test_json_round_trip():
     w = rho(2, 1) * simple(2, 0)
     assert AffinePerm.from_json(w.to_json()) == w
+
+
+def test_equal_permutations_from_different_routes_share_a_hash():
+    for n, m, word in [(2, 1, (0,)), (3, -1, (1, 2, 0)), (4, 2, (3, 1, 0, 2, 1))]:
+        by_rex = from_rex(ReducedExpr(m, word), n)
+        by_mul = from_rex(ReducedExpr(m, word[:1]), n) * from_rex(ReducedExpr(0, word[1:]), n)
+        by_json = AffinePerm.from_json(by_rex.to_json())
+        assert by_rex is not by_mul and by_rex is not by_json
+        assert by_rex == by_mul == by_json
+        assert hash(by_rex) == hash(by_mul) == hash(by_json)
+        table = {by_rex: "rex"}
+        table[by_mul] = "mul"
+        table[by_json] = "json"
+        assert table == {by_rex: "json"}
 
 
 from hypothesis import given
