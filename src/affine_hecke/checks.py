@@ -429,7 +429,7 @@ def check_serialization():
         return False, "Bernstein JSON round trip failed"
     mod = w_module()
     back = serialize.module_from_json(serialize.to_json(mod))
-    if back.rho_mat != mod.rho_mat or back.t_mats != mod.t_mats:
+    if back != mod:
         return False, "module JSON round trip failed"
     vec = UVec(20, {(False, 3): ONE, (True, 0): QINV})
     if serialize.uvec_from_json(serialize.to_json(vec)) != vec:

@@ -1,14 +1,14 @@
 """Finite-dimensional modules as exact generator matrices.
 
-A module stores matrices for T_1, ..., T_{n-1}, rho and rho^-1 over
+A module is given by matrices for T_1, ..., T_{n-1}, rho and rho^-1 over
 Z[q,q^-1].  Induced modules take rho^-1 from their induction plan; only a
 supplied module inverts rho, by one fraction-free elimination (its
 determinant must be a unit).
 
 Matrices are sparse inside this module: the row form of a matrix is a
 tuple of rows {col: LaurentPoly} holding only the nonzero entries, so two
-row forms are equal exactly when the matrices are.  Each module builds the
-row form of every letter once: rho, rho^-1, T_1..T_{n-1},
+row forms are equal exactly when the matrices are.  A module stores only
+the row form of each letter, built once: rho, rho^-1, T_1..T_{n-1},
 T_0 = rho T_{n-1} rho^-1 and T_i^-1 = T_i + (q - q^-1) on the diagonal.
 [xy] = [x][y] is one row-form product, summed by laurent.add_product.  A
 word in the generators (hecke.fold_word) is the product of its letters'
@@ -16,15 +16,16 @@ row forms: the relation check compares the two sides of each of
 hecke.defining_relations in row form, module_y evaluates the words
 parabolic.y_word, and module_act the word of each term's canonical
 reduced expression.  Matrices are dense tuples of tuples at the edges:
-the fields t_mats, rho_mat, rho_inv_mat and t0_mat, the values of t, t_inv,
-word_mat and module_y, the helpers mat_mul, mat_add, mat_scale and mat_eye,
-and the elimination behind mat_det and mat_unit_inverse.
+the views t_mats, rho_mat and rho_inv_mat (built on first read), the
+values of t, t_inv, b, word_mat and module_y (built per call), the helpers
+mat_mul, mat_scale and mat_eye, and the elimination of mat_det and
+mat_unit_inverse.
 
 Zelevinsky induction realizes Ind on the basis {T_x (x) m1 (x) m2} indexed
 by minimal coset representatives.  The plan, cached per (n, k), rewrites
 g T_x in Bernstein normal form and splits each T_w = T_{x'} T_u along the
 coset decomposition; induce acts by the block factors of T_u through the
-factor matrices and by y^lambda through the factor y-matrices (y_{k+j}
+factor row forms and by y^lambda through the factor y-matrices (y_{k+j}
 routed to the right factor).
 """
 
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, cached_property, partial
 
 from .bernstein import BernsteinElt, to_bernstein
 from .errors import BadIndex, DimUnsupported, InvalidValue, RankMismatch
@@ -86,10 +87,6 @@ def _shift_diagonal(rows, c):
 
 def mat_eye(dim):
     return _dense(_eye(dim), dim)
-
-
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_scale(a, c):
@@ -149,64 +146,73 @@ def mat_unit_inverse(a):
 
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FinDimModule:
-    """Exact module data: matrices for T_1..T_{n-1} and rho."""
+    """Exact module data: the row forms of the letters rho^+-1 and T_i^+-1.
+
+    FinDimModule(n, dim, t_mats, rho_mat, rho_inv_mat=None) takes dense
+    matrices and eliminates rho^-1 when it is not given.  Two modules are
+    equal exactly when their matrices are; a module has no hash."""
 
     n: int
     dim: int
-    t_mats: tuple  # entry i-1 is [T_i]
-    rho_mat: tuple
-    rho_inv_mat: tuple = field(default=None)
-    t0_mat: tuple = field(init=False, repr=False, compare=False)  # rho T_{n-1} rho^-1
-    t_inv_mats: tuple = field(init=False, repr=False, compare=False)  # entry i is [T_i^-1]
-    _letters: dict = field(init=False, repr=False, compare=False)  # (g, e) -> row form of the letter
+    _letters: dict = field(repr=False)  # (g, e) -> row form of the letter g^e
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise BadIndex(f"module rank must be at least 1, got {self.n}")
-        if self.dim < 1:
-            raise InvalidValue(f"module dimension must be at least 1, got {self.dim}")
-        if len(self.t_mats) != self.n - 1:
-            raise InvalidValue(f"rank {self.n} needs {self.n - 1} T-matrices, got {len(self.t_mats)}")
-        mats = {f"T_{i}": m for i, m in enumerate(self.t_mats, start=1)}
-        for name, mat in {**mats, "rho": self.rho_mat, "rho^-1": self.rho_inv_mat}.items():
-            if mat is not None and (len(mat) != self.dim or any(len(row) != self.dim for row in mat)):
-                raise InvalidValue(f"matrix {name} is not {self.dim}x{self.dim}")
-        if self.rho_inv_mat is None:
-            object.__setattr__(self, "rho_inv_mat", mat_unit_inverse(self.rho_mat))
-        rho, rho_inv = _rows(self.rho_mat), _rows(self.rho_inv_mat)
+    def __init__(self, n, dim, t_mats, rho_mat, rho_inv_mat=None):
+        if n < 1:
+            raise BadIndex(f"module rank must be at least 1, got {n}")
+        if dim < 1:
+            raise InvalidValue(f"module dimension must be at least 1, got {dim}")
+        if len(t_mats) != n - 1:
+            raise InvalidValue(f"rank {n} needs {n - 1} T-matrices, got {len(t_mats)}")
+        mats = {f"T_{i}": m for i, m in enumerate(t_mats, start=1)}
+        for name, mat in {**mats, "rho": rho_mat, "rho^-1": rho_inv_mat}.items():
+            if mat is not None and (len(mat) != dim or any(len(row) != dim for row in mat)):
+                raise InvalidValue(f"matrix {name} is not {dim}x{dim}")
+        if rho_inv_mat is None:
+            rho_inv_mat = mat_unit_inverse(rho_mat)
+        built = self._from_rows(n, dim, tuple(map(_rows, t_mats)), _rows(rho_mat), _rows(rho_inv_mat))
+        vars(self).update(vars(built))
+
+    @classmethod
+    def _from_rows(cls, n, dim, t_rows, rho, rho_inv):
+        """A module from the row forms of T_1..T_{n-1}, rho and rho^-1, unchecked."""
         letters = {("rho", 1): rho, ("rho", -1): rho_inv}
-        t0, t_inv = None, ()
-        if self.n >= 2:
-            ts = (_mul(_mul(rho, _rows(self.t_mats[-1])), rho_inv), *map(_rows, self.t_mats))
+        if n >= 2:
+            ts = (_mul(_mul(rho, t_rows[-1]), rho_inv), *t_rows)
             for i, t in enumerate(ts):
                 letters[i, 1], letters[i, -1] = t, _shift_diagonal(t, Q - QINV)
-            t0 = _dense(ts[0], self.dim)
-            t_inv = tuple(_dense(letters[i, -1], self.dim) for i in range(self.n))
-        object.__setattr__(self, "t0_mat", t0)
-        object.__setattr__(self, "t_inv_mats", t_inv)
-        object.__setattr__(self, "_letters", letters)
+        mod = object.__new__(cls)
+        vars(mod).update(n=n, dim=dim, _letters=letters)  # the fields of a frozen instance
+        return mod
+
+    def _letter(self, g, e=1):
+        rows = self._letters.get((g, e))
+        if rows is None:
+            raise BadIndex(f"no generator T_{g} in rank {self.n}")
+        return rows
+
+    # the dense views, built on first read; entry i-1 of t_mats is [T_i]
+    t_mats = cached_property(lambda self: tuple(map(self.t, range(1, self.n))))
+    rho_mat = cached_property(lambda self: _dense(self._letter("rho"), self.dim))
+    rho_inv_mat = cached_property(lambda self: _dense(self._letter("rho", -1), self.dim))
 
     def t(self, i):
-        """Matrix of T_i for i in the affine index set 0..n-1 (empty for n = 1)."""
-        if self.n < 2 or not 0 <= i <= self.n - 1:
-            raise BadIndex(f"no generator T_{i} in rank {self.n}")
-        return self.t_mats[i - 1] if i else self.t0_mat
+        """Matrix of T_i for i in the affine index set 0..n-1 (none for n = 1)."""
+        return _dense(self._letter(i), self.dim)
 
     def t_inv(self, i):
-        """Matrix of T_i^-1 = T_i + (q - q^-1), built once per module."""
-        self.t(i)  # raises BadIndex
-        return self.t_inv_mats[i]
+        """Matrix of T_i^-1 = T_i + (q - q^-1)."""
+        return _dense(self._letter(i, -1), self.dim)
 
     def b(self, i):
-        return mat_add(self.t(i), mat_scale(mat_eye(self.dim), Q))
+        """Matrix of the KL generator b_i = T_i + q."""
+        return _dense(_shift_diagonal(self._letter(i), Q), self.dim)
 
 
 def trivial_module(n=1):
     """The trivial module: rho acts by 1, each T_i by q^-1."""
-    eye = mat_eye(1)
-    return FinDimModule(n, 1, tuple(mat_scale(eye, QINV) for _ in range(n - 1)), eye)
+    return one_dimensional(n, QINV, ONE)
 
 
 def one_dimensional(n, t_scalar, rho_scalar):
@@ -218,14 +224,7 @@ def one_dimensional(n, t_scalar, rho_scalar):
 
 def _word_rows(mod, word):
     """Row form of a generator word (hecke.fold_word); the empty word is the identity."""
-
-    def letter(g, e):
-        rows = mod._letters.get((g, e))
-        if rows is None:
-            raise BadIndex(f"no generator T_{g} in rank {mod.n}")
-        return rows
-
-    return fold_word(word, letter, _mul, partial(_eye, mod.dim))
+    return fold_word(word, mod._letter, _mul, partial(_eye, mod.dim))
 
 
 def word_mat(mod, word):
@@ -305,7 +304,7 @@ def induce(m1, m2):
         rows = _word_rows(mod, tuple((g, 1) for g in word) + y_pows)
         return [(r, c, v) for r, row in enumerate(rows) for c, v in row.items()]
 
-    def generator_matrix(plan_cols):
+    def generator_rows(plan_cols):
         acc = [{} for _ in range(dim)]  # row -> col -> entry
         for x, entries in enumerate(plan_cols):
             for x2, word_l, lam_l, word_r, lam_r, coeff in entries:
@@ -313,10 +312,10 @@ def induce(m1, m2):
                     c = coeff * v_l
                     for b2, b, v_r in factor_op(1, word_r, lam_r):
                         add_product(acc[(x2 * d1 + a2) * d2 + b2], (x * d1 + a) * d2 + b, c, v_r)
-        return _dense(map(sealed, acc), dim)
+        return tuple(map(sealed, acc))
 
-    *t_mats, rho_mat, rho_inv_mat = map(generator_matrix, plan)
-    return FinDimModule(n, dim, tuple(t_mats), rho_mat, rho_inv_mat)
+    *t_rows, rho, rho_inv = map(generator_rows, plan)
+    return FinDimModule._from_rows(n, dim, t_rows, rho, rho_inv)
 
 
 # ---------------------------------------------------------------------------

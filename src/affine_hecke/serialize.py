@@ -297,6 +297,9 @@ def module_from_json(data):
     missing = [name for name in names if name not in gens]
     if missing:
         raise InvalidValue(f"module JSON lacks generator {', '.join(missing)}")
+    unknown = [name for name in gens if name not in names]
+    if unknown:
+        raise InvalidValue(f"module JSON has unknown generator {', '.join(unknown)}")
 
     def mat(entries):
         return tuple(tuple(laurent_from_json(e) for e in row) for row in entries)

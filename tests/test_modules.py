@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -15,7 +16,6 @@ from affine_hecke.modules import (
     common_eigenvector_exists,
     induce,
     irreducible_at,
-    mat_add,
     mat_det,
     mat_eye,
     mat_mul,
@@ -29,7 +29,7 @@ from affine_hecke.modules import (
     specialize,
     trivial_module,
 )
-from affine_hecke.serialize import module_from_json
+from affine_hecke.serialize import module_from_json, to_json
 
 TWO = LaurentPoly.const(2)
 
@@ -89,15 +89,14 @@ def test_cancelling_matrix_products_store_no_zero():
     assert prod == ((ZERO, TWO * Q), (TWO * Q * Q, ZERO))
     mats = [prod]
     for mod in (induce(trivial_module(2), one_dimensional(1, None, -Q)), w_module()):
-        mats += [*mod.t_mats, mod.rho_mat, mod.rho_inv_mat, *mod.t_inv_mats]
+        mats += [*mod.t_mats, mod.rho_mat, mod.rho_inv_mat, *map(mod.t_inv, range(mod.n))]
     # an entry is ZERO (no items) or holds nonzero coefficients only
     assert all(v for mat in mats for row in mat for x in row for _, v in x.items())
 
 
-def test_t_inv_matrices_are_built_once():
+def test_t_inv_inverts_t_and_rejects_bad_indices():
     mod = induce(trivial_module(1), trivial_module(2))
     for i in range(mod.n):
-        assert mod.t_inv(i) is mod.t_inv(i)
         assert mat_mul(mod.t(i), mod.t_inv(i)) == mat_eye(mod.dim)
     with pytest.raises(BadIndex):
         mod.t_inv(mod.n)
@@ -281,6 +280,11 @@ LARGE_INDUCED = {
 }
 
 
+def mat_sum(a, b):
+    """The entrywise sum of two dense matrices."""
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
 @pytest.mark.parametrize("case", LARGE_INDUCED)
 def test_large_induced_modules(case):
     build, dim = LARGE_INDUCED[case]
@@ -291,7 +295,7 @@ def test_large_induced_modules(case):
     assert all(report.values())
     shift = mat_scale(mat_eye(mod.dim), Q - QINV)
     for i in range(mod.n):
-        assert mod.t_inv(i) == mat_add(mod.t(i), shift)
+        assert mod.t_inv(i) == mat_sum(mod.t(i), shift)
     ys = [module_y(mod, i) for i in range(1, mod.n + 1)]
     for i, yi in enumerate(ys):
         for yj in ys[i + 1 :]:
@@ -334,6 +338,35 @@ def test_malformed_module_json_is_invalid():
         module_from_json({"n": 2, "dim": 1, "gens": {"rho": [[one, one], [one, one]], "T1": [[one]]}})
     with pytest.raises(InvalidValue):
         module_from_json({"n": 3, "dim": 1, "gens": {"rho": [[one]], "T1": [[one]]}})
+    extra = {"rho": [[{"0": 1}]], "T1": [[{"-1": 1}]], "T2": [[{"0": 1}]], "rho^-1": [[{"5": 1}]]}
+    with pytest.raises(InvalidValue, match=r"T2.*rho\^-1"):
+        module_from_json({"n": 2, "dim": 1, "gens": extra})
+
+
+def test_modules_are_frozen():
+    mod = induce(trivial_module(1), trivial_module(1))
+    for name in ("n", "dim", "t_mats", "rho_mat"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(mod, name, getattr(mod, name))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: induce(trivial_module(1), trivial_module(1)),
+        lambda: induce(induce(trivial_module(1), rank1(2)), trivial_module(2)),
+    ],
+    ids=["W", "Ind(triv1,q^2)-triv2"],
+)
+def test_module_equality_is_matrix_equality(build):
+    mod = build()
+    # the JSON reader eliminates rho^-1; induce takes it from its plan
+    back = module_from_json(to_json(mod))
+    assert back == mod and back.rho_inv_mat == mod.rho_inv_mat
+    t1 = [list(row) for row in mod.t_mats[0]]
+    t1[0][0] = t1[0][0] + Q
+    changed = FinDimModule(mod.n, mod.dim, (tuple(map(tuple, t1)), *mod.t_mats[1:]), mod.rho_mat)
+    assert changed != mod
 
 
 def test_induced_dimension_formula():
