@@ -1,15 +1,29 @@
-"""Exact sparse Laurent polynomials in one variable q over Python integers.
+"""Exact Laurent polynomials in one variable q over Python integers.
 
-A polynomial is stored as a dict mapping exponent to a nonzero integer
-coefficient, so equality is structural and the zero polynomial is the empty
-dict.  This ring Z[q, q^-1] is the coefficient ring for everything else in
-the package.  Rational specializations use ``fractions.Fraction``.
+This ring Z[q, q^-1] is the coefficient ring for everything else in the
+package.  Rational specializations use ``fractions.Fraction``.
+
+A polynomial is Kronecker-packed (Harvey, J. Symbolic Comput. 44, 2009):
+its valuation v and one Python int N = sum c_e 2^(64 (e - v)), whose
+balanced base-2^64 digits are the coefficients, together with a bound h on
+the largest |c_e| and the span s = degree - v + 1.  A product is then one
+big-int product and a sum one shifted add.  The digits decode uniquely
+only while every |c_e| stays below 2^62, so each result is bounded before
+it is computed: h_a h_b min(s_a, s_b) for a product, h_a + h_b for a sum.
+A value with a coefficient of 2^62 or more, or with a span above
+``SPAN_CAP``, keeps an exponent -> int dict instead, and an operation whose
+bound fails runs the dict routines.  The cap exists because N has 64 s bits
+however few terms there are: q^1000000000 + 1 would need a 64-Gbit int.
+Which form a value has depends only on the value, so equality compares
+(v, N) or the dicts, and a constant hashes as its int.
 
 Every other value of the package is a finite combination over this ring:
 ``accumulate`` is the one add-and-drop-zero step on a term dict, and
 ``Combination`` is the shared base of the combination types.  Sums of
-products go into an accumulator key -> {exponent: int}: ``add_product`` adds
-a * b in place and ``sealed`` drops the zeros (S. C. Johnson, SIGSAM 1974).
+products go into an accumulator key -> [v, N, h, s], which turns into an
+exponent -> int dict once a bound fails: ``add_product`` adds a * b in
+place and ``sealed`` strips the valuation and drops the zero sums
+(S. C. Johnson, SIGSAM 1974).
 """
 
 from __future__ import annotations
@@ -18,62 +32,82 @@ from fractions import Fraction
 
 from .errors import InvalidValue, NonIntegralCorrection, RankMismatch, ZeroSpecialization
 
+# bits per coefficient: one machine word.  The coefficients the algebra
+# produces are small, far inside the 2^62 limit; a wider slot would only
+# lengthen every N, and a narrower one would send more products to the dicts
+SLOT = 64
+BASE = 1 << SLOT
+MASK = BASE - 1
+HALF = BASE >> 1
+# every packed |coefficient| is below LIMIT, inside the balanced digit range [-2^63, 2^63)
+LIMIT = 1 << 62
+# the widest packed span.  N takes 64 bits per exponent of the span, zero or
+# not, so the cap keeps a packed product within two 4096-bit ints (about
+# 15 us) and leaves wide sparse values such as q^1000000000 + 1 as dicts;
+# the benchmark workloads never pass span 17
+SPAN_CAP = 64
+
+_new = object.__new__
+
 
 class LaurentPoly:
-    __slots__ = ("_c",)
+    # packed: _n is N and _h < LIMIT (0 for the zero polynomial);
+    # dict form: _n is None, _h is LIMIT so every bound fails, and _c holds the terms
+    __slots__ = ("_v", "_n", "_h", "_s", "_c")
 
     def __init__(self, coeffs=None):
         c = {}
         if coeffs:
             for e, v in coeffs.items():
+                if type(e) is not int or type(v) is not int:
+                    raise InvalidValue(f"exponent and coefficient must be integers, got {e!r}: {v!r}")
                 if v:
-                    c[int(e)] = c.get(int(e), 0) + v
-                    if not c[int(e)]:
-                        del c[int(e)]
-        self._c = c
-
-    @classmethod
-    def _raw(cls, c):
-        # trusted constructor: c has no zero values and is not shared
-        self = object.__new__(cls)
-        self._c = c
-        return self
+                    c[e] = v
+        _assign(self, c)
 
     @classmethod
     def const(cls, v):
-        return cls._raw({0: v} if v else {})
+        return _from_dict({0: v} if v else {})
 
     @classmethod
     def q_power(cls, e, coeff=1):
-        return cls._raw({e: coeff} if coeff else {})
+        return _from_dict({e: coeff} if coeff else {})
+
+    def _dict(self):
+        """The exponent -> nonzero int dict; callers must not mutate it."""
+        if self._n is None:
+            return self._c
+        return {e: x for e, x in enumerate(_digits(self._n, self._s), self._v) if x}
 
     def items(self):
-        return self._c.items()
+        """(exponent, coefficient) pairs of the nonzero terms, by exponent."""
+        return sorted(self._dict().items())
 
     def coefficient(self, e):
-        return self._c.get(e, 0)
+        return self._dict().get(e, 0)
 
     @property
     def is_zero(self):
-        return not self._c
+        return not self._h
 
     def __bool__(self):
-        return bool(self._c)
+        return self._h != 0
 
     def degree(self):
         """Top exponent, or None for the zero polynomial."""
-        return max(self._c) if self._c else None
+        return self._v + self._s - 1 if self._h else None
 
     def valuation(self):
         """Bottom exponent, or None for the zero polynomial."""
-        return min(self._c) if self._c else None
+        return self._v if self._h else None
 
     def min_term(self):
         """(exponent, coefficient) of the lowest term; None if zero."""
-        if not self._c:
+        if not self._h:
             return None
-        e = min(self._c)
-        return e, self._c[e]
+        if self._n is None:
+            return self._v, self._c[self._v]
+        return self._v, _digits(self._n, 1)[0]
 
     def _coerce(self, other):
         if isinstance(other, LaurentPoly):
@@ -83,22 +117,42 @@ class LaurentPoly:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        c = dict(self._c)
-        for e, v in other._c.items():
-            s = c.get(e, 0) + v
-            if s:
-                c[e] = s
-            elif e in c:
-                del c[e]
-        return LaurentPoly._raw(c)
+        if other.__class__ is not LaurentPoly:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        hb = other._h
+        if not hb:
+            return self
+        h = self._h
+        if not h:
+            return other
+        h += hb
+        if h < LIMIT:
+            d = other._v - self._v
+            if not d:
+                n = self._n + other._n
+                if not n:
+                    return ZERO
+                v = self._v
+                if not n & MASK:
+                    v, n = _strip(v, n)
+                return _packed(v, n, h, n.bit_length() // SLOT + 1)
+            if d > 0:
+                if d + other._s <= SPAN_CAP:
+                    n = self._n + (other._n << d * SLOT)
+                    return _packed(self._v, n, h, n.bit_length() // SLOT + 1)
+            elif self._s - d <= SPAN_CAP:
+                n = other._n + (self._n << -d * SLOT)
+                return _packed(other._v, n, h, n.bit_length() // SLOT + 1)
+        return _from_dict(_add_dicts(self._dict(), other._dict()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._raw({e: -v for e, v in self._c.items()})
+        if self._n is None:
+            return _from_dict({e: -v for e, v in self._c.items()})
+        return _packed(self._v, -self._n, self._h, self._s)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -110,21 +164,18 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not self._c or not other._c:
+        if other.__class__ is not LaurentPoly:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        h = self._h * other._h
+        if not h:
             return ZERO
-        c = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                s = c.get(e, 0) + v1 * v2
-                if s:
-                    c[e] = s
-                elif e in c:
-                    del c[e]
-        return LaurentPoly._raw(c)
+        sa, sb = self._s, other._s
+        h *= sa if sa < sb else sb
+        if h < LIMIT and sa + sb <= SPAN_CAP + 1:
+            return _packed(self._v + other._v, self._n * other._n, h, sa + sb - 1)
+        return _from_dict(_mul_dicts(self._dict(), other._dict()))
 
     __rmul__ = __mul__
 
@@ -144,24 +195,33 @@ class LaurentPoly:
 
     def is_unit(self):
         """Units of Z[q,q^-1] are the monomials with coefficient +-1."""
-        return len(self._c) == 1 and abs(next(iter(self._c.values()))) == 1
+        return self._n == 1 or self._n == -1
 
     def unit_inverse(self):
         if not self.is_unit():
             raise InvalidValue(f"not a unit in Z[q,q^-1]: {self}")
-        ((e, v),) = self._c.items()
-        return LaurentPoly._raw({-e: v})
+        return _packed(-self._v, self._n, 1, 1)
 
     def bar(self):
         """The involution q -> q^-1."""
-        return LaurentPoly._raw({-e: v for e, v in self._c.items()})
+        if self._n is None:
+            return _from_dict({-e: v for e, v in self._c.items()})
+        s, n = self._s, self._n
+        if not s:
+            return self
+        if s > 1:
+            # digit i of the image is digit s - 1 - i of self
+            n = 0
+            for x in _digits(self._n, s):
+                n = (n << SLOT) + x
+        return _packed(1 - s - self._v, n, self._h, s)
 
     def evaluate(self, q0):
         """Exact value at a nonzero rational q0."""
         q0 = Fraction(q0)
         if q0 == 0:
             raise ZeroSpecialization("cannot specialize q to 0")
-        return sum((Fraction(v) * q0**e for e, v in self._c.items()), Fraction(0))
+        return sum((Fraction(v) * q0**e for e, v in self._dict().items()), Fraction(0))
 
     def exact_div(self, den):
         """Exact quotient self/den; raises NonIntegralCorrection on failure."""
@@ -171,9 +231,9 @@ class LaurentPoly:
         if self.is_zero:
             return ZERO
         # shift away the valuations, then do descending long division
-        sv, dv = self.valuation(), den.valuation()
-        num = {e - sv: v for e, v in self._c.items()}
-        dnm = {e - dv: v for e, v in den._c.items()}
+        sv, dv = self._v, den._v
+        num = {e - sv: v for e, v in self._dict().items()}
+        dnm = {e - dv: v for e, v in den._dict().items()}
         ddeg = max(dnm)
         dlead = dnm[ddeg]
         quot = {}
@@ -193,17 +253,22 @@ class LaurentPoly:
                     num[t] = s
                 elif t in num:
                     del num[t]
-        return LaurentPoly._raw({e + sv - dv: v for e, v in quot.items()})
+        return _from_dict({e + sv - dv: v for e, v in quot.items()})
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self._c == ({0: other} if other else {})
-        if isinstance(other, LaurentPoly):
-            return self._c == other._c
-        return NotImplemented
+        if other.__class__ is not LaurentPoly:
+            if not isinstance(other, int):
+                return NotImplemented
+            other = LaurentPoly.const(other)
+        # each value has one form, so equal values agree field by field
+        return self._n == other._n and self._v == other._v and (self._n is not None or self._c == other._c)
 
     def __hash__(self):
-        return hash(tuple(sorted(self._c.items())))
+        if self._n is None:
+            c = self._c
+            return hash(c[0]) if len(c) == 1 and 0 in c else hash(frozenset(c.items()))
+        # a constant (v = 0, N = c) hashes as the int it equals
+        return hash(self._n) if not self._v else hash((self._v, self._n))
 
     def __str__(self):
         # serialize imports this module, so it is imported late
@@ -212,15 +277,91 @@ class LaurentPoly:
         return to_text(self)
 
     def __repr__(self):
-        return f"LaurentPoly({dict(sorted(self._c.items()))!r})"
+        return f"LaurentPoly({dict(self.items())!r})"
 
     def to_json(self):
-        return {str(e): v for e, v in sorted(self._c.items())}
+        return {str(e): v for e, v in self.items()}
 
     @classmethod
     def from_json(cls, data):
         from .serialize import laurent_from_json  # the strict reader; it imports this module
         return laurent_from_json(data)
+
+
+def _digits(n, s):
+    """The s lowest balanced base-2^SLOT digits of n, lowest first."""
+    out = []
+    for _ in range(s):
+        x = n & MASK
+        if x >= HALF:
+            x -= BASE
+        out.append(x)
+        n = (n - x) >> SLOT
+    return out
+
+
+def _packed(v, n, h, s):
+    self = _new(LaurentPoly)
+    self._v = v
+    self._n = n
+    self._h = h
+    self._s = s
+    return self
+
+
+def _strip(v, n):
+    """(v, N) of a packed sum whose low digits cancelled: the zero digits are dropped."""
+    k = ((n & -n).bit_length() - 1) // SLOT
+    return v + k, n >> k * SLOT
+
+
+def _assign(self, c):
+    """Give self the one form of c, an exponent -> nonzero int dict that is not shared."""
+    if not c:
+        self._v = self._n = self._h = self._s = 0
+        return self
+    self._v = v = min(c)
+    self._s = s = max(c) - v + 1
+    h = max(map(abs, c.values()))
+    if h < LIMIT and s <= SPAN_CAP:
+        n = 0
+        for e, x in c.items():
+            n += x << (e - v) * SLOT
+        self._n = n
+        self._h = h
+    else:
+        self._n = None
+        self._h = LIMIT
+        self._c = c
+    return self
+
+
+def _from_dict(c):
+    return _assign(_new(LaurentPoly), c)
+
+
+def _add_dicts(a, b):
+    c = dict(a)
+    for e, v in b.items():
+        s = c.get(e, 0) + v
+        if s:
+            c[e] = s
+        elif e in c:
+            del c[e]
+    return c
+
+
+def _mul_dicts(a, b):
+    c = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            e = e1 + e2
+            s = c.get(e, 0) + v1 * v2
+            if s:
+                c[e] = s
+            elif e in c:
+                del c[e]
+    return c
 
 
 ZERO = LaurentPoly.const(0)
@@ -244,20 +385,72 @@ def accumulate(terms, key, coeff):
 
 
 def add_product(acc, key, a, b):
-    """acc[key] += a * b in place, on raw exponent -> int dicts; zeros stay until sealed."""
-    c = acc.get(key)
-    if c is None:
-        c = acc[key] = {}
-    b = b._c.items()
-    for e1, v1 in a._c.items():
+    """acc[key] += a * b in place; zeros stay until sealed.  An entry is
+    [v, N, h, s] as in a packed value, with v a nominal valuation and h, s
+    bounds, or an exponent -> int dict once a bound fails."""
+    h = a._h * b._h
+    if not h:
+        return
+    sa, sb = a._s, b._s
+    h *= sa if sa < sb else sb
+    s = sa + sb - 1
+    v = a._v + b._v
+    entry = acc.get(key)
+    if entry is None:
+        if h < LIMIT and s <= SPAN_CAP:
+            acc[key] = [v, a._n * b._n, h, s]
+            return
+        entry = acc[key] = {}
+    elif entry.__class__ is list:
+        h += entry[2]
+        if h < LIMIT:
+            d = v - entry[0]
+            if not d:
+                entry[1] += a._n * b._n
+                entry[2] = h
+                if s > entry[3]:
+                    entry[3] = s
+                return
+            if d > 0:
+                if d + s <= SPAN_CAP:
+                    entry[1] += a._n * b._n << d * SLOT
+                    entry[2] = h
+                    if d + s > entry[3]:
+                        entry[3] = d + s
+                    return
+            elif entry[3] - d <= SPAN_CAP:
+                entry[0] = v
+                entry[1] = a._n * b._n + (entry[1] << -d * SLOT)
+                entry[2] = h
+                entry[3] = max(s, entry[3] - d)
+                return
+        v, n, _, s = entry
+        entry = acc[key] = {e: x for e, x in enumerate(_digits(n, s), v)}
+    b = b._dict().items()
+    for e1, v1 in a._dict().items():
         for e2, v2 in b:
             e = e1 + e2
-            c[e] = c.get(e, 0) + v1 * v2
+            entry[e] = entry.get(e, 0) + v1 * v2
 
 
 def sealed(acc):
     """The accumulator as {key: LaurentPoly}, without zero coefficients or zero sums."""
-    return {key: LaurentPoly._raw(nz) for key, c in acc.items() if (nz := {e: v for e, v in c.items() if v})}
+    out = {}
+    for key, entry in acc.items():
+        if entry.__class__ is list:
+            v, n, h, _ = entry
+            if not n:
+                continue
+            if not n & MASK:
+                v, n = _strip(v, n)
+            out[key] = p = _new(LaurentPoly)
+            p._v = v
+            p._n = n
+            p._h = h
+            p._s = n.bit_length() // SLOT + 1
+        elif nz := {e: v for e, v in entry.items() if v}:
+            out[key] = _from_dict(nz)
+    return out
 
 
 class Combination:

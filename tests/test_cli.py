@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -27,6 +28,25 @@ def test_eval_json_round_trip(capsys):
     code, out, _ = run(capsys, "eval", "-n", "2", "rho*T0", "--format", "json")
     assert code == 0
     assert hecke_from_json(json.loads(out)) == rho_gen(2, 1) * t_gen(2, 0)
+
+
+BIG = 123456789012345678901234567890
+
+
+@pytest.mark.parametrize(
+    "text, expect",
+    [
+        ("(q^100000 + 1)^3", "(1 + 3*q^100000 + 3*q^200000 + q^300000)"),
+        (f"{BIG}*T1*T1", f"{BIG} + ({BIG}*q^-1 - {BIG}*q)*T1"),
+    ],
+)
+def test_eval_wide_span_and_huge_coefficients(capsys, text, expect):
+    # a span of 300001 or a 97-bit coefficient is kept as an exponent -> int dict
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "eval", "-n", "2", text)
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert out == expect
 
 
 def test_eval_mod_rho2(capsys):

@@ -7,9 +7,75 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from affine_hecke.errors import InvalidValue, NonIntegralCorrection, ZeroSpecialization
-from affine_hecke.laurent import ONE, Q, Q2, QINV, ZERO, LaurentPoly, add_product, sealed
+from affine_hecke.laurent import ONE, Q, Q2, QINV, SPAN_CAP, ZERO, LaurentPoly, add_product, sealed
 
-polys = st.dictionaries(st.integers(-8, 8), st.integers(-9, 9), max_size=6).map(LaurentPoly)
+
+class DictPoly:
+    """The oracle: a Laurent polynomial as a plain exponent -> nonzero int dict."""
+
+    def __init__(self, c):
+        self.c = {e: v for e, v in c.items() if v}
+
+    def __add__(self, other):
+        c = dict(self.c)
+        for e, v in other.c.items():
+            c[e] = c.get(e, 0) + v
+        return DictPoly(c)
+
+    def __neg__(self):
+        return DictPoly({e: -v for e, v in self.c.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        c = {}
+        for e1, v1 in self.c.items():
+            for e2, v2 in other.c.items():
+                c[e1 + e2] = c.get(e1 + e2, 0) + v1 * v2
+        return DictPoly(c)
+
+    def __pow__(self, k):
+        if k < 0:
+            ((e, v),) = self.c.items()
+            return DictPoly({-e: v}) ** -k
+        out = DictPoly({0: 1})
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        return self.c == other.c
+
+    def bar(self):
+        return DictPoly({-e: v for e, v in self.c.items()})
+
+    def evaluate(self, q0):
+        return sum((v * Fraction(q0) ** e for e, v in self.c.items()), Fraction(0))
+
+    def items(self):
+        return sorted(self.c.items())
+
+    def to_json(self):
+        return {str(e): v for e, v in self.items()}
+
+
+# small values stay packed; the boundary ones straddle the 2^62 digit limit and the
+# span cap; the wide ones are dict form (a span of up to 2*10^9, 200-bit coefficients)
+BOUNDARY = (2**31, 2**61 - 1, 2**61, 2**62 - 1, 2**62, 2**63)
+small_terms = st.dictionaries(st.integers(-8, 8), st.integers(-9, 9), max_size=6)
+term_dicts = st.one_of(
+    small_terms,
+    st.dictionaries(
+        st.integers(-SPAN_CAP - 2, SPAN_CAP + 2),
+        st.one_of(st.integers(-3, 3), st.sampled_from(BOUNDARY + tuple(-c for c in BOUNDARY))),
+        max_size=4,
+    ),
+    st.dictionaries(st.integers(-(10**9), 10**9), st.integers(-(2**200), 2**200), max_size=6),
+)
+polys = term_dicts.map(LaurentPoly)
+with_oracle = term_dicts.map(lambda c: (LaurentPoly(c), DictPoly(c)))
+small_polys = small_terms.map(LaurentPoly)
 rationals = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=7
 ).filter(lambda x: x != 0)
@@ -60,7 +126,7 @@ def test_bar_examples():
     assert (ONE + 2 * Q).bar() == ONE + 2 * QINV
 
 
-@given(polys, polys, rationals)
+@given(small_polys, small_polys, rationals)
 def test_eval_is_ring_hom(a, b, q0):
     assert (a * b).evaluate(q0) == a.evaluate(q0) * b.evaluate(q0)
     assert (a + b).evaluate(q0) == a.evaluate(q0) + b.evaluate(q0)
@@ -150,3 +216,96 @@ def test_add_product_sums_match_plain_arithmetic():
             add_product(acc, key, a, b)
             expect[key] = expect.get(key, ZERO) + a * b
         assert sealed(acc) == {key: c for key, c in expect.items() if c}
+
+
+def same(p, d):
+    """p, a LaurentPoly, has exactly the terms of the oracle d."""
+    terms = d.items()
+    assert p.items() == terms
+    assert p.to_json() == d.to_json()
+    assert p.is_zero == (not terms)
+    assert p.degree() == (terms[-1][0] if terms else None)
+    assert p.valuation() == (terms[0][0] if terms else None)
+    assert p.min_term() == (terms[0] if terms else None)
+    canonical = LaurentPoly(d.c)
+    assert p == canonical and hash(p) == hash(canonical)
+
+
+@given(with_oracle, with_oracle, st.integers(0, 3))
+def test_kernel_matches_dict_oracle(x, y, k):
+    (a, da), (b, db) = x, y
+    same(a, da)
+    same(a + b, da + db)
+    same(a - b, da - db)
+    same(b - a, db - da)
+    same(-a, -da)
+    same(a * b, da * db)
+    same(a**k, da**k)
+    same(a.bar(), da.bar())
+    assert (a == b) == (da == db)
+    assert (a + b == a) == (not db.c)
+    if a.is_unit():
+        same(a ** -k, da ** -k)
+    if b:
+        same((a * b).exact_div(b), da)
+    if all(abs(e) <= SPAN_CAP + 2 for e in da.c):
+        assert a.evaluate(Fraction(-2, 3)) == da.evaluate(Fraction(-2, 3))
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), with_oracle, with_oracle), max_size=8))
+def test_add_product_matches_dict_oracle(entries):
+    acc, expect = {}, {}
+    for key, (a, da), (b, db) in entries:
+        add_product(acc, key, a, b)
+        expect[key] = expect.get(key, DictPoly({})) + da * db
+    out = sealed(acc)
+    assert set(out) == {key for key, d in expect.items() if d.c}
+    for key, p in out.items():
+        same(p, expect[key])
+
+
+def test_sums_and_products_past_the_digit_limit():
+    big = LaurentPoly({0: 2**61, 1: 2**61})
+    assert (big * big).items() == [(0, 2**122), (1, 2**123), (2, 2**122)]
+    assert (big + big).items() == [(0, 2**62), (1, 2**62)]
+    assert LaurentPoly.const(2**62 - 1) + 1 == 2**62
+    assert -LaurentPoly.const(2**61) * 4 == -(2**63)
+    acc = {}
+    for _ in range(4):
+        add_product(acc, "k", LaurentPoly.const(2**61), ONE)
+    add_product(acc, "k", -Q, LaurentPoly.const(3))
+    assert sealed(acc)["k"].items() == [(0, 2**63), (1, -3)]
+
+
+def test_cancelled_low_terms_are_stripped():
+    assert (Q + ONE) - ONE == Q
+    assert (Q2 - QINV).items() == [(1, 1)]
+    assert ((Q + 3) - Q).items() == [(0, 3)]
+    acc = {}
+    add_product(acc, "k", ONE, ONE)
+    add_product(acc, "k", Q, Q)
+    add_product(acc, "k", -ONE, ONE)
+    assert sealed(acc)["k"] == LaurentPoly({2: 1})
+    assert sealed(acc)["k"].valuation() == 2
+
+
+def test_span_cap_keeps_wide_values_exact():
+    wide = LaurentPoly({0: 1, 10**9: 1})
+    assert (wide * wide).items() == [(0, 1), (10**9, 2), (2 * 10**9, 1)]
+    assert ((wide - ONE) * QINV).items() == [(10**9 - 1, 1)]
+    edge = LaurentPoly({0: 1, SPAN_CAP - 1: -1})
+    assert (edge * Q2).items() == [(-1, 1), (1, 1), (SPAN_CAP - 2, -1), (SPAN_CAP, -1)]
+
+
+@pytest.mark.parametrize("v", [0, 3, -3, 2**70])
+def test_constant_hashes_as_its_int(v):
+    c = LaurentPoly.const(v)
+    assert c == v and hash(c) == hash(v)
+    assert {v: "x"}.get(c) == "x"
+    assert hash((Q + c) - Q) == hash(v)
+
+
+@pytest.mark.parametrize("coeffs", [{0: 2.5}, {1.7: 1}, {"2": 1}, {0: True}, {False: 1}])
+def test_constructor_takes_only_ints(coeffs):
+    with pytest.raises(InvalidValue):
+        LaurentPoly(coeffs)

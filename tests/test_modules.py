@@ -13,6 +13,8 @@ from affine_hecke.laurent import ONE, Q, QINV, ZERO, LaurentPoly
 from affine_hecke.modules import (
     DEFAULT_PROBES,
     FinDimModule,
+    _mul,
+    _word_rows,
     common_eigenvector_exists,
     induce,
     irreducible_at,
@@ -29,6 +31,7 @@ from affine_hecke.modules import (
     specialize,
     trivial_module,
 )
+from affine_hecke.parabolic import y_word
 from affine_hecke.serialize import module_from_json, to_json
 
 TWO = LaurentPoly.const(2)
@@ -296,10 +299,11 @@ def test_large_induced_modules(case):
     shift = mat_scale(mat_eye(mod.dim), Q - QINV)
     for i in range(mod.n):
         assert mod.t_inv(i) == mat_sum(mod.t(i), shift)
-    ys = [module_y(mod, i) for i in range(1, mod.n + 1)]
+    # y_i y_j = y_j y_i, compared in row form
+    ys = [_word_rows(mod, y_word(mod.n, i)) for i in range(1, mod.n + 1)]
     for i, yi in enumerate(ys):
         for yj in ys[i + 1 :]:
-            assert mat_mul(yi, yj) == mat_mul(yj, yi)
+            assert _mul(yi, yj) == _mul(yj, yi)
 
 
 PLAN_INVERSE_PAIRS = {

@@ -10,6 +10,7 @@ reads module attributes; removing one would fail every benchmark run.
 
 import importlib
 import os
+import random
 
 import pytest
 
@@ -47,3 +48,15 @@ def test_benchmark_workloads_import_and_check_induction(workloads):
     for pair in ((v, v), (workloads.one_dimensional(1, None, QINV), workloads.trivial_module(2))):
         assert workloads.induction_op(pair, call, wrong=False) is True
         assert workloads.induction_op(pair, call, wrong=True) is False
+
+
+def test_benchmark_rank2_op_checks_its_answer(workloads):
+    """rank2_op compares LaurentPoly coefficients by ==, so a kernel
+    equality bug fails here rather than as failed benchmark ops."""
+
+    def call(name, fn, *args):
+        return fn(*args)
+
+    for pair in workloads.rank2_round(random.Random(3), size=6):
+        assert workloads.rank2_op(pair, call, wrong=False) is True
+        assert workloads.rank2_op(pair, call, wrong=True) is False
