@@ -12,8 +12,9 @@ only while every |c_e| stays below 2^62, so each result is bounded before
 it is computed: h_a h_b min(s_a, s_b) for a product, h_a + h_b for a sum.
 A value with a coefficient of 2^62 or more, or with a span above
 ``SPAN_CAP``, keeps an exponent -> int dict instead, and an operation whose
-bound fails runs the dict routines.  The cap exists because N has 64 s bits
-however few terms there are: q^1000000000 + 1 would need a 64-Gbit int.
+result could pass either limit runs the dict routines.  The cap exists
+because N has 64 s bits however few terms there are: q^1000000000 + 1
+would need a 64-Gbit int.
 Which form a value has depends only on the value, so equality compares
 (v, N) or the dicts, and a constant hashes as its int.
 
@@ -128,23 +129,23 @@ class LaurentPoly:
         if not h:
             return other
         h += hb
-        if h < LIMIT:
-            d = other._v - self._v
-            if not d:
-                n = self._n + other._n
-                if not n:
-                    return ZERO
-                v = self._v
-                if not n & MASK:
-                    v, n = _strip(v, n)
-                return _packed(v, n, h, n.bit_length() // SLOT + 1)
-            if d > 0:
-                if d + other._s <= SPAN_CAP:
-                    n = self._n + (other._n << d * SLOT)
-                    return _packed(self._v, n, h, n.bit_length() // SLOT + 1)
-            elif self._s - d <= SPAN_CAP:
-                n = other._n + (self._n << -d * SLOT)
-                return _packed(other._v, n, h, n.bit_length() // SLOT + 1)
+        u, v = self._v, other._v
+        # the sum runs from the lower valuation to the higher top
+        w = v if v < u else u
+        top = v + other._s if v + other._s > u + self._s else u + self._s
+        if h < LIMIT and top - w <= SPAN_CAP:
+            m, n = self._n, other._n
+            # shift the operand with the higher valuation
+            if v > u:
+                n <<= (v - u) * SLOT
+            elif v < u:
+                m <<= (u - v) * SLOT
+            n += m
+            if not n:
+                return ZERO
+            if not n & MASK:
+                w, n = _strip(w, n)
+            return _packed(w, n, h, n.bit_length() // SLOT + 1)
         return _from_dict(_add_dicts(self._dict(), other._dict()))
 
     __radd__ = __add__
@@ -402,30 +403,24 @@ def add_product(acc, key, a, b):
             return
         entry = acc[key] = {}
     elif entry.__class__ is list:
-        h += entry[2]
-        if h < LIMIT:
-            d = v - entry[0]
-            if not d:
-                entry[1] += a._n * b._n
-                entry[2] = h
-                if s > entry[3]:
-                    entry[3] = s
-                return
-            if d > 0:
-                if d + s <= SPAN_CAP:
-                    entry[1] += a._n * b._n << d * SLOT
-                    entry[2] = h
-                    if d + s > entry[3]:
-                        entry[3] = d + s
-                    return
-            elif entry[3] - d <= SPAN_CAP:
-                entry[0] = v
-                entry[1] = a._n * b._n + (entry[1] << -d * SLOT)
-                entry[2] = h
-                entry[3] = max(s, entry[3] - d)
-                return
-        v, n, _, s = entry
-        entry = acc[key] = {e: x for e, x in enumerate(_digits(n, s), v)}
+        u, n, he, se = entry
+        h += he
+        # the merged entry runs from the lower valuation to the higher top
+        w = v if v < u else u
+        top = v + s if v + s > u + se else u + se
+        if h < LIMIT and top - w <= SPAN_CAP:
+            p = a._n * b._n
+            # shift the operand with the higher valuation
+            if v > u:
+                p <<= (v - u) * SLOT
+            elif v < u:
+                n <<= (u - v) * SLOT
+            entry[0] = w
+            entry[1] = n + p
+            entry[2] = h
+            entry[3] = top - w
+            return
+        entry = acc[key] = {e: x for e, x in enumerate(_digits(n, se), u)}
     b = b._dict().items()
     for e1, v1 in a._dict().items():
         for e2, v2 in b:
@@ -443,11 +438,7 @@ def sealed(acc):
                 continue
             if not n & MASK:
                 v, n = _strip(v, n)
-            out[key] = p = _new(LaurentPoly)
-            p._v = v
-            p._n = n
-            p._h = h
-            p._s = n.bit_length() // SLOT + 1
+            out[key] = _packed(v, n, h, n.bit_length() // SLOT + 1)
         elif nz := {e: v for e, v in entry.items() if v}:
             out[key] = _from_dict(nz)
     return out

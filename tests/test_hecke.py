@@ -188,6 +188,18 @@ def test_products_match_termwise_sum():
         assert_no_stored_zero(prod.omega())
 
 
+def test_product_coefficients_past_the_span_cap_are_canonical():
+    # the T1 coefficient sums 1 * 1 and (q^-1 + q^61)(q^-1 - q), a product of span
+    # 65 > SPAN_CAP, so the merged sum must leave the packed form
+    t1 = t_gen(2, 1)
+    prod = (one(2) + t1.scale(LaurentPoly({-1: 1, 61: 1}))) * t1
+    for coeff in prod.terms.values():
+        canonical = LaurentPoly(dict(coeff.items()))
+        assert coeff == canonical and hash(coeff) == hash(canonical)
+    assert prod.coefficient(identity(2)) == LaurentPoly({-1: 1, 61: 1})
+    assert prod.coefficient(simple(2, 1)) == LaurentPoly({-2: 1, 60: 1, 62: -1})
+
+
 def test_rank_mismatch():
     with pytest.raises(RankMismatch):
         t_gen(2, 1) * t_gen(3, 1)

@@ -61,11 +61,20 @@ class DictPoly:
 
 
 # small values stay packed; the boundary ones straddle the 2^62 digit limit and the
-# span cap; the wide ones are dict form (a span of up to 2*10^9, 200-bit coefficients)
+# span cap; the mid-span ones are packed but a product or merged sum of two passes the
+# cap; the wide ones are dict form (a span of up to 2*10^9, 200-bit coefficients)
 BOUNDARY = (2**31, 2**61 - 1, 2**61, 2**62 - 1, 2**62, 2**63)
 small_terms = st.dictionaries(st.integers(-8, 8), st.integers(-9, 9), max_size=6)
+mid_span_terms = st.builds(
+    lambda v, s, c, inner: {v: c, v + s - 1: c, **{v + e % s: x for e, x in inner.items()}},
+    st.integers(-40, 40),
+    st.integers(30, 60),
+    st.sampled_from((1, -1, 2)),
+    st.dictionaries(st.integers(0, 60), st.integers(-2, 2), max_size=2),
+)
 term_dicts = st.one_of(
     small_terms,
+    mid_span_terms,
     st.dictionaries(
         st.integers(-SPAN_CAP - 2, SPAN_CAP + 2),
         st.one_of(st.integers(-3, 3), st.sampled_from(BOUNDARY + tuple(-c for c in BOUNDARY))),
@@ -295,6 +304,27 @@ def test_span_cap_keeps_wide_values_exact():
     assert ((wide - ONE) * QINV).items() == [(10**9 - 1, 1)]
     edge = LaurentPoly({0: 1, SPAN_CAP - 1: -1})
     assert (edge * Q2).items() == [(-1, 1), (1, 1), (SPAN_CAP - 2, -1), (SPAN_CAP, -1)]
+
+
+@pytest.mark.parametrize("first", [0, -5, 5])
+def test_merged_spans_past_the_cap_are_dict_form(first):
+    # each operand is packed; the merged value spans 81 > SPAN_CAP exponents, so it
+    # must come out in the dict form LaurentPoly(dict) gives it, with its hash
+    wide, dwide = LaurentPoly({0: 1, 40: 1}), DictPoly({0: 1, 40: 1})
+    low, dlow = LaurentPoly({first: 1}), DictPoly({first: 1})
+    acc = {}
+    add_product(acc, "k", low, ONE)  # the entry starts at, above or below the product
+    add_product(acc, "k", wide, wide)
+    same(sealed(acc)["k"], dlow + dwide * dwide)
+    acc = {}
+    add_product(acc, "k", wide, wide)
+    add_product(acc, "k", low, ONE)
+    same(sealed(acc)["k"], dwide * dwide + dlow)
+    edge, dedge = LaurentPoly({0: 1, SPAN_CAP - 1: 1}), DictPoly({0: 1, SPAN_CAP - 1: 1})
+    # merged spans 65, 70 and 64: only the last stays packed
+    shifted, dshifted = LaurentPoly({first - 1: 3}), DictPoly({first - 1: 3})
+    same(edge + shifted, dedge + dshifted)
+    same(shifted + edge, dedge + dshifted)
 
 
 @pytest.mark.parametrize("v", [0, 3, -3, 2**70])
