@@ -9,9 +9,9 @@ y-commutativity and T_i y_j = y_j T_i for j outside {i, i+1}:
 
 where the correction is (y_i y_{i+1})^b times the exact geometric quotient
 -z (z^c - 1)/(z - 1) evaluated at z = y_i / y_{i+1}, for lambda restricted
-to slots (i, i+1) = (a, b) and c = a - b.  The quotient is computed by
-exact Laurent division, so a wrongly derived rule would raise
-NonIntegralCorrection instead of silently corrupting results.
+to slots (i, i+1) = (a, b) and c = a - b.  The quotient is the sum
+z^0 + ... + z^(c-1) for c > 0 and -(z^c + ... + z^-1) for c < 0; the tests
+compare these terms with exact Laurent division.
 """
 
 from __future__ import annotations
@@ -70,21 +70,11 @@ def _correction_monomials(n, i, lam):
     """
     a, b = lam[i - 1], lam[i]
     c = a - b
-    if c == 0:
-        return []
-    # geometric quotient (z^c - 1)/(z - 1) by exact division, z = y_i/y_{i+1}
-    num = LaurentPoly({c: 1, 0: -1})
-    den = LaurentPoly({1: 1, 0: -1})
-    quot = num.exact_div(den)
-    factor = Q - QINV
-    out = []
-    for e, v in quot.items():
-        # -z * z^e * (y_i y_{i+1})^b * y_{i+1}^c  ->  y_i^{e+1+b} y_{i+1}^{b+c-e-1}
-        lam2 = list(lam)
-        lam2[i - 1] = e + 1 + b
-        lam2[i] = b + c - e - 1
-        out.append((tuple(lam2), factor * LaurentPoly.const(-v)))
-    return out
+    # (z^c - 1)/(z - 1) at z = y_i/y_{i+1} is the sum of z^e, 0 <= e < c, for
+    # c > 0 and of -z^e, c <= e < 0, for c < 0; each term gets -(q - q^-1)
+    exponents, coeff = (range(c), QINV - Q) if c > 0 else (range(c, 0), Q - QINV)
+    # -z * z^e * (y_i y_{i+1})^b * y_{i+1}^c  ->  y_i^{e+1+b} y_{i+1}^{b+c-e-1}
+    return [((*lam[:i - 1], e + 1 + b, b + c - e - 1, *lam[i + 1:]), coeff) for e in exponents]
 
 
 def bl_commute(n, i, lam):

@@ -10,11 +10,9 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
 
 from . import expr, serialize
 from .bernstein import BernsteinElt, bernstein_mul, from_bernstein, to_bernstein
-from .errors import NonIntegralCorrection
 from .example_n2 import (
     UVec,
     ideal_generators,
@@ -57,14 +55,10 @@ from .parabolic import ParabolicContext, psi, psi_L, psi_R, psi_rho_pair
 from .weyl import ReducedExpr, from_rex, rho, simple
 
 
-@dataclass
 class CheckResult:
-    number: int
-    name: str
-    passed: bool
-    detail: str
-    elapsed: float
-    budget: float
+    def __init__(self, number, name, passed, detail, elapsed, budget):
+        self.number, self.name, self.passed = number, name, passed
+        self.detail, self.elapsed, self.budget = detail, elapsed, budget
 
     @property
     def ok(self):
@@ -268,29 +262,26 @@ def _random_element(rng, n, max_len):
 def check_bernstein():
     rng = random.Random(20240817)
     trips = 0
-    try:
-        for _ in range(200):
-            n = rng.choice((1, 2, 3))
-            elt = _random_element(rng, n, 6)
-            if from_bernstein(to_bernstein(elt)) != elt:
-                return False, "round trip failed"
-            trips += 1
-        for n in range(2, 5):
-            for i in range(1, n + 1):
-                yi = BernsteinElt.y_monomial(n, tuple(int(t == i) for t in range(1, n + 1)))
-                for j in range(1, n + 1):
-                    yj = BernsteinElt.y_monomial(n, tuple(int(t == j) for t in range(1, n + 1)))
-                    if bernstein_mul(yi, yj) != bernstein_mul(yj, yi):
-                        return False, f"y_{i} y_{j} != y_{j} y_{i} at n={n}"
-            for i in range(1, n):
-                tinv = to_bernstein(t_inv_gen(n, i))
-                yi = BernsteinElt.y_monomial(n, tuple(int(t == i) for t in range(1, n + 1)))
-                lhs = bernstein_mul(bernstein_mul(tinv, yi), tinv)
-                yi1 = BernsteinElt.y_monomial(n, tuple(int(t == i + 1) for t in range(1, n + 1)))
-                if lhs != yi1:
-                    return False, f"T_{i}^-1 y_{i} T_{i}^-1 != y_{i + 1} at n={n}"
-    except NonIntegralCorrection as exc:
-        return False, f"NonIntegralCorrection fired: {exc}"
+    for _ in range(200):
+        n = rng.choice((1, 2, 3))
+        elt = _random_element(rng, n, 6)
+        if from_bernstein(to_bernstein(elt)) != elt:
+            return False, "round trip failed"
+        trips += 1
+    for n in range(2, 5):
+        for i in range(1, n + 1):
+            yi = BernsteinElt.y_monomial(n, tuple(int(t == i) for t in range(1, n + 1)))
+            for j in range(1, n + 1):
+                yj = BernsteinElt.y_monomial(n, tuple(int(t == j) for t in range(1, n + 1)))
+                if bernstein_mul(yi, yj) != bernstein_mul(yj, yi):
+                    return False, f"y_{i} y_{j} != y_{j} y_{i} at n={n}"
+        for i in range(1, n):
+            tinv = to_bernstein(t_inv_gen(n, i))
+            yi = BernsteinElt.y_monomial(n, tuple(int(t == i) for t in range(1, n + 1)))
+            lhs = bernstein_mul(bernstein_mul(tinv, yi), tinv)
+            yi1 = BernsteinElt.y_monomial(n, tuple(int(t == i + 1) for t in range(1, n + 1)))
+            if lhs != yi1:
+                return False, f"T_{i}^-1 y_{i} T_{i}^-1 != y_{i + 1} at n={n}"
     return True, f"{trips} round trips, y-commutativity and defining relation for n <= 4"
 
 

@@ -1,4 +1,58 @@
-"""Exception types shared across the package."""
+"""Exception types and the immutable record base shared across the package."""
+
+from operator import attrgetter
+
+
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in ``__slots__``.  The constructor takes
+    them by position or keyword and then calls ``__post_init__``; ``==``
+    compares the class and the fields, ``hash`` hashes the fields, and
+    ``repr`` reads ``Name(field=value, ...)``.  Setting or deleting an
+    attribute raises AttributeError.  A slot whose name starts with an
+    underscore is private state, such as a cached hash, and not a field.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        fields = tuple(s for s in cls.__dict__.get("__slots__", ()) if not s.startswith("_"))
+        # a record without fields compares and hashes by its class alone
+        cls._fields, cls._values = fields, attrgetter(*fields) if fields else type
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs:
+            args += tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{type(self).__qualname__} takes the fields {', '.join(names) or 'none'}")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class AffineHeckeError(Exception):
@@ -30,10 +84,10 @@ class ZeroSpecialization(AffineHeckeError):
 
 
 class NonIntegralCorrection(AffineHeckeError):
-    """The commutation correction failed to divide exactly.
+    """An exact Laurent division (LaurentPoly.exact_div) left a remainder.
 
-    This would indicate a wrongly derived straightening rule; it must never
-    fire on valid input.
+    The package divides only where the quotient is exact (the fraction-free
+    elimination of modules), so inside it this would indicate a bug.
     """
 
 

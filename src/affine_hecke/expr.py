@@ -18,85 +18,33 @@ multiples of basis elements.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .errors import BadIndex, ParseError, RankUnsupported
+from .errors import BadIndex, ParseError, RankUnsupported, Record
 from .example_n2 import DEFAULT_BOUND, UVec
 from .hecke import HeckeElt, KLLabel, b_gen, bott_samelson, kl_to_std, rho_gen, t_gen, t_inv_gen
 from .laurent import Q, LaurentPoly
 from .parabolic import bernstein_y, bernstein_y_inv
 
 # ---------------------------------------------------------------------------
-# AST
+# AST: one record type per node, its fields as named
 
-@dataclass(frozen=True)
-class Num:
-    value: int
-
-
-@dataclass(frozen=True)
-class QAtom:
-    pass
+def _node(name, *fields):
+    return type(name, (Record,), {"__slots__": fields})
 
 
-@dataclass(frozen=True)
-class RhoAtom:
-    pass
-
-
-@dataclass(frozen=True)
-class TAtom:
-    index: int
-
-
-@dataclass(frozen=True)
-class BWord:
-    word: tuple
-
-
-@dataclass(frozen=True)
-class BS:
-    indices: tuple
-
-
-@dataclass(frozen=True)
-class YAtom:
-    index: int
-
-
-@dataclass(frozen=True)
-class UAtom:
-    index: int
-    primed: bool
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: object
-
-
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
+Num = _node("Num", "value")
+QAtom = _node("QAtom")
+RhoAtom = _node("RhoAtom")
+TAtom = _node("TAtom", "index")
+BWord = _node("BWord", "word")
+BS = _node("BS", "indices")
+YAtom = _node("YAtom", "index")
+UAtom = _node("UAtom", "index", "primed")
+Neg = _node("Neg", "arg")
+Add = _node("Add", "left", "right")
+Sub = _node("Sub", "left", "right")
+Mul = _node("Mul", "left", "right")
+Pow = _node("Pow", "base", "exponent")
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +233,10 @@ def _print(node, prec):
     if isinstance(node, Neg):
         body = f"-{_print(node.arg, 1)}"
         return f"({body})" if prec > 0 else body
-    if isinstance(node, Add):
-        body = f"{_print(node.left, 0)} + {_print(node.right, 1)}"
-        return f"({body})" if prec > 0 else body
-    if isinstance(node, Sub):
-        body = f"{_print(node.left, 0)} - {_print(node.right, 1)}"
-        return f"({body})" if prec > 0 else body
-    if isinstance(node, Mul):
-        body = f"{_print(node.left, 1)}*{_print(node.right, 1)}"
-        return f"({body})" if prec > 1 else body
+    if isinstance(node, (Add, Sub, Mul)):
+        op, level = {Add: (" + ", 0), Sub: (" - ", 0), Mul: ("*", 1)}[type(node)]
+        body = f"{_print(node.left, level)}{op}{_print(node.right, 1)}"
+        return f"({body})" if prec > level else body
     if isinstance(node, Pow):
         return f"{_print(node.base, 2)}^{node.exponent}"
     raise TypeError(f"not an expression node: {node!r}")

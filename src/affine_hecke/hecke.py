@@ -29,11 +29,10 @@ or u = w, so std_to_kl is one O(#terms + length) suffix sum per rho-shift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, partial, reduce
 from itertools import combinations
 
-from .errors import BadIndex, InvalidValue, RankMismatch, RankUnsupported
+from .errors import BadIndex, InvalidValue, RankMismatch, RankUnsupported, Record
 from .laurent import ONE, Q, Q2, QINV, ZERO, Combination, LaurentPoly, accumulate, add_product, sealed
 from .weyl import ReducedExpr, canonical_rex, from_rex, identity, rho, simple
 
@@ -293,13 +292,11 @@ def form_with_omega(omega_x, y):
 # ---------------------------------------------------------------------------
 # the Kazhdan-Lusztig layer for n = 2
 
-@dataclass(frozen=True)
-class KLLabel:
+class KLLabel(Record):
     """Label rho^m b_w for n = 2, with w the unique alternating rex of its
     translation-free part."""
 
-    m: int
-    word: tuple
+    __slots__ = ("m", "word", "_hash")
 
     def __post_init__(self):
         for a, b in zip(self.word, self.word[1:]):
@@ -307,6 +304,17 @@ class KLLabel:
                 raise BadIndex(f"KL word must alternate: {self.word}")
         if any(i not in (0, 1) for i in self.word):
             raise BadIndex(f"KL word letters must be 0 or 1: {self.word}")
+        object.__setattr__(self, "_hash", hash((self.m, self.word)))
+
+    # == and a cached hash written out: Record's generic ones cost about twice
+    # as much, and labels are the dict keys of every rank-2 KL product
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.m, self.word) == (other.m, other.word)
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
 
     def length(self):
         return len(self.word)

@@ -32,12 +32,11 @@ routed to the right factor).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial
 
 from .bernstein import BernsteinElt, to_bernstein
-from .errors import BadIndex, DimUnsupported, InvalidValue, RankMismatch
+from .errors import BadIndex, DimUnsupported, InvalidValue, RankMismatch, Record
 from .hecke import defining_relations, fold_word, inverse_word, rex_word, rho_gen, t_gen
 from .laurent import ONE, Q, QINV, ZERO, accumulate, add_product, sealed
 from .parabolic import coset_decompose, min_coset_reps, split_parabolic_factor, y_word
@@ -146,17 +145,15 @@ def mat_unit_inverse(a):
 
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, init=False)
-class FinDimModule:
+class FinDimModule(Record):
     """Exact module data: the row forms of the letters rho^+-1 and T_i^+-1.
 
     FinDimModule(n, dim, t_mats, rho_mat, rho_inv_mat=None) takes dense
     matrices and eliminates rho^-1 when it is not given.  Two modules are
     equal exactly when their matrices are; a module has no hash."""
 
-    n: int
-    dim: int
-    _letters: dict = field(repr=False)  # (g, e) -> row form of the letter g^e
+    __slots__ = ("n", "dim", "_letters", "__dict__")  # __dict__ holds the dense views
+    __hash__ = None
 
     def __init__(self, n, dim, t_mats, rho_mat, rho_inv_mat=None):
         if n < 1:
@@ -171,20 +168,31 @@ class FinDimModule:
                 raise InvalidValue(f"matrix {name} is not {dim}x{dim}")
         if rho_inv_mat is None:
             rho_inv_mat = mat_unit_inverse(rho_mat)
-        built = self._from_rows(n, dim, tuple(map(_rows, t_mats)), _rows(rho_mat), _rows(rho_inv_mat))
-        vars(self).update(vars(built))
+        self._fill(n, dim, tuple(map(_rows, t_mats)), _rows(rho_mat), _rows(rho_inv_mat))
 
     @classmethod
     def _from_rows(cls, n, dim, t_rows, rho, rho_inv):
         """A module from the row forms of T_1..T_{n-1}, rho and rho^-1, unchecked."""
-        letters = {("rho", 1): rho, ("rho", -1): rho_inv}
+        mod = object.__new__(cls)
+        mod._fill(n, dim, t_rows, rho, rho_inv)
+        return mod
+
+    def _fill(self, n, dim, t_rows, rho, rho_inv):
+        letters = {("rho", 1): rho, ("rho", -1): rho_inv}  # (g, e) -> row form of the letter g^e
         if n >= 2:
             ts = (_mul(_mul(rho, t_rows[-1]), rho_inv), *t_rows)
             for i, t in enumerate(ts):
                 letters[i, 1], letters[i, -1] = t, _shift_diagonal(t, Q - QINV)
-        mod = object.__new__(cls)
-        vars(mod).update(n=n, dim=dim, _letters=letters)  # the fields of a frozen instance
-        return mod
+        Record.__init__(self, n, dim)
+        object.__setattr__(self, "_letters", letters)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.dim, self._letters) == (other.n, other.dim, other._letters)
+
+    def __reduce__(self):
+        return FinDimModule, (self.n, self.dim, self.t_mats, self.rho_mat, self.rho_inv_mat)
 
     def _letter(self, g, e=1):
         rows = self._letters.get((g, e))
@@ -324,11 +332,8 @@ def induce(m1, m2):
 DEFAULT_PROBES = (Fraction(2), Fraction(3), Fraction(5, 7))
 
 
-@dataclass(frozen=True)
-class SpecializedModule:
-    n: int
-    dim: int
-    mats: tuple  # rho first, then T_1..T_{n-1}, entries Fraction
+class SpecializedModule(Record):
+    __slots__ = ("n", "dim", "mats")  # mats: rho first, then T_1..T_{n-1}, entries Fraction
 
 
 def specialize(mod, q0):

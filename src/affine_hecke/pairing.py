@@ -11,25 +11,29 @@ to zero against anything concentrated at a different shift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .errors import InvalidValue, Record
 from .hecke import form, inverse_word, kl_to_std, word_elt
-from .laurent import LaurentPoly
+
+# the largest |r| and |s| of y_class: its word has 2(|r| + |s|) letters, and
+# it takes about 0.1 ms per letter
+Y_EXPONENT_LIMIT = 10**5
 
 
 def y_class(r, s):
-    """The class (rho T_1)^r (T_1^-1 rho)^s in rank 2."""
+    """The class (rho T_1)^r (T_1^-1 rho)^s in rank 2; InvalidValue when
+    |r| or |s| is above Y_EXPONENT_LIMIT."""
+    if max(abs(r), abs(s)) > Y_EXPONENT_LIMIT:
+        raise InvalidValue(f"yclass exponents are limited to |r|, |s| <= {Y_EXPONENT_LIMIT}, got r={r}, s={s}")
     a, b = (("rho", 1), (1, 1)), ((1, -1), ("rho", 1))  # rho T_1 and T_1^-1 rho
     left = (a if r >= 0 else inverse_word(a)) * abs(r)
     right = (b if s >= 0 else inverse_word(b)) * abs(s)
     return word_elt(2, left + right)
 
 
-@dataclass(frozen=True)
-class GradedRank:
+class GradedRank(Record):
     """A form value interpreted as the graded rank of a hom space."""
 
-    poly: LaurentPoly
+    __slots__ = ("poly",)
 
     def is_nonnegative(self):
         return all(v >= 0 for _, v in self.poly.items())

@@ -29,20 +29,17 @@ T_i^-1 y_i T_i^-1 = y_{i+1}.  y_i^-1 is the element of the inverse word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations
 
-from .errors import BadIndex, ShiftNonzero
+from .errors import BadIndex, Record, ShiftNonzero
 from .hecke import HeckeElt, fold_word, inverse_word, rex_word, word_elt
 from .laurent import add_product, sealed
 from .weyl import AffinePerm, canonical_rex, identity
 
 
-@dataclass(frozen=True)
-class ParabolicContext:
-    n: int
-    k: int
+class ParabolicContext(Record):
+    __slots__ = ("n", "k")
 
     def __post_init__(self):
         if not 1 <= self.k <= self.n - 1:

@@ -9,17 +9,20 @@ satisfies rho s_i rho^-1 = s_{i+1} with indices mod n.  Composition is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 
-from .errors import BadIndex, InvalidValue, RankMismatch, ShiftNonzero
+from .errors import BadIndex, InvalidValue, RankMismatch, Record, ShiftNonzero
 
 
-@dataclass(frozen=True, slots=True)
-class AffinePerm:
-    n: int
-    window: tuple
-    _hash: int = field(init=False, repr=False, compare=False)
+class AffinePerm(Record):
+    __slots__ = ("n", "window", "_hash")
+
+    # __init__, == and hash written out: Record's generic ones cost about a
+    # third more per permutation, and permutations are the most built records
+    def __init__(self, n, window):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "window", window)
+        self.__post_init__()
 
     def __post_init__(self):
         n, w = self.n, self.window
@@ -30,6 +33,11 @@ class AffinePerm:
         if sum(w[i] - (i + 1) for i in range(n)) % n != 0:
             raise InvalidValue(f"window shift is not integral: {w}")
         object.__setattr__(self, "_hash", hash((n, w)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.window) == (other.n, other.window)
+        return NotImplemented
 
     def __hash__(self):
         return self._hash
@@ -115,10 +123,8 @@ class AffinePerm:
         return perm_from_json(data)
 
 
-@dataclass(frozen=True)
-class ReducedExpr:
-    m: int
-    word: tuple
+class ReducedExpr(Record):
+    __slots__ = ("m", "word")
 
 
 # The one memo of to_rex.  The method itself stays undecorated, so that a

@@ -4,6 +4,7 @@ import pytest
 
 from affine_hecke.bernstein import (
     BernsteinElt,
+    _correction_monomials,
     bernstein_mul,
     bl_commute,
     from_bernstein,
@@ -11,7 +12,7 @@ from affine_hecke.bernstein import (
 )
 from affine_hecke.errors import RankMismatch
 from affine_hecke.hecke import HeckeElt, rho_gen, t_gen, t_inv_gen
-from affine_hecke.laurent import ONE, Q, QINV
+from affine_hecke.laurent import ONE, Q, QINV, LaurentPoly
 from affine_hecke.parabolic import bernstein_y
 from affine_hecke.weyl import identity, simple
 
@@ -146,6 +147,18 @@ def test_rank_mismatch():
 def test_sum_rank_mismatch():
     with pytest.raises(RankMismatch):
         BernsteinElt.one(2) + BernsteinElt.one(3)
+
+
+@pytest.mark.parametrize("c", range(-8, 9))
+def test_correction_terms_match_exact_division(c):
+    # the listed terms are those of (z^c - 1)/(z - 1) by exact division,
+    # placed at y_i^(e+1+b) y_{i+1}^(b+c-e-1) with the factor -(q - q^-1)
+    n, i, b = 3, 2, -1
+    lam = (5, b + c, b)
+    quot = (LaurentPoly.q_power(c) - ONE).exact_div(Q - ONE)  # z as q
+    expected = [((5, e + 1 + b, b + c - e - 1), (Q - QINV) * LaurentPoly.const(-v)) for e, v in quot.items()]
+    assert sorted(_correction_monomials(n, i, lam)) == sorted(expected)
+    assert len(expected) == abs(c)
 
 
 def test_corrections_stay_integral():

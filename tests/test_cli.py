@@ -117,6 +117,15 @@ def test_yclass(capsys):
     assert out == "rho^2"
 
 
+@pytest.mark.parametrize("r, s", [("99999999999999999999", "1"), ("0", "-100001")])
+def test_yclass_exponent_limit_exit_code(capsys, r, s):
+    # rejected before any word is built; 10^20 used to end in an OverflowError
+    code, out, err = run(capsys, "yclass", r, s)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "<= 100000" in err and "Traceback" not in err
+
+
 def test_gradedrank(capsys):
     code, out, _ = run(capsys, "gradedrank", "b01", "b10")
     assert code == 0

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -350,8 +349,10 @@ def test_malformed_module_json_is_invalid():
 def test_modules_are_frozen():
     mod = induce(trivial_module(1), trivial_module(1))
     for name in ("n", "dim", "t_mats", "rho_mat"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(mod, name, getattr(mod, name))
+        before = getattr(mod, name)
+        with pytest.raises(AttributeError, match=name):
+            setattr(mod, name, None)
+        assert getattr(mod, name) is before
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,177 @@
+"""The immutable records: construction, equality, hashing, repr and
+immutability of every errors.Record type."""
+
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from affine_hecke import checks, expr, hecke, modules, pairing, parabolic, weyl
+from affine_hecke.errors import BadIndex, InvalidValue, Record
+from affine_hecke.laurent import Q, ONE
+from affine_hecke.modules import FinDimModule, induce, trivial_module
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# type -> field values of one instance
+SAMPLES = {
+    weyl.AffinePerm: (3, (2, 1, 3)),
+    weyl.ReducedExpr: (1, (0, 1)),
+    hecke.KLLabel: (1, (0, 1)),
+    parabolic.ParabolicContext: (3, 1),
+    pairing.GradedRank: (Q + ONE,),
+    modules.SpecializedModule: (1, 1, (((Fraction(2),),),)),
+    expr.Num: (3,),
+    expr.QAtom: (),
+    expr.RhoAtom: (),
+    expr.TAtom: (1,),
+    expr.BWord: ((0, 1),),
+    expr.BS: ((1, 2),),
+    expr.YAtom: (2,),
+    expr.UAtom: (3, True),
+    expr.Neg: (expr.Num(1),),
+    expr.Add: (expr.Num(1), expr.QAtom()),
+    expr.Sub: (expr.Num(1), expr.QAtom()),
+    expr.Mul: (expr.Num(1), expr.QAtom()),
+    expr.Pow: (expr.QAtom(), 2),
+}
+TYPES = sorted(SAMPLES, key=lambda cls: cls.__name__)
+IDS = [cls.__name__ for cls in TYPES]
+
+
+def test_every_record_type_is_sampled():
+    assert set(Record.__subclasses__()) == set(SAMPLES) | {FinDimModule}
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=IDS)
+def test_construction_by_position_and_keyword(cls):
+    values = SAMPLES[cls]
+    obj = cls(*values)
+    assert tuple(getattr(obj, f) for f in cls._fields) == values
+    assert cls(**dict(zip(cls._fields, values))) == obj
+    if values:
+        assert cls(values[0], **dict(zip(cls._fields[1:], values[1:]))) == obj
+    with pytest.raises(TypeError):
+        cls(*values, 0)
+    with pytest.raises(TypeError):
+        cls(*values, extra=0)
+    if values:
+        with pytest.raises(TypeError):
+            cls(*values[1:])
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=IDS)
+def test_equality_and_hash_go_by_fields(cls):
+    values = SAMPLES[cls]
+    a, b = cls(*values), cls(*values)
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert a != values and a != object()
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (hecke.KLLabel(1, (0, 1)), weyl.ReducedExpr(1, (0, 1))),
+        (expr.Add(expr.Num(1), expr.QAtom()), expr.Sub(expr.Num(1), expr.QAtom())),
+        (expr.TAtom(1), expr.YAtom(1)),
+        (expr.QAtom(), expr.RhoAtom()),
+        (parabolic.ParabolicContext(3, 1), weyl.ReducedExpr(3, 1)),
+    ],
+    ids=["KLLabel-ReducedExpr", "Add-Sub", "TAtom-YAtom", "QAtom-RhoAtom", "ParabolicContext-ReducedExpr"],
+)
+def test_record_types_with_equal_fields_are_unequal(a, b):
+    assert tuple(getattr(a, f) for f in a._fields) == tuple(getattr(b, f) for f in b._fields)
+    assert a != b and b != a
+
+
+def test_unequal_fields_are_unequal():
+    assert hecke.KLLabel(1, (0, 1)) != hecke.KLLabel(0, (0, 1))
+    assert weyl.AffinePerm(2, (2, 1)) != weyl.AffinePerm(2, (1, 2))
+    assert expr.UAtom(3, True) != expr.UAtom(3, False)
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=IDS)
+def test_fields_cannot_be_set_or_deleted(cls):
+    obj = cls(*SAMPLES[cls])
+    for name in (*cls._fields, *cls.__slots__, "new_attribute"):
+        before = getattr(obj, name, None)
+        with pytest.raises(AttributeError, match=name):
+            setattr(obj, name, 0)
+        with pytest.raises(AttributeError, match=name):
+            delattr(obj, name)
+        assert getattr(obj, name, None) is before
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=IDS)
+def test_repr_keeps_the_dataclass_form(cls):
+    values = SAMPLES[cls]
+    fields = ", ".join(f"{f}={v!r}" for f, v in zip(cls._fields, values))
+    assert repr(cls(*values)) == f"{cls.__name__}({fields})"
+
+
+def test_repr_examples():
+    assert repr(hecke.KLLabel(m=0, word=(1,))) == "KLLabel(m=0, word=(1,))"
+    assert repr(weyl.AffinePerm(2, (2, 1))) == "AffinePerm(n=2, window=(2, 1))"
+    assert repr(expr.Add(expr.Num(1), expr.UAtom(2, True))) == "Add(left=Num(value=1), right=UAtom(index=2, primed=True))"
+    assert repr(expr.QAtom()) == "QAtom()"
+    assert repr(trivial_module(2)) == "FinDimModule(n=2, dim=1)"
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=IDS)
+def test_pickle_round_trip(cls):
+    obj = cls(*SAMPLES[cls])
+    assert pickle.loads(pickle.dumps(obj)) == obj
+
+
+def test_validation_runs_for_keyword_construction():
+    with pytest.raises(BadIndex):
+        hecke.KLLabel(m=0, word=(1, 1))
+    with pytest.raises(InvalidValue):
+        weyl.AffinePerm(n=2, window=(1, 1))
+    with pytest.raises(BadIndex):
+        parabolic.ParabolicContext(n=3, k=3)
+
+
+def test_cached_hashes_match_the_fields():
+    assert hash(weyl.AffinePerm(3, (2, 1, 3))) == hash((3, (2, 1, 3)))
+    assert hash(hecke.KLLabel(1, (0, 1))) == hash((1, (0, 1)))
+
+
+def test_modules_are_unhashable_records():
+    mod = induce(trivial_module(1), trivial_module(1))
+    assert FinDimModule.__hash__ is None
+    with pytest.raises(TypeError):
+        hash(mod)
+    for name in ("n", "dim", "_letters"):
+        with pytest.raises(AttributeError, match=name):
+            delattr(mod, name)
+    assert mod == induce(trivial_module(1), trivial_module(1))
+    assert mod != trivial_module(2)
+    copy = pickle.loads(pickle.dumps(mod))
+    assert copy == mod and copy.rho_mat == mod.rho_mat
+
+
+def test_check_result_is_a_plain_mutable_class():
+    res = checks.CheckResult(1, "name", True, "detail", 0.5, 1.0)
+    assert res.ok
+    res.elapsed = 2.0
+    assert not res.ok
+    assert not isinstance(res, Record)
+
+
+def test_cli_import_loads_no_dataclasses():
+    # the record base keeps dataclasses (and the inspect, ast and dis it
+    # imports) and the check suite out of every ahecke start-up
+    code = (
+        "import sys, affine_hecke.cli\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'affine_hecke.checks') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
