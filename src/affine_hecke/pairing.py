@@ -14,8 +14,8 @@ from __future__ import annotations
 from .errors import InvalidValue, Record
 from .hecke import form, inverse_word, kl_to_std, word_elt
 
-# the largest |r| and |s| of y_class: its word has 2(|r| + |s|) letters, and
-# it takes about 0.1 ms per letter
+# the largest |r| and |s| of y_class: its word of 2(|r| + |s|) letters is
+# folded letter by letter, about 7 s at the limit on a 2-vCPU host
 Y_EXPONENT_LIMIT = 10**5
 
 
