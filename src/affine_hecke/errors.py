@@ -1,4 +1,4 @@
-"""Exception types and the immutable record base shared across the package."""
+"""Exception types and the immutable record bases shared across the package."""
 
 from operator import attrgetter
 
@@ -11,7 +11,7 @@ class Record:
     compares the class and the fields, ``hash`` hashes the fields, and
     ``repr`` reads ``Name(field=value, ...)``.  Setting or deleting an
     attribute raises AttributeError.  A slot whose name starts with an
-    underscore is private state, such as a cached hash, and not a field.
+    underscore is private state, such as a module's letters, and not a field.
     """
 
     __slots__ = ()
@@ -22,14 +22,18 @@ class Record:
         cls._fields, cls._values = fields, attrgetter(*fields) if fields else type
 
     def __init__(self, *args, **kwargs):
-        names = self._fields
+        for name, value in zip(self._fields, self._field_values(args, kwargs)):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _field_values(cls, args, kwargs):
+        names = cls._fields
         if kwargs:
             args += tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
         if kwargs or len(args) != len(names):
-            raise TypeError(f"{type(self).__qualname__} takes the fields {', '.join(names) or 'none'}")
-        for name, value in zip(names, args):
-            object.__setattr__(self, name, value)
-        self.__post_init__()
+            raise TypeError(f"{cls.__qualname__} takes the fields {', '.join(names) or 'none'}")
+        return args
 
     def __post_init__(self):
         pass
@@ -53,6 +57,40 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Interned:
+    """Mixed in before Record: one object per value (hash-consing), so ``==``
+    and ``hash`` are identity C slots.  The constructor checks the fields are
+    ints and tuples of ints (``_kinds``), as a float or bool hashes equal to an
+    int; ``_intern`` is the unchecked lookup.  The table is no memo and never
+    cleared, or a live value could get a second, unequal object."""
+
+    __slots__ = ()
+    __init__ = object.__init__  # the fields are set once, by _intern
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._table = {}
+
+    def __new__(cls, *args, **kwargs):
+        values = cls._field_values(args, kwargs)
+        for kind, value in zip(cls._kinds, values):
+            if type(value) is not kind or kind is tuple and not all(type(v) is int for v in value):
+                raise cls._kind_error(f"{cls.__qualname__} fields must be ints and tuples of ints, got {values!r}")
+        return cls._intern(values)
+
+    @classmethod
+    def _intern(cls, values):
+        # only a miss validates; setdefault keeps one object when threads race
+        obj = cls._table.get(values)
+        if obj is None:
+            obj = object.__new__(cls)
+            Record.__init__(obj, *values)
+            obj = cls._table.setdefault(values, obj)
+        return obj
 
 
 class AffineHeckeError(Exception):

@@ -29,12 +29,22 @@ from .modules import induce, module_act, trivial_module
 DEFAULT_BOUND = 20
 
 
+def check_bound(bound):
+    """The truncation bound, if it is at least 0."""
+    if bound < 0:
+        raise InvalidValue(f"truncation bound must be at least 0, got {bound}")
+    return bound
+
+
 class UVec(Combination):
     """Truncated element of U: finite combination of u_k, u'_k with k <= n,
     keyed by (primed, k).  Here n is the truncation bound: a sum keeps the
     smaller bound, and equality ignores it."""
 
     __slots__ = ()
+
+    def __init__(self, n, terms=None):
+        super().__init__(check_bound(n), terms)
 
     def _key(self, key):
         primed, k = key
@@ -51,7 +61,7 @@ class UVec(Combination):
 
     @classmethod
     def zero(cls, bound=DEFAULT_BOUND):
-        return cls._raw(bound, {})
+        return cls._raw(check_bound(bound), {})
 
     def __eq__(self, other):
         if not isinstance(other, UVec):
@@ -64,6 +74,7 @@ class UVec(Combination):
 
 def u_reduce(elt, bound=DEFAULT_BOUND):
     """Image of a rank-2 element under the projection onto U."""
+    check_bound(bound)
     acc = {}
     for label, coeff in std_to_kl(elt).items():
         k = label.length()

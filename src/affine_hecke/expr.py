@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 
 from .errors import BadIndex, ParseError, RankUnsupported, Record
-from .example_n2 import DEFAULT_BOUND, UVec
+from .example_n2 import DEFAULT_BOUND, UVec, check_bound
 from .hecke import HeckeElt, KLLabel, b_gen, bott_samelson, kl_to_std, rho_gen, t_gen, t_inv_gen
 from .laurent import Q, LaurentPoly
 from .parabolic import bernstein_y, bernstein_y_inv
@@ -256,7 +256,7 @@ def eval_algebra(node, n):
 
 def eval_uvec(node, bound=DEFAULT_BOUND):
     """Evaluate to a truncated module vector."""
-    value = _eval(node, None, bound)
+    value = _eval(node, None, check_bound(bound))
     if isinstance(value, LaurentPoly):
         raise BadIndex("expected a module vector, got a scalar")
     if isinstance(value, HeckeElt):

@@ -18,8 +18,10 @@ T_g T_i = T_{g s_i} (ascent) or T_{g s_i} + (q^-1 - q) T_g (descent),
 with the O(1) window descent test AffinePerm.has_descent.
 Every memo in the package is a functools.cache on the function that
 computes the value; basis-pair products, basis inverses and KL expansions
-are cached as read-only tuples of (perm, coeff) pairs.  Products, omega and
-the form sum c * d * E_x E_y by laurent.add_product, then laurent.sealed.
+are cached as read-only tuples of (perm, coeff) pairs.  The intern tables
+of AffinePerm and KLLabel are not memos and are never cleared.  Products,
+omega and the form sum c * d * E_x E_y by laurent.add_product, then
+laurent.sealed.
 
 For n = 2 every translation-free element has a unique reduced expression,
 an alternating binary word, and the KL basis layer (kl_to_std, std_to_kl,
@@ -32,7 +34,7 @@ from __future__ import annotations
 from functools import cache, partial, reduce
 from itertools import combinations
 
-from .errors import BadIndex, InvalidValue, RankMismatch, RankUnsupported, Record
+from .errors import BadIndex, Interned, InvalidValue, RankMismatch, RankUnsupported, Record
 from .laurent import ONE, Q, Q2, QINV, ZERO, Combination, LaurentPoly, accumulate, add_product, sealed
 from .weyl import ReducedExpr, canonical_rex, from_rex, identity, rho, simple
 
@@ -292,11 +294,12 @@ def form_with_omega(omega_x, y):
 # ---------------------------------------------------------------------------
 # the Kazhdan-Lusztig layer for n = 2
 
-class KLLabel(Record):
+class KLLabel(Interned, Record):
     """Label rho^m b_w for n = 2, with w the unique alternating rex of its
-    translation-free part."""
+    translation-free part.  Hash-consed like AffinePerm."""
 
-    __slots__ = ("m", "word", "_hash")
+    __slots__ = ("m", "word")
+    _kinds, _kind_error = (int, tuple), BadIndex
 
     def __post_init__(self):
         for a, b in zip(self.word, self.word[1:]):
@@ -304,17 +307,6 @@ class KLLabel(Record):
                 raise BadIndex(f"KL word must alternate: {self.word}")
         if any(i not in (0, 1) for i in self.word):
             raise BadIndex(f"KL word letters must be 0 or 1: {self.word}")
-        object.__setattr__(self, "_hash", hash((self.m, self.word)))
-
-    # == and a cached hash written out: Record's generic ones cost about twice
-    # as much, and labels are the dict keys of every rank-2 KL product
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.m, self.word) == (other.m, other.word)
-        return NotImplemented
-
-    def __hash__(self):
-        return self._hash
 
     def length(self):
         return len(self.word)
@@ -401,7 +393,7 @@ def std_to_kl(elt):
                 coeff = own.get(word)
                 coeff = tail if coeff is None else coeff + tail
                 if coeff:
-                    out[KLLabel(m, word)] = coeff
+                    out[KLLabel._intern((m, word))] = coeff
             tail = (tail + level[k]) * _NEG_Q
     return out
 
@@ -418,7 +410,7 @@ def kl_mul_closed(a, b):
     # move b's rho-part to the front: b_X rho^c = rho^c b_{flip^c X}
     c = b.m
     flipped = tuple((x + c) % 2 for x in a.word)
-    return {KLLabel(a.m + c, word): mult for word, mult in _kl_word_product(flipped, b.word).items()}
+    return {KLLabel._intern((a.m + c, word)): mult for word, mult in _kl_word_product(flipped, b.word).items()}
 
 
 def _kl_word_product(p, r):

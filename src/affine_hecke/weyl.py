@@ -11,37 +11,24 @@ from __future__ import annotations
 
 from functools import cache
 
-from .errors import BadIndex, InvalidValue, RankMismatch, Record, ShiftNonzero
+from .errors import BadIndex, Interned, InvalidValue, RankMismatch, Record, ShiftNonzero
 
 
-class AffinePerm(Record):
-    __slots__ = ("n", "window", "_hash")
-
-    # __init__, == and hash written out: Record's generic ones cost about a
-    # third more, and permutations are the most built and compared records
-    # (about 300 == per rank-2 KL product, from dict lookups)
-    def __init__(self, n, window):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "window", window)
-        self.__post_init__()
+class AffinePerm(Interned, Record):
+    # hash-consed: dict lookups (about 700 hash and == per rank2_kl benchmark
+    # op) run no Python; the table keeps every permutation ever built, about
+    # 165 after 15 000 such ops
+    __slots__ = ("n", "window")
+    _kinds, _kind_error = (int, tuple), InvalidValue
 
     def __post_init__(self):
         n, w = self.n, self.window
-        if n < 1 or type(w) is not tuple or len(w) != n:
+        if n < 1 or len(w) != n:
             raise InvalidValue(f"window must be a tuple of length n={n}: {w}")
         if len({v % n for v in w}) != n:
             raise InvalidValue(f"window residues mod {n} must be distinct: {w}")
         if sum(w[i] - (i + 1) for i in range(n)) % n != 0:
             raise InvalidValue(f"window shift is not integral: {w}")
-        object.__setattr__(self, "_hash", hash((n, w)))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.window == other.window  # n is the length of the window
-        return NotImplemented
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def shift(self):
@@ -57,7 +44,7 @@ class AffinePerm(Record):
             return NotImplemented
         if self.n != other.n:
             raise RankMismatch(f"rank mismatch: {self.n} vs {other.n}")
-        return AffinePerm(self.n, tuple(self(other(i)) for i in range(1, self.n + 1)))
+        return AffinePerm._intern((self.n, tuple(self(other(i)) for i in range(1, self.n + 1))))
 
     def inverse(self):
         # w^-1(r+1) = i - n*t where w(i) = (r+1) + n*t
@@ -67,7 +54,7 @@ class AffinePerm(Record):
             r = (v - 1) % self.n
             t = (v - 1 - r) // self.n
             inv[r] = i - self.n * t
-        return AffinePerm(self.n, tuple(inv))
+        return AffinePerm._intern((self.n, tuple(inv)))
 
     def length(self):
         """Coxeter length of the translation-free part; 0 on rho-powers."""

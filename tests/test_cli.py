@@ -195,6 +195,22 @@ def test_truncation_exit_code(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce-u", "0", "--bound", "-5"],
+        ["reduce-u", "1", "--bound", "-5"],
+        ["act", "b1", "u0", "--bound", "-1"],
+        ["pi-uw", "u0", "--bound", "-1"],
+        ["pi-uw", "0", "--bound", "-1"],
+    ],
+)
+def test_negative_truncation_bound_exit_code(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == f"error: truncation bound must be at least 0, got {argv[-1]}"
+
+
 def test_check_single_criterion(capsys):
     code, out, _ = run(capsys, "check", "--criteria", "1")
     assert code == 0

@@ -200,3 +200,18 @@ def test_gen_elt_tokens():
     assert gen_elt("rho") == rho_gen(2, 1)
     assert gen_elt("b0") == b_gen(2, 0)
     assert gen_elt("T1") == t_gen(2, 1)
+
+
+def test_negative_truncation_bound_is_rejected():
+    with pytest.raises(InvalidValue, match="at least 0"):
+        UVec(-4, {})
+    with pytest.raises(InvalidValue, match="at least 0"):
+        UVec.zero(-4)
+    with pytest.raises(InvalidValue, match="at least 0"):
+        UVec.basis(0, bound=-1)
+    with pytest.raises(InvalidValue, match="at least 0"):
+        u_reduce(HeckeElt.one(2), -7)
+    with pytest.raises(InvalidValue, match="at least 0"):
+        u_reduce(HeckeElt.zero(2), -7)
+    assert u_reduce(HeckeElt.one(2), 0) == UVec.basis(0, bound=0)
+    assert UVec.zero(0).is_zero

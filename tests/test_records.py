@@ -1,17 +1,20 @@
 """The immutable records: construction, equality, hashing, repr and
-immutability of every errors.Record type."""
+immutability of every errors.Record type, and one object per value for the
+hash-consed (errors.Interned) ones."""
 
+import copy
 import os
 import pickle
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from affine_hecke import checks, expr, hecke, modules, pairing, parabolic, weyl
-from affine_hecke.errors import BadIndex, InvalidValue, Record
+from affine_hecke.errors import BadIndex, Interned, InvalidValue, Record
 from affine_hecke.laurent import Q, ONE
 from affine_hecke.modules import FinDimModule, induce, trivial_module
 
@@ -41,6 +44,7 @@ SAMPLES = {
 }
 TYPES = sorted(SAMPLES, key=lambda cls: cls.__name__)
 IDS = [cls.__name__ for cls in TYPES]
+INTERNED = [cls for cls in TYPES if issubclass(cls, Interned)]
 
 
 def test_every_record_type_is_sampled():
@@ -68,7 +72,9 @@ def test_construction_by_position_and_keyword(cls):
 def test_equality_and_hash_go_by_fields(cls):
     values = SAMPLES[cls]
     a, b = cls(*values), cls(*values)
-    assert a is not b and a == b and not a != b
+    # a hash-consed record type builds one object per value
+    assert (a is b) == issubclass(cls, Interned)
+    assert a == b and not a != b
     assert hash(a) == hash(b)
     assert {a: 1}[b] == 1
     assert a != values and a != object()
@@ -138,9 +144,133 @@ def test_validation_runs_for_keyword_construction():
         parabolic.ParabolicContext(n=3, k=3)
 
 
-def test_cached_hashes_match_the_fields():
-    assert hash(weyl.AffinePerm(3, (2, 1, 3))) == hash((3, (2, 1, 3)))
-    assert hash(hecke.KLLabel(1, (0, 1))) == hash((1, (0, 1)))
+@pytest.mark.parametrize("cls", INTERNED, ids=lambda cls: cls.__name__)
+def test_interned_records_are_one_object_per_value(cls):
+    values = SAMPLES[cls]
+    obj = cls(*values)
+    assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+    assert cls._table[values] is obj
+    for same in (
+        cls(**dict(zip(cls._fields, values))),
+        pickle.loads(pickle.dumps(obj)),
+        copy.copy(obj),
+        copy.deepcopy(obj),
+        cls(*(tuple(list(v)) if type(v) is tuple else v for v in values)),  # rebuilt field values
+    ):
+        assert same is obj
+
+
+def test_kl_labels_from_products_are_the_interned_ones():
+    label = hecke.KLLabel(1, (0, 1))
+    (by_std,) = hecke.std_to_kl(hecke.kl_to_std(label))
+    (by_product,) = hecke.kl_mul_closed(hecke.KLLabel(1, (0,)), hecke.KLLabel(0, (1,)))
+    assert by_std is by_product is hecke.KLLabel(1, (1, 0)).reversed() is label
+
+
+@pytest.mark.parametrize(
+    "cls, values, error",
+    [(weyl.AffinePerm, (2, (1, 3)), InvalidValue), (hecke.KLLabel, (0, (1, 1)), BadIndex)],
+    ids=["AffinePerm", "KLLabel"],
+)
+def test_failed_construction_leaves_nothing_behind(cls, values, error):
+    for _ in range(2):
+        with pytest.raises(error):
+            cls(*values)
+        assert values not in cls._table
+
+
+# each value is far from anything the package builds, so its first
+# construction misses the table and the second one, after the value made
+# of ints, hits it
+NON_INTEGER_FIELDS = [
+    (weyl.AffinePerm, (2, (-999.0, -998.0)), InvalidValue),
+    (weyl.AffinePerm, (2.0, (-997, -996)), InvalidValue),
+    (weyl.AffinePerm, (True, (-995,)), InvalidValue),
+    (weyl.AffinePerm, (2, (-993, False)), InvalidValue),
+    (weyl.AffinePerm, (2, [-991, -990]), InvalidValue),
+    (hecke.KLLabel, (-999.0, (0,)), BadIndex),
+    (hecke.KLLabel, (-998, (0.0, 1)), BadIndex),
+    (hecke.KLLabel, (-997, (True, 0)), BadIndex),
+    (hecke.KLLabel, (True, (0, 1) * 40), BadIndex),
+    (hecke.KLLabel, (-996, [0, 1]), BadIndex),
+]
+
+
+NON_INTEGER_IDS = [
+    "perm-float-entry", "perm-float-n", "perm-bool-n", "perm-bool-entry", "perm-list-window",
+    "label-float-m", "label-float-letter", "label-bool-letter", "label-bool-m", "label-list-word",
+]
+
+
+@pytest.mark.parametrize("cls, bad, error", NON_INTEGER_FIELDS, ids=NON_INTEGER_IDS)
+def test_non_integer_fields_are_rejected_on_a_miss_and_a_hit(cls, bad, error):
+    good = tuple(tuple(map(int, v)) if isinstance(v, (tuple, list)) else int(v) for v in bad)
+    assert good not in cls._table
+    with pytest.raises(error):
+        cls(*bad)
+    assert good not in cls._table
+    obj = cls(*good)
+    with pytest.raises(error):
+        cls(*bad)
+    assert cls(*good) is obj and cls._table[good] is obj
+
+
+def test_non_integer_fields_are_rejected_where_ints_were_built_first():
+    weyl.identity(2), hecke.KLLabel(0, (0, 1)), hecke.KLLabel(1, (0,))
+    with pytest.raises(InvalidValue):
+        weyl.AffinePerm(2, (1.0, 2.0))
+    with pytest.raises(BadIndex):
+        hecke.KLLabel(0, (0.0, 1))
+    with pytest.raises(BadIndex):
+        hecke.KLLabel(True, (0,))
+    with pytest.raises(BadIndex):
+        hecke.kl_to_std(hecke.KLLabel(1.0, (0,)))
+    with pytest.raises(InvalidValue):
+        weyl.identity(True)
+    with pytest.raises(InvalidValue):
+        weyl.simple(2, True)
+
+
+def test_window_of_the_wrong_length_is_rejected_when_interned():
+    assert weyl.AffinePerm(2, (2, 1)) is weyl.AffinePerm(2, (2, 1))
+    assert weyl.AffinePerm(3, (2, 1, 3)) is weyl.AffinePerm(3, (2, 1, 3))
+    with pytest.raises(InvalidValue):
+        weyl.AffinePerm(3, (2, 1))
+    with pytest.raises(InvalidValue):
+        weyl.AffinePerm(2, (2, 1, 3))
+
+
+def test_list_window_is_an_invalid_value_on_a_miss_and_a_hit():
+    for _ in range(2):
+        with pytest.raises(InvalidValue):
+            weyl.AffinePerm(2, [2, 1])
+        weyl.AffinePerm(2, (2, 1))
+
+
+def test_threads_racing_on_new_values_get_one_object():
+    windows = [(m + 1, m + 2) for m in range(10_000, 10_500)]
+    assert not any((2, w) in weyl.AffinePerm._table for w in windows)
+    barrier = threading.Barrier(4, timeout=60)
+    built = [None] * 4
+
+    def build(slot):
+        barrier.wait()
+        built[slot] = [weyl.AffinePerm(2, w) for w in windows]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(slot,)) for slot in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k, w in enumerate(windows):
+        obj = weyl.AffinePerm._table[(2, w)]
+        assert all(objs[k] is obj for objs in built)
 
 
 def test_modules_are_unhashable_records():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from collections import deque
 from itertools import product
@@ -42,7 +44,7 @@ def test_window_invariants_rejected():
     with pytest.raises(ValueError):
         AffinePerm(2, (1, 2, 3))
     with pytest.raises(ValueError):
-        AffinePerm(2, [1, 2])  # the hash is computed at construction
+        AffinePerm(2, [1, 2])  # a list is rejected before the table lookup
 
 
 def test_compose_examples():
@@ -243,7 +245,10 @@ def test_equal_permutations_from_different_routes_share_a_hash():
         by_rex = from_rex(ReducedExpr(m, word), n)
         by_mul = from_rex(ReducedExpr(m, word[:1]), n) * from_rex(ReducedExpr(0, word[1:]), n)
         by_json = AffinePerm.from_json(by_rex.to_json())
-        assert by_rex is not by_mul and by_rex is not by_json
+        by_keyword = AffinePerm(n=n, window=by_rex.window)
+        # one object per value, however it was built or copied
+        for same in (by_mul, by_json, by_keyword, pickle.loads(pickle.dumps(by_rex)), copy.copy(by_rex), copy.deepcopy(by_rex)):
+            assert same is by_rex
         assert by_rex == by_mul == by_json
         assert hash(by_rex) == hash(by_mul) == hash(by_json)
         table = {by_rex: "rex"}
