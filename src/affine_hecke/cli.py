@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 truncation, rank or dimension error.  The default output format comes
-from the AHECKE_FORMAT environment variable (text, json or latex).
+3 truncation, rank or dimension error.  A rank (-n, --n) runs from 1 to
+MAX_RANK.  The default output format comes from the AHECKE_FORMAT
+environment variable (text, json or latex).
 """
 
 from __future__ import annotations
@@ -13,14 +14,18 @@ import os
 import sys
 
 from . import expr, serialize
-from .errors import AffineHeckeError, BadIndex, ParseError, RankMismatch
+from .errors import AffineHeckeError, BadIndex, ParseError, RankMismatch, RankUnsupported
 from .example_n2 import DEFAULT_BOUND, act_elt, pi_uw, u_reduce
 from .hecke import KLLabel
 from .modules import induce, trivial_module
-from .pairing import graded_hom_rank, y_class
+from .pairing import Y_EXPONENT_LIMIT, Y_INVERSE_LIMIT, graded_hom_rank, y_class
 from .parabolic import ParabolicContext, psi, psi_L, psi_R
 
 _USAGE_ERRORS = (ParseError, BadIndex)
+# the largest rank accepted: a window holds n integers and each printed term
+# its reduced expression, so the rank alone costs time quadratic in n, about
+# 0.2 s for `eval -n 1000 rho` and 4 s at n = 8000 on a 2-vCPU host
+MAX_RANK = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,7 +67,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate an algebra expression")
-    p.add_argument("-n", type=int, required=True, help="rank (never inferred)")
+    p.add_argument("-n", type=int, required=True, help=f"rank, 1 to {MAX_RANK} (never inferred)")
     p.add_argument("expression")
     p.add_argument(
         "--mod-rho2",
@@ -72,13 +77,13 @@ def _build_parser():
     _add_format(p)
 
     p = sub.add_parser("pair", help="sesquilinear form of two expressions")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=int, required=True, help=f"rank, 1 to {MAX_RANK}")
     p.add_argument("left")
     p.add_argument("right")
     _add_format(p)
 
     p = sub.add_parser("psi", help="parabolic embedding of source expressions")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=f"rank, 1 to {MAX_RANK}")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--side", choices=("L", "R", "both"), default="both")
     p.add_argument("expression", nargs="+", help="one expression (side L/R) or two (side both)")
@@ -87,7 +92,7 @@ def _build_parser():
     p = sub.add_parser("induce", help="Zelevinsky tensor product of two modules")
     p.add_argument("--left", default="trivial:1", help="module spec, e.g. trivial:1")
     p.add_argument("--right", default="trivial:1")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=f"rank, 1 to {MAX_RANK}")
     p.add_argument("--k", type=int, required=True)
     _add_format(p)
 
@@ -108,7 +113,13 @@ def _build_parser():
     p.add_argument("vector")
     _add_format(p)
 
-    p = sub.add_parser("yclass", help="the class (rho T_1)^r (T_1^-1 rho)^s")
+    p = sub.add_parser(
+        "yclass",
+        help="the class (rho T_1)^r (T_1^-1 rho)^s",
+        description="The class (rho T_1)^r (T_1^-1 rho)^s in rank 2. |r| and |s| are at most "
+        f"{Y_EXPONENT_LIMIT}, and max(-r, 0) + max(s, 0), the number of letters T_1^-1, "
+        f"at most {Y_INVERSE_LIMIT}; beyond either limit the exit code is 3.",
+    )
     p.add_argument("r", type=int)
     p.add_argument("s", type=int)
     _add_format(p)
@@ -165,8 +176,11 @@ def _module_from_spec(spec, rank):
 
 
 def _run(args):
-    if getattr(args, "n", 1) < 1:
-        raise BadIndex(f"rank must be at least 1, got {args.n}")
+    n = getattr(args, "n", 1)
+    if n < 1:
+        raise BadIndex(f"rank must be at least 1, got {n}")
+    if n > MAX_RANK:
+        raise RankUnsupported(f"rank must be at most {MAX_RANK}, got {n}")
     if args.command == "check":
         return _check(args)
     print(_output(_value(args), args.format))

@@ -13,6 +13,9 @@ A one-letter b-word is the KL generator in any rank; longer words are
 rank-2 KL basis labels.  Evaluation is exact; negative powers are resolved
 through the explicit inverses of T_i, rho, y_i and of single-term unit
 multiples of basis elements.
+
+Sums and products of any length are read, printed and evaluated in loops;
+parentheses nest at most MAX_NESTING deep, and deeper text is a ParseError.
 """
 
 from __future__ import annotations
@@ -24,6 +27,10 @@ from .example_n2 import DEFAULT_BOUND, UVec, check_bound
 from .hecke import HeckeElt, KLLabel, b_gen, bott_samelson, kl_to_std, rho_gen, t_gen, t_inv_gen
 from .laurent import Q, LaurentPoly
 from .parabolic import bernstein_y, bernstein_y_inv
+
+# the deepest parenthesis nesting parse accepts: the parser takes four
+# frames per level, and printing and evaluation recurse once per level
+MAX_NESTING = 100
 
 # ---------------------------------------------------------------------------
 # AST: one record type per node, its fields as named
@@ -90,6 +97,7 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -193,8 +201,12 @@ class _Parser:
                 else:
                     raise ParseError("expected ',' or ')' in bs(...)", o2)
         if kind == "op" and text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest more than {MAX_NESTING} deep", offset)
+            self.depth += 1
             node = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return node
         raise ParseError(f"unexpected token {text!r}", offset)
 
@@ -209,6 +221,10 @@ def parse(src):
 
 def to_text(node):
     return _print(node, 0)
+
+
+_LEVEL = {Add: 0, Sub: 0, Mul: 1}
+_OP = {Add: " + ", Sub: " - ", Mul: "*"}
 
 
 def _print(node, prec):
@@ -234,8 +250,13 @@ def _print(node, prec):
         body = f"-{_print(node.arg, 1)}"
         return f"({body})" if prec > 0 else body
     if isinstance(node, (Add, Sub, Mul)):
-        op, level = {Add: (" + ", 0), Sub: (" - ", 0), Mul: ("*", 1)}[type(node)]
-        body = f"{_print(node.left, level)}{op}{_print(node.right, 1)}"
+        # a left-nested chain of one level prints in a loop, right to left
+        level = _LEVEL[type(node)]
+        parts = []
+        while _LEVEL.get(type(node)) == level:
+            parts.append(f"{_OP[type(node)]}{_print(node.right, 1)}")
+            node = node.left
+        body = _print(node, level) + "".join(reversed(parts))
         return f"({body})" if prec > level else body
     if isinstance(node, Pow):
         return f"{_print(node.base, 2)}^{node.exponent}"
@@ -311,16 +332,25 @@ def _eval(node, n, bound):
     if isinstance(node, Neg):
         v = _eval(node.arg, n, bound)
         return -v if not isinstance(v, UVec) else v.scale(-1)
-    if isinstance(node, (Add, Sub)):
-        a = _eval(node.left, n, bound)
-        b = _eval(node.right, n, bound)
-        a, b = _promote_pair(a, b, n)
-        if type(a) is not type(b):
-            raise BadIndex("cannot mix algebra elements and module vectors")
-        return a + b if isinstance(node, Add) else a - b
+    if isinstance(node, (Add, Sub, Mul)):
+        # a left-nested chain of one level evaluates in a loop, left to right
+        level = _LEVEL[type(node)]
+        chain = []
+        while _LEVEL.get(type(node)) == level:
+            chain.append(node)
+            node = node.left
+        a = _eval(node, n, bound)
+        for node in reversed(chain):
+            a = _combine(node, a, _eval(node.right, n, bound), n)
+        return a
+    if isinstance(node, Pow):
+        return _eval_pow(node, n, bound)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _combine(node, a, b, n):
+    """The value of the Add, Sub or Mul node whose operands are a and b."""
     if isinstance(node, Mul):
-        a = _eval(node.left, n, bound)
-        b = _eval(node.right, n, bound)
         if isinstance(a, UVec) and isinstance(b, UVec):
             raise BadIndex("module vectors cannot be multiplied")
         if isinstance(b, UVec):
@@ -332,9 +362,10 @@ def _eval(node, n, bound):
                 raise BadIndex("only scalars multiply module vectors")
             return a.scale(b)
         return a * b
-    if isinstance(node, Pow):
-        return _eval_pow(node, n, bound)
-    raise TypeError(f"not an expression node: {node!r}")
+    a, b = _promote_pair(a, b, n)
+    if type(a) is not type(b):
+        raise BadIndex("cannot mix algebra elements and module vectors")
+    return a + b if isinstance(node, Add) else a - b
 
 
 def _need_algebra(algebra, what):

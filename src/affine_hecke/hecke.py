@@ -19,9 +19,10 @@ with the O(1) window descent test AffinePerm.has_descent.
 Every memo in the package is a functools.cache on the function that
 computes the value; basis-pair products, basis inverses and KL expansions
 are cached as read-only tuples of (perm, coeff) pairs.  The intern tables
-of AffinePerm and KLLabel are not memos and are never cleared.  Products,
-omega and the form sum c * d * E_x E_y by laurent.add_product, then
-laurent.sealed.
+of AffinePerm and KLLabel are not memos and are never cleared.  Products
+and omega sum c * d * E_x E_y by laurent.add_product, then laurent.sealed;
+the form accumulates only the terms of omega(x) at the inverses of y's
+keys, the only ones that meet y under the trace.
 
 For n = 2 every translation-free element has a unique reduced expression,
 an alternating binary word, and the KL basis layer (kl_to_std, std_to_kl,
@@ -275,12 +276,21 @@ def _basis_inverse(perm):
 def form(x, y):
     """The sesquilinear form (x, y) = trace(omega(x) * y).
 
-    Uses the dual-basis property trace(E_g E_h) = delta_{g, h^-1}, which
-    the test suite verifies against the full multiplication fold.
+    By the dual-basis property trace(E_g E_h) = delta_{g, h^-1}, which the
+    test suite verifies against the full multiplication fold, only the terms
+    of omega(x) at the inverses of y's keys contribute; omega(x) itself is
+    never built.
     """
     if x.n != y.n:
         raise RankMismatch(f"rank mismatch: {x.n} vs {y.n}")
-    return form_with_omega(x.omega(), y)
+    want = {h.inverse() for h in y.terms}
+    acc = {}
+    for g, c in x.terms.items():
+        c = c.bar()
+        for p, c2 in _basis_inverse(g):
+            if p in want:
+                add_product(acc, p, c, c2)
+    return form_with_omega(HeckeElt._raw(x.n, sealed(acc)), y)
 
 
 def form_with_omega(omega_x, y):

@@ -17,13 +17,24 @@ from .hecke import form, inverse_word, kl_to_std, word_elt
 # the largest |r| and |s| of y_class: its word of 2(|r| + |s|) letters is
 # folded letter by letter, about 7 s at the limit on a 2-vCPU host
 Y_EXPONENT_LIMIT = 10**5
+# the largest number of T_1^-1 letters, one per unit of r < 0 and of s > 0:
+# k of them expand into about 2k terms whose coefficients span about k
+# powers of q, so the fold is cubic in k, about 5 s at the limit (r = -75,
+# s = 75, or r = 1, s = 150) on a 2-vCPU host
+Y_INVERSE_LIMIT = 150
 
 
 def y_class(r, s):
     """The class (rho T_1)^r (T_1^-1 rho)^s in rank 2; InvalidValue when
-    |r| or |s| is above Y_EXPONENT_LIMIT."""
+    |r| or |s| is above Y_EXPONENT_LIMIT, or max(-r, 0) + max(s, 0) above
+    Y_INVERSE_LIMIT."""
     if max(abs(r), abs(s)) > Y_EXPONENT_LIMIT:
         raise InvalidValue(f"yclass exponents are limited to |r|, |s| <= {Y_EXPONENT_LIMIT}, got r={r}, s={s}")
+    if max(-r, 0) + max(s, 0) > Y_INVERSE_LIMIT:
+        raise InvalidValue(
+            f"yclass takes at most {Y_INVERSE_LIMIT} letters T_1^-1, one per unit of a negative r "
+            f"and of a positive s, got r={r}, s={s}"
+        )
     a, b = (("rho", 1), (1, 1)), ((1, -1), ("rho", 1))  # rho T_1 and T_1^-1 rho
     left = (a if r >= 0 else inverse_word(a)) * abs(r)
     right = (b if s >= 0 else inverse_word(b)) * abs(s)

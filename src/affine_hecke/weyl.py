@@ -47,14 +47,7 @@ class AffinePerm(Interned, Record):
         return AffinePerm._intern((self.n, tuple(self(other(i)) for i in range(1, self.n + 1))))
 
     def inverse(self):
-        # w^-1(r+1) = i - n*t where w(i) = (r+1) + n*t
-        inv = [0] * self.n
-        for i in range(1, self.n + 1):
-            v = self.window[i - 1]
-            r = (v - 1) % self.n
-            t = (v - 1 - r) // self.n
-            inv[r] = i - self.n * t
-        return AffinePerm._intern((self.n, tuple(inv)))
+        return _inverse(self)
 
     def length(self):
         """Coxeter length of the translation-free part; 0 on rho-powers."""
@@ -118,6 +111,17 @@ class ReducedExpr(Record):
 # The one memo of to_rex.  The method itself stays undecorated, so that a
 # profiler (perfbench/layers.py) can find its code object.
 canonical_rex = cache(AffinePerm.to_rex)
+
+
+@cache
+def _inverse(perm):
+    """The inverse permutation: w^-1(r+1) = i - n*t where w(i) = (r+1) + n*t."""
+    n = perm.n
+    inv = [0] * n
+    for i, v in enumerate(perm.window, 1):
+        r = (v - 1) % n
+        inv[r] = i - (v - 1 - r)
+    return AffinePerm._intern((n, tuple(inv)))
 
 
 def identity(n):

@@ -7,13 +7,14 @@ import affine_hecke
 from affine_hecke import hecke
 from affine_hecke.bernstein import from_bernstein, to_bernstein
 from affine_hecke.example_n2 import UVec, pi_uw
-from affine_hecke.hecke import KLLabel, b_gen, kl_to_std, rho_gen, std_to_kl, t_gen, t_inv_gen
+from affine_hecke.hecke import KLLabel, b_gen, form, kl_to_std, rho_gen, std_to_kl, t_gen, t_inv_gen
 from affine_hecke.laurent import Q
 from affine_hecke.modules import induce, one_dimensional, trivial_module
 from affine_hecke.weyl import rho, simple
 
 MEMOS = {
     "weyl.canonical_rex",
+    "weyl._inverse",
     "hecke._basis_pair_product",
     "hecke._basis_inverse",
     "hecke._kl_std_terms",
@@ -69,6 +70,21 @@ def test_cold_results_equal_warm_results():
         memo.cache_clear()
         assert memo.cache_info().currsize == 0
     assert results() == warm
+
+
+def test_cold_forms_equal_warm_forms():
+    # form reads the weyl._inverse and hecke._basis_inverse memos
+    elts = [
+        t_gen(3, 1) * rho_gen(3) * t_gen(3, 0) + b_gen(3, 2).scale(Q),
+        t_inv_gen(3, 2) * rho_gen(3, -1) * t_gen(3, 0),
+        rho_gen(3) * b_gen(3, 0) * b_gen(3, 1),
+        b_gen(3, 1) * b_gen(3, 2) * b_gen(3, 1),
+    ]
+    warm = [form(x, y) for x in elts for y in elts]
+    assert any(warm)
+    for memo in all_memos().values():
+        memo.cache_clear()
+    assert [form(x, y) for x in elts for y in elts] == warm
 
 
 def test_cached_basis_products_are_tuples():

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affine_hecke.cli import main
+from affine_hecke.cli import MAX_RANK, main
+from affine_hecke.expr import MAX_NESTING
+from affine_hecke.pairing import Y_INVERSE_LIMIT
 from affine_hecke.hecke import rho_gen, t_gen
 from affine_hecke.serialize import hecke_from_json, module_from_json
 
@@ -126,6 +128,23 @@ def test_yclass_exponent_limit_exit_code(capsys, r, s):
     assert err.startswith("error:") and "<= 100000" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "r, s", [(str(-Y_INVERSE_LIMIT - 1), "0"), ("1", str(Y_INVERSE_LIMIT + 1)), ("-75", "76")]
+)
+def test_yclass_inverse_letter_limit_exit_code(capsys, r, s):
+    # one T_1^-1 per unit of a negative r and of a positive s; rejected before
+    # any word is built (1 300 took 48 s and 1 1000 no result in 100 s)
+    code, out, err = run(capsys, "yclass", r, s)
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and f"at most {Y_INVERSE_LIMIT}" in err and "Traceback" not in err
+
+
+def test_yclass_without_inverse_letters_is_not_held_to_the_inverse_limit(capsys):
+    # rho T_1 and (T_1^-1 rho)^-1 = rho^-1 T_1 stay one basis element each
+    code, out, _ = run(capsys, "yclass", "1000", "-1000")
+    assert code == 0 and out == "*".join(["T0", "T1"] * 1000)
+
+
 def test_gradedrank(capsys):
     code, out, _ = run(capsys, "gradedrank", "b01", "b10")
     assert code == 0
@@ -188,6 +207,47 @@ def test_bad_integer_or_rank_exit_code(capsys, argv):
 def test_rank_error_exit_code(capsys):
     code, _, _ = run(capsys, "eval", "-n", "3", "b010")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "-n", "99999999999", "1"],
+        ["eval", "-n", str(MAX_RANK + 1), "rho"],
+        ["pair", "-n", str(MAX_RANK + 1), "rho", "rho"],
+        ["psi", "--n", str(MAX_RANK + 1), "--k", "1", "--side", "L", "rho"],
+        ["induce", "--n", "99999999999", "--k", "1"],
+    ],
+)
+def test_rank_above_the_limit_exit_code(capsys, argv):
+    # rejected before any window is built: -n 99999999999 used to end in a
+    # MemoryError and -n 100000 ran for minutes
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == f"error: rank must be at most {MAX_RANK}, got {argv[2]}"
+
+
+def test_rank_at_the_limit(capsys):
+    code, out, _ = run(capsys, "eval", "-n", str(MAX_RANK), "rho")
+    assert code == 0 and out == "rho"
+
+
+def test_long_sums_and_products(capsys):
+    # each used to end in a RecursionError (from 1000 terms, 3000 factors)
+    code, out, err = run(capsys, "eval", "-n", "2", "+".join(["T1"] * 5000))
+    assert (code, out, err) == (0, "5000*T1", "")
+    code, out, err = run(capsys, "eval", "-n", "2", "*".join(["rho"] * 3000))
+    assert (code, out, err) == (0, "rho^3000", "")
+
+
+def test_nesting_depth_limit_exit_code(capsys):
+    deep = "(" * MAX_NESTING + "T1" + ")" * MAX_NESTING
+    assert run(capsys, "eval", "-n", "2", deep) == (0, "T1", "")
+    deep = "rho*(" * MAX_NESTING + "rho" + ")" * MAX_NESTING
+    assert run(capsys, "pair", "-n", "2", deep, deep) == (0, "1", "")
+    code, out, err = run(capsys, "eval", "-n", "2", "(" + deep + ")")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"more than {MAX_NESTING} deep" in err and "Traceback" not in err
 
 
 def test_truncation_exit_code(capsys):

@@ -122,6 +122,43 @@ def test_print_parse_round_trip_manual():
         assert expr.eval_algebra(again, 2) == expr.eval_algebra(tree, 2)
 
 
+def test_long_chains_print_and_evaluate_in_loops():
+    # a 5000-term sum and a 3000-factor product are left spines that deep
+    total = " + ".join(["T1"] * 5000)
+    assert expr.to_text(expr.parse(total)) == total
+    assert ev(total) == t_gen(2, 1).scale(LaurentPoly.const(5000))
+    product = "*".join(["rho"] * 3000)
+    assert expr.to_text(expr.parse(product)) == product
+    assert ev(product) == rho_gen(2, 3000)
+
+
+def test_chains_keep_their_parentheses():
+    for src in ("(T1 + T0)*(T1 - T0)*rho - q*T1 + 2", "T1 - (T0 - q) + (T1 + T0)^2", "-T1*(q - 1) - 3"):
+        assert expr.to_text(expr.parse(src)) == src
+
+
+def test_nesting_depth_limit():
+    deep = "(" * (expr.MAX_NESTING + 1) + "T1" + ")" * (expr.MAX_NESTING + 1)
+    with pytest.raises(ParseError, match=f"more than {expr.MAX_NESTING} deep"):
+        expr.parse(deep)
+    with pytest.raises(ParseError, match=f"more than {expr.MAX_NESTING} deep"):
+        expr.parse("(" * 100000)
+    # rho - (rho - (... - T1)), a right spine that prints with every parenthesis
+    within = "rho - (" * expr.MAX_NESTING + "rho - T1" + ")" * expr.MAX_NESTING
+    assert expr.to_text(expr.parse(within)) == within
+    assert ev(within) == (t_gen(2, 1) if expr.MAX_NESTING % 2 else rho_gen(2) - t_gen(2, 1))
+
+
+def test_rank4_element_text_round_trip():
+    # 1344 terms: its text did not parse back before sums were read in a loop
+    rng = random.Random(1)
+    elt = HeckeElt.one(4)
+    for _ in range(36):
+        elt = elt * b_gen(4, rng.randrange(4))
+    assert len(elt.terms) == 1344
+    assert ev(serialize.to_text(elt), 4) == elt
+
+
 def test_serialized_values_reparse():
     rng = random.Random(31337)
     elts = [

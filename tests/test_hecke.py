@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affine_hecke.errors import BadIndex, InvalidValue, RankMismatch, RankUnsupported
 from affine_hecke.hecke import (
@@ -13,6 +15,7 @@ from affine_hecke.hecke import (
     broken_relations,
     defining_relations,
     form,
+    form_with_omega,
     kl_combo_to_std,
     kl_mul_closed,
     kl_to_std,
@@ -278,6 +281,48 @@ def test_form_matches_trace_definition():
         x = random_product(rng, n, 4)
         y = random_product(rng, n, 4)
         assert form(x, y) == (x.omega() * y).trace()
+
+
+@st.composite
+def form_operands(draw, n):
+    """Zero, a unit multiple of one basis element, or a sum of up to three
+    scaled products of rho-shifts and generators."""
+    kind = draw(st.sampled_from(("zero", "unit", "sum")))
+    if kind == "zero":
+        return HeckeElt.zero(n)
+    if kind == "unit":
+        word = draw(st.lists(st.integers(0, n - 1), max_size=6))
+        perm = from_rex(ReducedExpr(draw(st.integers(-3, 3)), tuple(word)), n)
+        sign = draw(st.sampled_from((1, -1)))
+        return HeckeElt.from_term(perm, LaurentPoly.q_power(draw(st.integers(-3, 3)), sign))
+    gens = [t_gen(n, i) for i in range(n)] + [t_inv_gen(n, i) for i in range(n)]
+    gens += [b_gen(n, i) for i in range(n)] + [rho_gen(n, 1), rho_gen(n, -1)]
+    out = HeckeElt.zero(n)
+    for _ in range(draw(st.integers(1, 3))):
+        term = rho_gen(n, draw(st.integers(-2, 2)))
+        for g in draw(st.lists(st.sampled_from(gens), max_size=4)):
+            term = term * g
+        coeff = LaurentPoly({e: draw(st.integers(-3, 3)) for e in draw(st.lists(st.integers(-2, 2), max_size=3))})
+        out = out + term.scale(coeff)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((2, 3, 4)).flatmap(lambda n: st.tuples(form_operands(n), form_operands(n))))
+def test_form_equals_trace_of_omega_product(pair):
+    x, y = pair
+    value = form(x, y)
+    assert value == (x.omega() * y).trace() == form_with_omega(x.omega(), y)
+    # shifted past every term of omega(x), no key of y meets it
+    far = y * rho_gen(x.n, 30)
+    assert form(x, far) == ZERO == (x.omega() * far).trace()
+
+
+def test_form_rank_mismatch():
+    with pytest.raises(RankMismatch):
+        form(b_gen(2, 1), b_gen(3, 1))
+    with pytest.raises(RankMismatch):
+        form(HeckeElt.zero(3), HeckeElt.one(2))
 
 
 def test_form_pinned_values():

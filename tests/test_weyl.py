@@ -283,3 +283,16 @@ def test_length_subadditive(u, v):
     if u.n != v.n:
         return
     assert (u * v).length() <= u.length() + v.length()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_inverse_is_the_interned_two_sided_inverse(n):
+    rng = random.Random(n)
+    perms = [identity(n)] + [random_element(rng, n, rng.randrange(9) if n > 1 else 0) for _ in range(60)]
+    for p in perms:
+        assert p.inverse().inverse() is p
+        assert (p * p.inverse()).is_identity() and (p.inverse() * p).is_identity()
+        assert p.inverse().shift == -p.shift and p.inverse().length() == p.length()
+    # w(1) = -7, w(2) = 12, w(3) = 4, so w^-1(2) = 1 + 9, w^-1(3) = 2 - 9, w^-1(1) = 3 - 3
+    w = AffinePerm(3, (-7, 12, 4))
+    assert w.inverse().window == (0, 10, -7) and w.inverse().inverse() is w
