@@ -99,7 +99,7 @@ def _term_mul(n, w, lam, v, mu, coeff, out):
         v_rest = simple(n, i) * v1  # v1 = s_i * v_rest with lengths adding
         # y^lam1 T_i = T_i y^{s_i lam1} - correction
         swapped = _swap_slots(lam1, i)
-        for w2, c2 in _mul_terms_simple(n, {w1: c1}, i).items():
+        for w2, c2 in _mul_terms_simple({w1: c1}, (i, 1)).items():
             stack.append((w2, swapped, v_rest, c2))
         for lam2, corr in _correction_monomials(n, i, swapped):
             stack.append((w1, lam2, v_rest, -(c1 * corr)))

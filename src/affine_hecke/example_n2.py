@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import cache
 
 from .errors import BadIndex, InvalidValue, TruncationExceeded
-from .hecke import HeckeElt, KLLabel, alt_word, b_gen, kl_to_std, rho_gen, std_to_kl, t_gen
+from .hecke import HeckeElt, KLLabel, alt_word, b_gen, kl_combo_to_std, kl_to_std, rho_gen, std_to_kl, t_gen
 from .laurent import ONE, Q, Q2, QINV, ZERO, Combination, add_product, sealed
 from .modules import induce, module_act, trivial_module
 
@@ -89,12 +89,7 @@ def u_reduce(elt, bound=DEFAULT_BOUND):
 
 def lift(vec):
     """Section of the projection: u_k -> b_{..1}, u'_k -> rho b_{..1}."""
-    acc = {}
-    for (primed, k), coeff in vec.terms.items():
-        label = KLLabel(1 if primed else 0, alt_word(k, last=1))
-        for perm, c in kl_to_std(label).items():
-            add_product(acc, perm, c, coeff)
-    return HeckeElt._raw(2, sealed(acc))
+    return kl_combo_to_std({KLLabel(int(primed), alt_word(k, last=1)): c for (primed, k), c in vec.terms.items()})
 
 
 _GENERATORS = ("rho", "b0", "b1", "T0", "T1")

@@ -12,17 +12,17 @@ b_i = T_i + q with b_i^2 = [2] b_i.  defining_relations lists them once
 as pairs of words in the generators; fold_word evaluates a word in any
 target, and word_elt is its value in the algebra.
 
-Multiplication folds the right factor's canonical reduced expression
-(weyl.canonical_rex, the one memo of to_rex) through the rule
-T_g T_i = T_{g s_i} (ascent) or T_{g s_i} + (q^-1 - q) T_g (descent),
-with the O(1) window descent test AffinePerm.has_descent.
-Every memo in the package is a functools.cache on the function that
-computes the value; basis-pair products, basis inverses and KL expansions
-are cached as read-only tuples of (perm, coeff) pairs.  The intern tables
-of AffinePerm and KLLabel are not memos and are never cleared.  Products
-and omega sum c * d * E_x E_y by laurent.add_product, then laurent.sealed;
-the form accumulates only the terms of omega(x) at the inverses of y's
-keys, the only ones that meet y under the trace.
+Multiplication walks a trie of the right factor's canonical reduced
+expressions (weyl.canonical_rex, the one memo of to_rex) from the left
+factor's terms: the first edge is the whole shift rho^m, each further edge
+one T_i by T_g T_i = T_{g s_i} (ascent) or T_{g s_i} + (q^-1 - q) T_g
+(descent), and each node where a word ends adds the state times that
+term's coefficient by laurent.add_product.  The only product memo is that
+right step, _step(g, letter).  Every memo in the package is a
+functools.cache on the function that computes the value, with tuples for
+several values.  The intern tables of AffinePerm and KLLabel are not memos
+and are never cleared.  The form accumulates only the terms of omega(x) at
+the inverses of y's keys, the only ones that meet y under the trace.
 
 For n = 2 every translation-free element has a unique reduced expression,
 an alternating binary word, and the KL basis layer (kl_to_std, std_to_kl,
@@ -36,7 +36,7 @@ from functools import cache, partial, reduce
 from itertools import combinations
 
 from .errors import BadIndex, Interned, InvalidValue, RankMismatch, RankUnsupported, Record
-from .laurent import ONE, Q, Q2, QINV, ZERO, Combination, LaurentPoly, accumulate, add_product, sealed
+from .laurent import ONE, Q, Q2, QINV, ZERO, Combination, LaurentPoly, accumulate, add_product, power, sealed
 from .weyl import ReducedExpr, canonical_rex, from_rex, identity, rho, simple
 
 _DESC = QINV - Q  # q^-1 - q, the descent correction
@@ -73,12 +73,24 @@ class HeckeElt(Combination):
         if not isinstance(other, HeckeElt):
             return NotImplemented
         self._join(other)  # raises RankMismatch
-        acc = {}
+        # a trie of other's words rho^m T_{i_1} ... T_{i_l}; None marks a word's end
+        trie = {}
         for y, d in other.terms.items():
-            for x, c in self.terms.items():
-                cd = c * d
-                for perm, c2 in _basis_pair_product(x, y):
-                    add_product(acc, perm, cd, c2)
+            rex = canonical_rex(y)
+            node = trie.setdefault(("rho", rex.m), {}) if rex.m else trie
+            for i in rex.word:
+                node = node.setdefault((i, 1), {})
+            node[None] = d
+        acc = {}
+        stack = [(trie, self.terms)]
+        while stack:
+            node, state = stack.pop()  # state is self times the word of node
+            for letter, child in node.items():
+                if letter is None:
+                    for perm, c in state.items():
+                        add_product(acc, perm, c, child)
+                else:
+                    stack.append((child, _mul_terms_simple(state, letter)))
         return HeckeElt._raw(self.n, sealed(acc))
 
     def __pow__(self, k):
@@ -86,14 +98,7 @@ class HeckeElt(Combination):
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        out = HeckeElt.one(self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, HeckeElt.one(self.n))
 
     def inverse(self):
         """Inverse of a single-term element c * rho^m T_w with c a unit."""
@@ -226,60 +231,49 @@ def broken_relations(n, rank, image):
 
 def bott_samelson(n, word):
     """Product b_{i_1} ... b_{i_l}, defined for every rank."""
-    out = HeckeElt.one(n)
-    for i in word:
-        out = out * b_gen(n, i)
-    return out
+    return reduce(HeckeElt.__mul__, (b_gen(n, i) for i in word), HeckeElt.one(n))
 
 
 # ---------------------------------------------------------------------------
-# basis-level multiplication with memoization
+# basis-level multiplication
 
 
-def _mul_terms_simple(n, terms, i):
-    """Multiply a term dict on the right by T_i."""
-    s = simple(n, i)
+@cache
+def _step(g, letter):
+    """g times one letter: (g rho^m, False) for ("rho", m), and (g s_i, whether
+    i is a right descent of g) for (i, 1)."""
+    i, m = letter
+    if i == "rho":
+        return g * rho(g.n, m), False
+    return g * simple(g.n, i), g.has_descent(i)
+
+
+def _mul_terms_simple(terms, letter):
+    """Multiply a term dict on the right by rho^m or T_i, the letter
+    ("rho", m) or (i, 1): T_g T_i = T_{g s_i}, plus (q^-1 - q) T_g at a descent."""
     out = {}
     for g, c in terms.items():
-        accumulate(out, g * s, c)
-        if g.has_descent(i):
+        h, descent = _step(g, letter)
+        accumulate(out, h, c)
+        if descent:
             accumulate(out, g, c * _DESC)
     return out
 
 
 @cache
-def _basis_pair_product(x, y):
-    """Product of basis elements E_x * E_y as a tuple of (perm, coeff)."""
-    rex = canonical_rex(y)
-    terms = {x * rho(x.n, rex.m): ONE}
-    for i in rex.word:
-        terms = _mul_terms_simple(x.n, terms, i)
-    return tuple(terms.items())
-
-
-@cache
 def _basis_inverse(perm):
     """Expansion of (rho^m T_w)^-1 = T_w^-1 rho^-m as a tuple of (perm, coeff)."""
-    n = perm.n
     rex = canonical_rex(perm)
-    terms = {identity(n): ONE}
-    for i in reversed(rex.word):
-        # right-multiply by T_i^-1 = T_i + (q - q^-1)
-        body = _mul_terms_simple(n, terms, i)
-        for g, c in terms.items():
-            accumulate(body, g, c * (Q - QINV))
-        terms = body
-    shift = rho(n, -rex.m)
-    return tuple((g * shift, c) for g, c in terms.items())
+    word = tuple((i, -1) for i in reversed(rex.word))
+    return tuple((word_elt(perm.n, word) * rho_gen(perm.n, -rex.m)).terms.items())
 
 
 def form(x, y):
     """The sesquilinear form (x, y) = trace(omega(x) * y).
 
     By the dual-basis property trace(E_g E_h) = delta_{g, h^-1}, which the
-    test suite verifies against the full multiplication fold, only the terms
-    of omega(x) at the inverses of y's keys contribute; omega(x) itself is
-    never built.
+    test suite verifies against the full product, only the terms of omega(x)
+    at the inverses of y's keys contribute; omega(x) itself is never built.
     """
     if x.n != y.n:
         raise RankMismatch(f"rank mismatch: {x.n} vs {y.n}")

@@ -185,14 +185,7 @@ class LaurentPoly:
             return NotImplemented
         if k < 0:
             return self.unit_inverse() ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, ONE)
 
     def is_unit(self):
         """Units of Z[q,q^-1] are the monomials with coefficient +-1."""
@@ -371,6 +364,18 @@ Q = LaurentPoly.q_power(1)
 QINV = LaurentPoly.q_power(-1)
 # the quantum integer [2] = q + q^-1
 Q2 = Q + QINV
+
+
+def power(x, k, one):
+    """x ** k for an int k >= 0 by square-and-multiply; x ** 0 is one."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * x
+        k >>= 1
+        if k:
+            x = x * x
+    return out
 
 
 def accumulate(terms, key, coeff):

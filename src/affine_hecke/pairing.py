@@ -12,15 +12,17 @@ to zero against anything concentrated at a different shift.
 from __future__ import annotations
 
 from .errors import InvalidValue, Record
-from .hecke import form, inverse_word, kl_to_std, word_elt
+from .hecke import HeckeElt, form, kl_to_std
+from .weyl import AffinePerm
 
-# the largest |r| and |s| of y_class: its word of 2(|r| + |s|) letters is
-# folded letter by letter, about 7 s at the limit on a 2-vCPU host
+# the largest |r| and |s| of y_class; its value is one basis element or the
+# inverse of one, and printing a reduced word of up to 2 * 10^5 letters takes
+# about 1-2 s at the limit on a 2-vCPU host
 Y_EXPONENT_LIMIT = 10**5
-# the largest number of T_1^-1 letters, one per unit of r < 0 and of s > 0:
-# k of them expand into about 2k terms whose coefficients span about k
-# powers of q, so the fold is cubic in k, about 5 s at the limit (r = -75,
-# s = 75, or r = 1, s = 150) on a 2-vCPU host
+# the largest number of T_1^-1 letters, one per unit of r < 0 and of s > 0;
+# that count bounds the length k = s - r of the inverted element when r < s,
+# whose inverse has about 2k terms spanning about k powers of q, so the time
+# is cubic in k, about 1.5 s at the limit (r = -75, s = 75, or r = 0, s = 150)
 Y_INVERSE_LIMIT = 150
 
 
@@ -35,10 +37,12 @@ def y_class(r, s):
             f"yclass takes at most {Y_INVERSE_LIMIT} letters T_1^-1, one per unit of a negative r "
             f"and of a positive s, got r={r}, s={s}"
         )
-    a, b = (("rho", 1), (1, 1)), ((1, -1), ("rho", 1))  # rho T_1 and T_1^-1 rho
-    left = (a if r >= 0 else inverse_word(a)) * abs(r)
-    right = (b if s >= 0 else inverse_word(b)) * abs(s)
-    return word_elt(2, left + right)
+    # y_1 = rho T_1 and y_2 = T_1^-1 rho commute with y_1 y_2 = rho^2 central,
+    # so y_1^r y_2^s is y_1^(r-s) rho^2s or (rho^-2r (rho^-1 T_1)^(s-r))^-1,
+    # and each of those is one basis element
+    if r >= s:
+        return HeckeElt.from_term(AffinePerm(2, (2 * r + 1, 2 * s + 2)))
+    return HeckeElt.from_term(AffinePerm(2, (1 - 2 * r, 2 - 2 * s))).inverse()
 
 
 class GradedRank(Record):

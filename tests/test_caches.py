@@ -2,12 +2,13 @@
 
 import importlib
 import pkgutil
+import random
 
 import affine_hecke
 from affine_hecke import hecke
 from affine_hecke.bernstein import from_bernstein, to_bernstein
 from affine_hecke.example_n2 import UVec, pi_uw
-from affine_hecke.hecke import KLLabel, b_gen, form, kl_to_std, rho_gen, std_to_kl, t_gen, t_inv_gen
+from affine_hecke.hecke import KLLabel, b_gen, bott_samelson, form, kl_to_std, rho_gen, std_to_kl, t_gen, t_inv_gen
 from affine_hecke.laurent import Q
 from affine_hecke.modules import induce, one_dimensional, trivial_module
 from affine_hecke.weyl import rho, simple
@@ -15,7 +16,7 @@ from affine_hecke.weyl import rho, simple
 MEMOS = {
     "weyl.canonical_rex",
     "weyl._inverse",
-    "hecke._basis_pair_product",
+    "hecke._step",
     "hecke._basis_inverse",
     "hecke._kl_std_terms",
     "hecke._alt_words",
@@ -88,7 +89,20 @@ def test_cold_forms_equal_warm_forms():
 
 
 def test_cached_basis_products_are_tuples():
-    x, y = rho(3, 1) * simple(3, 0), simple(3, 1) * simple(3, 2)
-    assert isinstance(hecke._basis_pair_product(x, y), tuple)
+    x = rho(3, 1) * simple(3, 0)
+    assert isinstance(hecke._step(x, (1, 1)), tuple)
+    assert isinstance(hecke._step(x, ("rho", -2)), tuple)
     assert isinstance(hecke._basis_inverse(x), tuple)
     assert isinstance(hecke._kl_std_terms(KLLabel(0, (1, 0))), tuple)
+
+
+def test_no_memo_grows_with_the_term_pairs_of_a_product():
+    # the seed-8 rank-4 row: 72 x 96 term pairs, 516 cached right steps
+    rng = random.Random(8)
+    a, b = (bott_samelson(4, [rng.randrange(4) for _ in range(14)]) for _ in range(2))
+    for memo in all_memos().values():
+        memo.cache_clear()
+    a * b
+    sizes = {name: memo.cache_info().currsize for name, memo in all_memos().items()}
+    assert sizes["hecke._step"]
+    assert max(sizes.values()) < len(a.terms) * len(b.terms) / 4, sizes

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,6 @@ from affine_hecke.errors import BadIndex, InvalidValue, RankMismatch, RankUnsupp
 from affine_hecke.hecke import (
     HeckeElt,
     KLLabel,
-    _basis_pair_product,
     alt_word,
     b_gen,
     bott_samelson,
@@ -26,7 +26,7 @@ from affine_hecke.hecke import (
     word_elt,
 )
 from affine_hecke.laurent import ONE, Q, Q2, QINV, ZERO, LaurentPoly
-from affine_hecke.weyl import ReducedExpr, bruhat_leq, from_rex, identity, rho, simple
+from affine_hecke.weyl import AffinePerm, ReducedExpr, bruhat_leq, canonical_rex, from_rex, identity, rho, simple
 
 
 def one(n):
@@ -172,23 +172,89 @@ def test_cancelling_products_store_no_zero(n):
         assert (b_gen(n, i) * b_gen(n, i) - b_gen(n, i).scale(Q2)).terms == {}
 
 
-def test_products_match_termwise_sum():
-    """a * b equals the sum of c * d * E_x E_y over the terms c E_x of a and
-    d E_y of b, built with plain LaurentPoly arithmetic."""
+def basis_pair_product(x, y):
+    """The oracle of E_x * E_y, with no memo: x rho^m, then each letter T_i of
+    y's reduced word by T_g T_i = T_{g s_i}, plus (q^-1 - q) T_g when i is a
+    right descent of g."""
+    rex = canonical_rex(y)
+    terms = {x * rho(x.n, rex.m): ONE}
+    for i in rex.word:
+        s, out = simple(x.n, i), {}
+        for g, c in terms.items():
+            out[g * s] = out.get(g * s, ZERO) + c
+            if g.has_descent(i):
+                out[g] = out.get(g, ZERO) + c * (QINV - Q)
+        terms = out
+    return terms.items()
+
+
+def b_word_factors(seed, length):
+    """Two rank-4 factors, each a product of `length` generators b_i with
+    i = rng.randrange(4)."""
+    rng = random.Random(seed)
+    return [bott_samelson(4, [rng.randrange(4) for _ in range(length)]) for _ in range(2)]
+
+
+def prefix_closed(rng, n):
+    """A sum over several rho-shifts of the basis elements at every prefix of
+    one reduced word, so that words end at interior nodes of the trie."""
+    word = canonical_rex(from_rex(ReducedExpr(0, tuple(rng.randrange(n) for _ in range(6))), n)).word
+    out = {}
+    for m in rng.sample(range(-3, 4), 3):
+        for k in range(len(word) + 1):
+            perm = from_rex(ReducedExpr(m, word[:k]), n)
+            assert canonical_rex(perm) == ReducedExpr(m, word[:k])
+            out[perm] = LaurentPoly({rng.randint(-2, 2): rng.choice((1, -1, 3))})
+    return HeckeElt(n, out)
+
+
+def product_cases():
     rng = random.Random(271)
     for _ in range(60):
         n = rng.choice((2, 3, 4))
         a = random_product(rng, n, 4).scale(LaurentPoly({rng.randint(-2, 2): rng.choice((1, -2))}))
-        b = random_product(rng, n, 4) + rho_gen(n, rng.randint(-1, 1)).scale(Q)
+        yield a, random_product(rng, n, 4) + rho_gen(n, rng.randint(-1, 1)).scale(Q)
+    for _ in range(3):
+        yield rho_gen(1, rng.randint(-3, 3)).scale(Q) + one(1), rho_gen(1, rng.randint(-3, 3)) - one(1).scale(QINV)
+    for _ in range(6):
+        yield random_product(rng, 5, 5), random_product(rng, 5, 4) + rho_gen(5, 2)
+    for n in (2, 3, 4):
+        for _ in range(4):
+            a = random_product(rng, n, 3) + rho_gen(n, -1)
+            yield a, prefix_closed(rng, n)
+            yield prefix_closed(rng, n), a
+    zero = HeckeElt(3, {})
+    yield zero, b_gen(3, 1)
+    yield b_gen(3, 1) * rho_gen(3), zero
+    yield b_word_factors(7, 12)
+    yield b_word_factors(8, 14)
+
+
+def test_products_match_termwise_sum():
+    """a * b equals the sum of c * d * E_x E_y over the terms c E_x of a and
+    d E_y of b, built with plain LaurentPoly arithmetic."""
+    for a, b in product_cases():
         expect = {}
         for x, c in a.terms.items():
             for y, d in b.terms.items():
-                for perm, c2 in _basis_pair_product(x, y):
+                for perm, c2 in basis_pair_product(x, y):
                     expect[perm] = expect.get(perm, ZERO) + c * d * c2
         prod = a * b
         assert prod.terms == {perm: c for perm, c in expect.items() if c}
         assert_no_stored_zero(prod)
         assert_no_stored_zero(prod.omega())
+
+
+def test_large_shifts_are_one_step():
+    m = 10**8
+    start = time.perf_counter()
+    assert t_gen(2, 1) * rho_gen(2, m) == HeckeElt.from_term(AffinePerm(2, (m + 2, m + 1)))
+    assert rho_gen(2, 1) ** m == rho_gen(2, m)
+    inv = (rho_gen(2, m) * t_gen(2, 1)).inverse()
+    assert inv == HeckeElt(2, {AffinePerm(2, (-m + 2, -m + 1)): ONE, rho(2, -m): Q - QINV})
+    assert inv * rho_gen(2, m) * t_gen(2, 1) == one(2)
+    # one letter per unit of shift would take minutes
+    assert time.perf_counter() - start < 5
 
 
 def test_product_coefficients_past_the_span_cap_are_canonical():

@@ -1,7 +1,17 @@
 import pytest
 
 from affine_hecke.errors import BadIndex
-from affine_hecke.hecke import HeckeElt, KLLabel, alt_word, kl_to_std, rho_gen, t_gen, t_inv_gen, word_elt
+from affine_hecke.hecke import (
+    HeckeElt,
+    KLLabel,
+    alt_word,
+    inverse_word,
+    kl_to_std,
+    rho_gen,
+    t_gen,
+    t_inv_gen,
+    word_elt,
+)
 from affine_hecke.laurent import ONE, Q, QINV
 from affine_hecke.pairing import (
     euler_pair,
@@ -42,6 +52,17 @@ def test_y_class_values():
     assert y_class(1, 1) == rho_gen(2, 2)
     assert y_class(1, 0) == rho_gen(2, 1) * t_gen(2, 1)
     assert y_class(0, 1) == t_inv_gen(2, 1) * rho_gen(2, 1)
+
+
+def test_y_class_equals_its_word():
+    """y_class is one basis element, or the inverse of one; the word
+    (rho T_1)^r (T_1^-1 rho)^s folded letter by letter agrees."""
+    a, b = (("rho", 1), (1, 1)), ((1, -1), ("rho", 1))
+    box = [(r, s) for r in range(-10, 11) for s in range(-10, 11)]
+    for r, s in box + [(20, 20), (20, -20), (-20, 20), (-20, -20), (-20, 0), (0, 20)]:
+        left = (a if r >= 0 else inverse_word(a)) * abs(r)
+        right = (b if s >= 0 else inverse_word(b)) * abs(s)
+        assert y_class(r, s) == word_elt(2, left + right), (r, s)
 
 
 def test_y_class_group_law():
