@@ -4,6 +4,11 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 truncation, rank or dimension error.  A rank (-n, --n) runs from 1 to
 MAX_RANK.  The default output format comes from the AHECKE_FORMAT
 environment variable (text, json or latex).
+
+Each subcommand imports the layers it uses when it runs: the module holds
+only what every call needs (the parser, serialize and pairing's limits for
+the yclass help), so `eval` loads neither modules, bernstein, parabolic,
+example_n2 nor fractions, and `yclass` and `gradedrank` not even expr.
 """
 
 from __future__ import annotations
@@ -13,13 +18,10 @@ import json
 import os
 import sys
 
-from . import expr, serialize
+from . import serialize
 from .errors import AffineHeckeError, BadIndex, ParseError, RankMismatch, RankUnsupported
-from .example_n2 import DEFAULT_BOUND, act_elt, pi_uw, u_reduce
 from .hecke import KLLabel
-from .modules import induce, trivial_module
 from .pairing import Y_EXPONENT_LIMIT, Y_INVERSE_LIMIT, graded_hom_rank, y_class
-from .parabolic import ParabolicContext, psi, psi_L, psi_R
 
 _USAGE_ERRORS = (ParseError, BadIndex)
 # the largest rank accepted: a window holds n integers and each printed term
@@ -96,20 +98,21 @@ def _build_parser():
     p.add_argument("--k", type=int, required=True)
     _add_format(p)
 
+    # --bound defaults to example_n2.DEFAULT_BOUND, read when the command runs
     p = sub.add_parser("act", help="act by an algebra expression on a module vector")
     p.add_argument("--module", choices=("U",), default="U")
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
+    p.add_argument("--bound", type=int)
     p.add_argument("expression")
     p.add_argument("vector")
     _add_format(p)
 
     p = sub.add_parser("reduce-u", help="project an algebra expression to the cyclic module")
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
+    p.add_argument("--bound", type=int)
     p.add_argument("expression")
     _add_format(p)
 
     p = sub.add_parser("pi-uw", help="project a module vector to the 2-dimensional quotient")
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
+    p.add_argument("--bound", type=int)
     p.add_argument("vector")
     _add_format(p)
 
@@ -166,6 +169,8 @@ def _parse_kl_label(text):
 
 
 def _module_from_spec(spec, rank):
+    from .modules import trivial_module
+
     kind, _, arg = spec.partition(":")
     if kind != "trivial":
         raise BadIndex(f"unknown module spec {spec!r}; supported: trivial:<rank>")
@@ -173,6 +178,20 @@ def _module_from_spec(spec, rank):
     if want != rank:
         raise RankMismatch(f"module spec {spec!r} does not match rank {rank}")
     return trivial_module(rank)
+
+
+def _algebra(text, n):
+    """The rank-n algebra element of an expression."""
+    from . import expr
+
+    return expr.eval_algebra(expr.parse(text), n)
+
+
+def _uvec(text, bound):
+    """The truncated module vector of an expression."""
+    from . import expr
+
+    return expr.eval_uvec(expr.parse(text), bound)
 
 
 def _run(args):
@@ -190,40 +209,43 @@ def _run(args):
 def _value(args):
     """The value a subcommand other than check prints."""
     if args.command == "eval":
-        value = expr.eval_algebra(expr.parse(args.expression), args.n)
+        value = _algebra(args.expression, args.n)
         return value.reduce_rho_squared() if args.mod_rho2 else value
     if args.command == "pair":
         from .hecke import form
 
-        left = expr.eval_algebra(expr.parse(args.left), args.n)
-        right = expr.eval_algebra(expr.parse(args.right), args.n)
-        return form(left, right)
+        return form(_algebra(args.left, args.n), _algebra(args.right, args.n))
     if args.command == "psi":
+        from .parabolic import ParabolicContext, psi, psi_L, psi_R
+
         ctx = ParabolicContext(args.n, args.k)
         exprs = args.expression
         if args.side == "both":
             if len(exprs) != 2:
                 raise BadIndex("side=both needs two expressions (left and right factors)")
-            a = expr.eval_algebra(expr.parse(exprs[0]), args.k)
-            b = expr.eval_algebra(expr.parse(exprs[1]), args.n - args.k)
-            return psi(ctx, a, b)
+            return psi(ctx, _algebra(exprs[0], args.k), _algebra(exprs[1], args.n - args.k))
         if len(exprs) != 1:
             raise BadIndex("side=L or side=R needs exactly one expression")
         if args.side == "L":
-            return psi_L(ctx, expr.eval_algebra(expr.parse(exprs[0]), args.k))
-        return psi_R(ctx, expr.eval_algebra(expr.parse(exprs[0]), args.n - args.k))
+            return psi_L(ctx, _algebra(exprs[0], args.k))
+        return psi_R(ctx, _algebra(exprs[0], args.n - args.k))
     if args.command == "induce":
+        from .modules import induce
+        from .parabolic import ParabolicContext
+
         ParabolicContext(args.n, args.k)  # raises BadIndex unless 1 <= k <= n-1
         left = _module_from_spec(args.left, args.k)
         right = _module_from_spec(args.right, args.n - args.k)
         return induce(left, right)
-    if args.command == "act":
-        elt = expr.eval_algebra(expr.parse(args.expression), 2)
-        return act_elt(elt, expr.eval_uvec(expr.parse(args.vector), args.bound))
-    if args.command == "reduce-u":
-        return u_reduce(expr.eval_algebra(expr.parse(args.expression), 2), args.bound)
-    if args.command == "pi-uw":
-        return pi_uw(expr.eval_uvec(expr.parse(args.vector), args.bound))
+    if args.command in ("act", "reduce-u", "pi-uw"):
+        from .example_n2 import DEFAULT_BOUND, act_elt, pi_uw, u_reduce
+
+        bound = DEFAULT_BOUND if args.bound is None else args.bound
+        if args.command == "act":
+            return act_elt(_algebra(args.expression, 2), _uvec(args.vector, bound))
+        if args.command == "reduce-u":
+            return u_reduce(_algebra(args.expression, 2), bound)
+        return pi_uw(_uvec(args.vector, bound))
     if args.command == "yclass":
         return y_class(args.r, args.s)
     if args.command == "gradedrank":

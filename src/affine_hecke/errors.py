@@ -1,6 +1,16 @@
-"""Exception types and the immutable record bases shared across the package."""
+"""Exception types, the immutable record bases and the lazy type test
+shared across the package."""
 
+import sys
 from operator import attrgetter
+
+
+def is_loaded_instance(value, layer, name):
+    """isinstance(value, layer.name) for a layer of this package, without
+    importing the layer: a value of a type whose module was never loaded
+    cannot be of that type."""
+    module = sys.modules.get(f"{__package__}.{layer}")
+    return module is not None and isinstance(value, getattr(module, name))
 
 
 class Record:

@@ -14,7 +14,8 @@ bound raises TruncationExceeded rather than being dropped, because kernel
 certificates would be silently corrupted otherwise.
 
 The projection onto the two-dimensional module W sends u_0 to the cyclic
-vector w and intertwines the generator actions.
+vector w and intertwines the generator actions; only that projection
+imports the module layer (modules).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from functools import cache
 from .errors import BadIndex, InvalidValue, TruncationExceeded
 from .hecke import HeckeElt, KLLabel, alt_word, b_gen, kl_combo_to_std, kl_to_std, rho_gen, std_to_kl, t_gen
 from .laurent import ONE, Q, Q2, QINV, ZERO, Combination, add_product, sealed
-from .modules import induce, module_act, trivial_module
 
 DEFAULT_BOUND = 20
 
@@ -167,6 +167,8 @@ def act_elt(elt, vec):
 def w_module():
     """The two-dimensional target W, realized by induction from two copies
     of the trivial rank-1 module."""
+    from .modules import induce, trivial_module
+
     v = trivial_module(1)
     return induce(v, v)
 
@@ -175,6 +177,8 @@ def w_module():
 def _pi_basis(primed, k):
     # the image of u_k is the KL element b_{..1} acting on the cyclic
     # vector w = (1, 0); the primed vector adds one rho in front
+    from .modules import module_act
+
     mod = w_module()
     elt = kl_to_std(KLLabel(1 if primed else 0, alt_word(k, last=1)))
     return module_act(mod, elt, (ONE, ZERO))
@@ -204,36 +208,3 @@ def kernel_generator():
     ru0 = u_act("rho", UVec.basis(0))
     return t1u0 - ru0
 
-
-def quotient_coords(primed, k):
-    """Coordinates of the class of u_k (or u'_k) in the span of the classes
-    of u_0 and u'_0 inside U/J, following the two-step recursion
-    u_k = b u_{k-1} - u_{k-2} with b alternating between b_1 and b_0."""
-    table = {
-        (False, 0): (ONE, ZERO),
-        (True, 0): (ZERO, ONE),
-    }
-
-    def act_b(i, v):
-        # b_1 and b_0 on span{u_0bar, u'_0bar}: columns are images of the
-        # two basis classes
-        if i == 1:
-            cols = ((Q, ONE), (ONE, QINV))
-        else:
-            cols = ((QINV, ONE), (ONE, Q))
-        return (
-            cols[0][0] * v[0] + cols[1][0] * v[1],
-            cols[0][1] * v[0] + cols[1][1] * v[1],
-        )
-
-    for j in range(1, k + 1):
-        letter = alt_word(j, last=1)[0]
-        prev = table[(False, j - 1)]
-        cur = act_b(letter, prev)
-        if j >= 3:
-            # b u_{j-1} = u_j + u_{j-2} once both neighbours exist
-            before = table[(False, j - 2)]
-            cur = (cur[0] - before[0], cur[1] - before[1])
-        table[(False, j)] = cur
-        table[(True, j)] = (cur[1], cur[0])
-    return table[(bool(primed), k)]

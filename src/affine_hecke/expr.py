@@ -14,29 +14,64 @@ rank-2 KL basis labels.  Evaluation is exact; negative powers are resolved
 through the explicit inverses of T_i, rho, y_i and of single-term unit
 multiples of basis elements.
 
-Sums and products of any length are read, printed and evaluated in loops;
-parentheses nest at most MAX_NESTING deep, and deeper text is a ParseError.
+Sums and products of any length are read, printed, evaluated, compared,
+hashed and repr'd in loops; parentheses nest at most MAX_NESTING deep, and
+deeper text is a ParseError.  The module-vector layer (example_n2) is
+imported for u atoms only, and the y generators (parabolic) for y atoms
+only.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import BadIndex, ParseError, RankUnsupported, Record
-from .example_n2 import DEFAULT_BOUND, UVec, check_bound
+from .errors import BadIndex, ParseError, RankUnsupported, Record, is_loaded_instance
 from .hecke import HeckeElt, KLLabel, b_gen, bott_samelson, kl_to_std, rho_gen, t_gen, t_inv_gen
 from .laurent import Q, LaurentPoly
-from .parabolic import bernstein_y, bernstein_y_inv
 
 # the deepest parenthesis nesting parse accepts: the parser takes four
 # frames per level, and printing and evaluation recurse once per level
 MAX_NESTING = 100
 
 # ---------------------------------------------------------------------------
-# AST: one record type per node, its fields as named
+# AST: one record type per node, its fields as named.  The binary nodes walk
+# their left spine in a loop for ==, hash and repr, as parse builds a sum or
+# product of n terms as a left-nested chain n deep.
 
-def _node(name, *fields):
-    return type(name, (Record,), {"__slots__": fields})
+def _spine(node):
+    """The binary nodes down the left spine from node, and the node below them."""
+    chain = []
+    while type(node) in _LEVEL:
+        chain.append(node)
+        node = node.left
+    return chain, node
+
+
+def _chain_eq(self, other):
+    if type(other) is not type(self):
+        return NotImplemented
+    (chain, leaf), (other_chain, other_leaf) = _spine(self), _spine(other)
+    return (
+        len(chain) == len(other_chain)
+        and all(type(a) is type(b) and a.right == b.right for a, b in zip(chain, other_chain))
+        and leaf == other_leaf
+    )
+
+
+def _chain_hash(self):
+    chain, leaf = _spine(self)
+    return hash((leaf, *(node.right for node in chain)))
+
+
+def _chain_repr(self):
+    chain, leaf = _spine(self)
+    heads = "".join(f"{type(node).__qualname__}(left=" for node in chain)
+    return heads + repr(leaf) + "".join(f", right={node.right!r})" for node in reversed(chain))
+
+
+def _node(name, *fields, binary=False):
+    methods = {"__eq__": _chain_eq, "__hash__": _chain_hash, "__repr__": _chain_repr} if binary else {}
+    return type(name, (Record,), {"__slots__": fields, **methods})
 
 
 Num = _node("Num", "value")
@@ -48,9 +83,9 @@ BS = _node("BS", "indices")
 YAtom = _node("YAtom", "index")
 UAtom = _node("UAtom", "index", "primed")
 Neg = _node("Neg", "arg")
-Add = _node("Add", "left", "right")
-Sub = _node("Sub", "left", "right")
-Mul = _node("Mul", "left", "right")
+Add = _node("Add", "left", "right", binary=True)
+Sub = _node("Sub", "left", "right", binary=True)
+Mul = _node("Mul", "left", "right", binary=True)
 Pow = _node("Pow", "base", "exponent")
 
 
@@ -275,14 +310,21 @@ def eval_algebra(node, n):
     return value
 
 
-def eval_uvec(node, bound=DEFAULT_BOUND):
-    """Evaluate to a truncated module vector."""
-    value = _eval(node, None, check_bound(bound))
+def eval_uvec(node, bound=None):
+    """Evaluate to a truncated module vector; the bound defaults to
+    example_n2.DEFAULT_BOUND."""
+    from .example_n2 import DEFAULT_BOUND, check_bound
+
+    value = _eval(node, None, check_bound(DEFAULT_BOUND if bound is None else bound))
     if isinstance(value, LaurentPoly):
         raise BadIndex("expected a module vector, got a scalar")
     if isinstance(value, HeckeElt):
         raise BadIndex("expected a module vector, got an algebra element")
     return value
+
+
+def _is_uvec(value):
+    return is_loaded_instance(value, "example_n2", "UVec")
 
 
 def _promote_pair(a, b, n):
@@ -324,14 +366,18 @@ def _eval(node, n, bound):
         return bott_samelson(n, node.indices)
     if isinstance(node, YAtom):
         _need_algebra(algebra, "y")
+        from .parabolic import bernstein_y
+
         return bernstein_y(n, node.index)
     if isinstance(node, UAtom):
         if algebra:
             raise BadIndex("module vectors are not algebra elements")
+        from .example_n2 import UVec
+
         return UVec.basis(node.index, primed=node.primed, bound=bound)
     if isinstance(node, Neg):
         v = _eval(node.arg, n, bound)
-        return -v if not isinstance(v, UVec) else v.scale(-1)
+        return -v if not _is_uvec(v) else v.scale(-1)
     if isinstance(node, (Add, Sub, Mul)):
         # a left-nested chain of one level evaluates in a loop, left to right
         level = _LEVEL[type(node)]
@@ -351,13 +397,13 @@ def _eval(node, n, bound):
 def _combine(node, a, b, n):
     """The value of the Add, Sub or Mul node whose operands are a and b."""
     if isinstance(node, Mul):
-        if isinstance(a, UVec) and isinstance(b, UVec):
+        if _is_uvec(a) and _is_uvec(b):
             raise BadIndex("module vectors cannot be multiplied")
-        if isinstance(b, UVec):
+        if _is_uvec(b):
             if not isinstance(a, LaurentPoly):
                 raise BadIndex("only scalars multiply module vectors")
             return b.scale(a)
-        if isinstance(a, UVec):
+        if _is_uvec(a):
             if not isinstance(b, LaurentPoly):
                 raise BadIndex("only scalars multiply module vectors")
             return a.scale(b)
@@ -383,6 +429,8 @@ def _eval_pow(node, n, bound):
         if isinstance(base, RhoAtom):
             return rho_gen(n, e)
         if isinstance(base, YAtom):
+            from .parabolic import bernstein_y_inv
+
             return bernstein_y_inv(n, base.index) ** (-e)
     if isinstance(base, RhoAtom) and bound is None:
         return rho_gen(n, e)
@@ -393,7 +441,7 @@ def _eval_pow(node, n, bound):
         if not value.is_unit():
             raise BadIndex(f"{value} is not invertible in Z[q,q^-1]")
         return value.unit_inverse() ** (-e)
-    if isinstance(value, UVec):
+    if _is_uvec(value):
         raise BadIndex("module vectors cannot be raised to powers")
     if e >= 0:
         return value**e

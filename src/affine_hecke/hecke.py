@@ -154,19 +154,24 @@ def b_gen(n, i):
 
 
 # ---------------------------------------------------------------------------
-# words in the generators: tuples of letters (g, e) with e = +-1, where an
-# index g in 0..n-1 is T_g^e and g = "rho" is rho^e.  Every target (algebra
-# elements, module matrices, Bernstein forms, images of an embedding)
-# evaluates them by fold_word and sets T_i^-1 = T_i + (q - q^-1).
+# words in the generators: tuples of letters (g, e), where an index g in
+# 0..n-1 with e = +-1 is T_g^e and g = "rho" with any int e != 0 is rho^e.
+# Every target (algebra elements, module matrices, Bernstein forms, images
+# of an embedding) evaluates them by fold_word and sets
+# T_i^-1 = T_i + (q - q^-1).
 
 
 def fold_word(word, letter, mul, one):
-    """The product under mul of letter(g, e) over the letters of a word;
-    the empty word is one()."""
+    """The product under mul of the letters' values over a word: letter(g, e)
+    for e = +-1, and rho^m the power |m| of letter("rho", +-1) by one
+    square-and-multiply (laurent.power); the empty word is one()."""
     for g, e in word:
-        if e not in (1, -1) or not (g == "rho" or isinstance(g, int)):
-            raise BadIndex(f"a letter is (index or 'rho', +-1), got {(g, e)}")
-    values = [letter(g, e) for g, e in word]
+        if not (g == "rho" and isinstance(e, int) and e or isinstance(g, int) and e in (1, -1)):
+            raise BadIndex(f"a letter is (index, +-1) or ('rho', nonzero int), got {(g, e)}")
+    values = [
+        letter(g, e) if e in (1, -1) else power(letter(g, 1 if e > 0 else -1), abs(e), times=mul)
+        for g, e in word
+    ]
     return reduce(mul, values) if values else one()
 
 
@@ -176,8 +181,8 @@ def inverse_word(word):
 
 
 def rex_word(rex):
-    """The word rho^m T_{i_1} ... T_{i_l} of a reduced expression."""
-    return (("rho", 1 if rex.m > 0 else -1),) * abs(rex.m) + tuple((i, 1) for i in rex.word)
+    """The word rho^m T_{i_1} ... T_{i_l} of a reduced expression, rho^m one letter."""
+    return ((("rho", rex.m),) if rex.m else ()) + tuple((i, 1) for i in rex.word)
 
 
 def _letter_elt(n, g, e):

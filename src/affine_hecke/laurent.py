@@ -1,7 +1,8 @@
 """Exact Laurent polynomials in one variable q over Python integers.
 
 This ring Z[q, q^-1] is the coefficient ring for everything else in the
-package.  Rational specializations use ``fractions.Fraction``.
+package.  Rational specializations use ``fractions.Fraction``, imported by
+``evaluate`` on its first call, so that no other caller pays for it.
 
 A polynomial is Kronecker-packed (Harvey, J. Symbolic Comput. 44, 2009):
 its valuation v and one Python int N = sum c_e 2^(64 (e - v)), whose
@@ -29,7 +30,7 @@ place and ``sealed`` strips the valuation and drops the zero sums
 
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import mul
 
 from .errors import InvalidValue, NonIntegralCorrection, RankMismatch, ZeroSpecialization
 
@@ -212,6 +213,8 @@ class LaurentPoly:
 
     def evaluate(self, q0):
         """Exact value at a nonzero rational q0."""
+        from fractions import Fraction
+
         q0 = Fraction(q0)
         if q0 == 0:
             raise ZeroSpecialization("cannot specialize q to 0")
@@ -366,16 +369,17 @@ QINV = LaurentPoly.q_power(-1)
 Q2 = Q + QINV
 
 
-def power(x, k, one):
-    """x ** k for an int k >= 0 by square-and-multiply; x ** 0 is one."""
-    out = one
+def power(x, k, one=None, times=mul):
+    """x ** k under the product times, for an int k >= 0, by square-and-multiply;
+    x ** 0 is one."""
+    out = None
     while k:
         if k & 1:
-            out = out * x
+            out = x if out is None else times(out, x)
         k >>= 1
         if k:
-            x = x * x
-    return out
+            x = times(x, x)
+    return one if out is None else out
 
 
 def accumulate(terms, key, coeff):

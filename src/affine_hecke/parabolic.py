@@ -68,26 +68,6 @@ def _right_images(ctx):
     }
 
 
-def psi_left_rho(ctx):
-    """Image of the left source rotation: rho T_{n-1} ... T_k."""
-    return word_elt(ctx.n, _left_images(ctx)["rho"])
-
-
-def psi_left_t0(ctx):
-    """Image of the left source T_0: T_k^-1 ... T_{n-1}^-1 T_0 T_{n-1} ... T_k."""
-    return word_elt(ctx.n, _left_images(ctx)[0])
-
-
-def psi_right_rho(ctx):
-    """Image of the right source rotation: T_k^-1 ... T_1^-1 rho."""
-    return word_elt(ctx.n, _right_images(ctx)["rho"])
-
-
-def psi_right_t0(ctx):
-    """Image of the right source T_0: T_0 ... T_{k-1} T_k T_{k-1}^-1 ... T_0^-1."""
-    return word_elt(ctx.n, _right_images(ctx)[0])
-
-
 def _psi_on_element(n, images, elt):
     """Fold every standard term rho^m T_w of the source through the images;
     the image of rho^-1 is the inverse word of the image of rho."""

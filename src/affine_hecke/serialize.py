@@ -19,6 +19,11 @@ matrices and a tuple its entries.  JSON schemas:
                    "coeff": {"0": 1}}]}
     FinDimModule  {"n": 2, "dim": 2, "gens": {"rho": [[...]], "T1": [[...]]}}
     UVec          {"N": 20, "coeffs": {"u3": {"0": 1}, "u'0": {"-1": 1}}}
+
+The layers of BernsteinElt, UVec and FinDimModule are not imported here:
+a value is recognised as one of them only once its layer is loaded
+(errors.is_loaded_instance), and each JSON reader imports the type it
+builds.
 """
 
 from __future__ import annotations
@@ -26,12 +31,9 @@ from __future__ import annotations
 import re
 from functools import wraps
 
-from .bernstein import BernsteinElt
-from .errors import AffineHeckeError, InvalidValue
-from .example_n2 import UVec
+from .errors import AffineHeckeError, InvalidValue, is_loaded_instance
 from .hecke import HeckeElt, KLLabel
 from .laurent import LaurentPoly, accumulate
-from .modules import FinDimModule
 from .weyl import AffinePerm, canonical_rex
 
 
@@ -70,9 +72,9 @@ def _kl_terms(combo):
 def _terms(value, fmt):
     if isinstance(value, HeckeElt):
         return _hecke_terms(value)
-    if isinstance(value, BernsteinElt):
+    if is_loaded_instance(value, "bernstein", "BernsteinElt"):
         return _bernstein_terms(value)
-    if isinstance(value, UVec):
+    if is_loaded_instance(value, "example_n2", "UVec"):
         return _uvec_terms(value)
     if isinstance(value, dict) and all(isinstance(k, KLLabel) for k in value):
         return _kl_terms(value)
@@ -167,7 +169,7 @@ def _matrix(rows, latex):
 def _render(value, latex):
     if isinstance(value, LaurentPoly):
         return _laurent(value, latex)
-    if isinstance(value, FinDimModule):
+    if is_loaded_instance(value, "modules", "FinDimModule"):
         blocks = []
         for name, mat in _module_gens(value, latex):
             entries = _matrix([[_laurent(e, latex) for e in row] for row in mat], latex)
@@ -194,17 +196,17 @@ def to_latex(value):
 def to_json(value):
     if isinstance(value, (LaurentPoly, AffinePerm)):
         return value.to_json()
-    if isinstance(value, FinDimModule):
+    if is_loaded_instance(value, "modules", "FinDimModule"):
         gens = {name: [[e.to_json() for e in row] for row in mat] for name, mat in _module_gens(value)}
         return {"n": value.n, "dim": value.dim, "gens": gens}
     if isinstance(value, tuple):
         return [to_json(v) for v in value]
     terms = _terms(value, "JSON")
-    if isinstance(value, UVec):
+    if is_loaded_instance(value, "example_n2", "UVec"):
         return {"N": value.n, "coeffs": {_atom("u", key, False): coeff.to_json() for key, coeff, _ in terms}}
     if isinstance(value, HeckeElt):
         head, fields = {"n": value.n, "basis": "standard"}, lambda perm: {"window": list(perm.window)}
-    elif isinstance(value, BernsteinElt):
+    elif is_loaded_instance(value, "bernstein", "BernsteinElt"):
         head, fields = {"n": value.n}, lambda key: {"perm": list(key[0].window), "lambda": list(key[1])}
     else:
         head, fields = {"n": 2, "basis": "kl"}, lambda label: {"label": {"m": label.m, "word": list(label.word)}}
@@ -280,6 +282,8 @@ def kl_map_from_json(data):
 
 @_reader
 def bernstein_from_json(data):
+    from .bernstein import BernsteinElt
+
     n = _int(data["n"], 1, "rank")
     terms = {}
     for term in data["terms"]:
@@ -289,6 +293,8 @@ def bernstein_from_json(data):
 
 @_reader
 def module_from_json(data):
+    from .modules import FinDimModule
+
     n, dim = _int(data["n"], 1, "rank"), _int(data["dim"])
     gens = data["gens"]
     # for n > len(gens) one of T1 .. T{len(gens)}, rho is missing anyway, so
@@ -310,6 +316,8 @@ def module_from_json(data):
 
 @_reader
 def uvec_from_json(data):
+    from .example_n2 import UVec
+
     bound = _int(data["N"], 0, "truncation bound")
     coeffs = {}
     for name, coeff in data["coeffs"].items():

@@ -1,4 +1,6 @@
 import random
+import time
+from functools import partial
 
 import pytest
 
@@ -11,7 +13,7 @@ from affine_hecke.bernstein import (
     to_bernstein,
 )
 from affine_hecke.errors import RankMismatch
-from affine_hecke.hecke import HeckeElt, rho_gen, t_gen, t_inv_gen
+from affine_hecke.hecke import HeckeElt, fold_word, rho_gen, t_gen, t_inv_gen
 from affine_hecke.laurent import ONE, Q, QINV, LaurentPoly
 from affine_hecke.parabolic import bernstein_y
 from affine_hecke.weyl import identity, simple
@@ -175,3 +177,21 @@ def test_corrections_stay_integral():
             bernstein_y(2, 1).inverse() ** (-c)
         )
         assert from_bernstein(prod) == y_pow * t_gen(2, 1)
+
+
+def test_a_rho_power_is_one_letter():
+    # rho^m used to fold as |m| letters rho^+-1; now it is one letter, one
+    # square-and-multiply, so its cost grows with log |m|
+    for n in (1, 2, 3):
+        for m in range(-7, 8):
+            old = fold_word(
+                (("rho", 1 if m > 0 else -1),) * abs(m),
+                lambda g, e: to_bernstein(rho_gen(n, e)),
+                bernstein_mul,
+                partial(BernsteinElt.one, n),
+            )
+            assert to_bernstein(rho_gen(n, m)) == old, (n, m)
+    start = time.perf_counter()
+    big = to_bernstein(rho_gen(2, 10**6))
+    assert time.perf_counter() - start < 1
+    assert big == y_mon(2, (500_000, 500_000))  # rho^2 = y_1 y_2 at rank 2

@@ -9,7 +9,6 @@ from affine_hecke.example_n2 import (
     kernel_generator,
     lift,
     pi_uw,
-    quotient_coords,
     u_act,
     u_reduce,
     w_module,
@@ -173,6 +172,41 @@ def test_kernel_generator_spans_under_action():
                 seen += 1
         frontier = nxt[:3]
     assert seen > 0
+
+
+def quotient_coords(primed, k):
+    """Coordinates of the class of u_k (or u'_k) in the span of the classes
+    of u_0 and u'_0 inside U/J, following the two-step recursion
+    u_k = b u_{k-1} - u_{k-2} with b alternating between b_1 and b_0: an
+    oracle for the projection pi_uw that shares no code with it."""
+    table = {
+        (False, 0): (ONE, ZERO),
+        (True, 0): (ZERO, ONE),
+    }
+
+    def act_b(i, v):
+        # b_1 and b_0 on span{u_0bar, u'_0bar}: columns are images of the
+        # two basis classes
+        if i == 1:
+            cols = ((Q, ONE), (ONE, QINV))
+        else:
+            cols = ((QINV, ONE), (ONE, Q))
+        return (
+            cols[0][0] * v[0] + cols[1][0] * v[1],
+            cols[0][1] * v[0] + cols[1][1] * v[1],
+        )
+
+    for j in range(1, k + 1):
+        letter = alt_word(j, last=1)[0]
+        prev = table[(False, j - 1)]
+        cur = act_b(letter, prev)
+        if j >= 3:
+            # b u_{j-1} = u_j + u_{j-2} once both neighbours exist
+            before = table[(False, j - 2)]
+            cur = (cur[0] - before[0], cur[1] - before[1])
+        table[(False, j)] = cur
+        table[(True, j)] = (cur[1], cur[0])
+    return table[(bool(primed), k)]
 
 
 def test_quotient_recursion_matches_projection():

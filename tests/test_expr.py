@@ -132,6 +132,23 @@ def test_long_chains_print_and_evaluate_in_loops():
     assert ev(product) == rho_gen(2, 3000)
 
 
+def test_long_chains_compare_hash_and_repr_in_loops():
+    # == and hash go by value, and repr keeps the record form, at any length
+    terms = [f"T{i % 3}" if i % 5 else f"q*T{i % 2}*rho" for i in range(5000)]
+    total = " + ".join(terms[:-1]) + " - " + terms[-1]
+    tree, again = expr.parse(total), expr.parse(total)
+    assert tree is not again and tree == again and not tree != again
+    assert hash(tree) == hash(again) and {tree: 1}[again] == 1
+    assert repr(tree) == repr(again)
+    assert repr(tree).startswith("Sub(left=Add(left=Add(left=")
+    first = "Add(left=Mul(left=Mul(left=QAtom(), right=TAtom(index=0)), right=RhoAtom()), right=TAtom(index=1))"
+    assert repr(tree).endswith(", right=TAtom(index=1))") and first in repr(tree)
+    for other in (" + ".join(terms), " + ".join(terms[1:]), "q + " + total, total.replace("T2", "T1", 1)):
+        assert tree != expr.parse(other) and expr.parse(other) != tree
+    assert repr(expr.parse("1 + q*2")) == "Add(left=Num(value=1), right=Mul(left=QAtom(), right=Num(value=2)))"
+    assert hash(expr.parse("T1 + T0")) != hash(expr.parse("T0 + T1"))
+
+
 def test_chains_keep_their_parentheses():
     for src in ("(T1 + T0)*(T1 - T0)*rho - q*T1 + 2", "T1 - (T0 - q) + (T1 + T0)^2", "-T1*(q - 1) - 3"):
         assert expr.to_text(expr.parse(src)) == src

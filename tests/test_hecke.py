@@ -19,6 +19,7 @@ from affine_hecke.hecke import (
     kl_combo_to_std,
     kl_mul_closed,
     kl_to_std,
+    rex_word,
     rho_gen,
     std_to_kl,
     t_gen,
@@ -115,6 +116,12 @@ def test_word_elt():
         word_elt(2, (("rh", 1),))
     with pytest.raises(BadIndex):
         word_elt(2, ((2, 1),))
+    # rho^m is one letter ("rho", m), as rex_word spells it
+    assert word_elt(3, (("rho", -5), (1, 1), ("rho", 4))) == rho_gen(3, -5) * t_gen(3, 1) * rho_gen(3, 4)
+    assert rex_word(canonical_rex(rho(3, -5) * simple(3, 1))) == (("rho", -5), (1, 1))
+    for bad in (("rho", 0), ("rho", 1.5), (1, 2), (1, 0)):
+        with pytest.raises(BadIndex):
+            word_elt(3, (bad,))
 
 
 def test_t_squared():

@@ -14,13 +14,10 @@ from affine_hecke.parabolic import (
     psi,
     psi_L,
     psi_R,
-    psi_left_rho,
-    psi_left_t0,
-    psi_right_rho,
-    psi_right_t0,
     psi_rho_pair,
     split_parabolic_factor,
 )
+from affine_hecke.parabolic import _left_images, _right_images
 from affine_hecke.weyl import AffinePerm, rho, simple
 
 CASES = ((2, 1), (3, 1), (3, 2), (4, 2))
@@ -28,6 +25,26 @@ CASES = ((2, 1), (3, 1), (3, 2), (4, 2))
 
 def one(n):
     return HeckeElt.one(n)
+
+
+def psi_left_rho(ctx):
+    """Image of the left source rotation: rho T_{n-1} ... T_k."""
+    return word_elt(ctx.n, _left_images(ctx)["rho"])
+
+
+def psi_left_t0(ctx):
+    """Image of the left source T_0: T_k^-1 ... T_{n-1}^-1 T_0 T_{n-1} ... T_k."""
+    return word_elt(ctx.n, _left_images(ctx)[0])
+
+
+def psi_right_rho(ctx):
+    """Image of the right source rotation: T_k^-1 ... T_1^-1 rho."""
+    return word_elt(ctx.n, _right_images(ctx)["rho"])
+
+
+def psi_right_t0(ctx):
+    """Image of the right source T_0: T_0 ... T_{k-1} T_k T_{k-1}^-1 ... T_0^-1."""
+    return word_elt(ctx.n, _right_images(ctx)[0])
 
 
 def test_context_bounds():

@@ -1,8 +1,10 @@
 """The immutable records: construction, equality, hashing, repr and
 immutability of every errors.Record type, and one object per value for the
-hash-consed (errors.Interned) ones."""
+hash-consed (errors.Interned) ones; and which modules an ahecke start-up
+loads, since the record base is what keeps dataclasses out of it."""
 
 import copy
+import importlib
 import os
 import pickle
 import subprocess
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import affine_hecke
 from affine_hecke import checks, expr, hecke, modules, pairing, parabolic, weyl
 from affine_hecke.errors import BadIndex, Interned, InvalidValue, Record
 from affine_hecke.laurent import Q, ONE
@@ -295,13 +298,64 @@ def test_check_result_is_a_plain_mutable_class():
     assert not isinstance(res, Record)
 
 
-def test_cli_import_loads_no_dataclasses():
-    # the record base keeps dataclasses (and the inspect, ast and dis it
-    # imports) and the check suite out of every ahecke start-up
-    code = (
-        "import sys, affine_hecke.cli\n"
-        "print(sorted(m for m in ('dataclasses', 'inspect', 'affine_hecke.checks') if m in sys.modules))"
-    )
+# what no ahecke start-up loads: the record base keeps dataclasses (and the
+# inspect, ast and dis it imports) out, and each layer below is imported
+# only by the commands that use it
+NOT_AT_START = (
+    "dataclasses", "inspect", "fractions", "affine_hecke.checks", "affine_hecke.modules",
+    "affine_hecke.bernstein", "affine_hecke.parabolic", "affine_hecke.example_n2",
+)
+
+
+def _loaded_in_fresh_process(code, watch):
+    """The modules of watch loaded after code runs in a fresh interpreter."""
+    code += f"\nimport sys\nprint(sorted(m for m in {watch!r} if m in sys.modules))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def _after_command(argv, watch):
+    code = (
+        "import contextlib, io\n"
+        "from affine_hecke import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0"
+    )
+    return _loaded_in_fresh_process(code, watch)
+
+
+def test_cli_import_loads_no_dataclasses():
+    assert _loaded_in_fresh_process("import affine_hecke.cli", NOT_AT_START) == "[]"
+    assert _loaded_in_fresh_process("import affine_hecke", ("affine_hecke.errors", *NOT_AT_START)) == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, watch",
+    [
+        (["eval", "-n", "3", "T1*rho^-2 + q*b0 - T2^-1"], NOT_AT_START),
+        (["yclass", "1", "-2"], ("affine_hecke.expr", *NOT_AT_START)),
+        (["gradedrank", "b01", "rho*b10"], ("affine_hecke.expr", *NOT_AT_START)),
+        (["induce", "--n", "3", "--k", "1", "--right", "trivial:2"], ("affine_hecke.expr", "affine_hecke.example_n2")),
+        (["reduce-u", "b01 - rho*T1"], tuple(m for m in NOT_AT_START if m != "affine_hecke.example_n2")),
+    ],
+    ids=["eval", "yclass", "gradedrank", "induce", "reduce-u"],
+)
+def test_commands_load_only_the_layers_they_use(argv, watch):
+    assert _after_command(argv, watch) == "[]"
+
+
+def test_package_names_resolve_to_their_defining_layer():
+    assert set(affine_hecke.__all__) <= set(dir(affine_hecke))
+    for name in affine_hecke.__all__:
+        layer = importlib.import_module(f"affine_hecke.{affine_hecke._HOME[name]}")
+        obj = getattr(affine_hecke, name)
+        assert obj is getattr(layer, name)
+        assert obj.__module__ == layer.__name__, name  # defined there, not imported
+    with pytest.raises(AttributeError, match="no_such_name"):
+        affine_hecke.no_such_name
+    with pytest.raises(ImportError):
+        from affine_hecke import no_such_name  # noqa: F401
+    from affine_hecke import modules as submodule
+
+    assert submodule is modules is importlib.import_module("affine_hecke.modules")
