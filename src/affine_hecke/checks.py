@@ -379,12 +379,10 @@ def _random_expr(rng, depth):
             ]
         )
     op = rng.randrange(5)
-    if op == 0:
-        return expr.Add(_random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
-    if op == 1:
-        return expr.Sub(_random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
+    if op < 2:  # a + b or a - b
+        return expr.Sum(((1, _random_expr(rng, depth - 1)), (1 - 2 * op, _random_expr(rng, depth - 1))))
     if op == 2:
-        return expr.Mul(_random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
+        return expr.Prod((_random_expr(rng, depth - 1), _random_expr(rng, depth - 1)))
     if op == 3:
         base = rng.choice([expr.QAtom(), expr.RhoAtom(), expr.TAtom(1), expr.YAtom(1)])
         return expr.Pow(base, rng.randrange(-2, 3))

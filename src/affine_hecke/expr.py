@@ -11,67 +11,38 @@ Grammar (a leading minus is accepted as a convenience):
 
 A one-letter b-word is the KL generator in any rank; longer words are
 rank-2 KL basis labels.  Evaluation is exact; negative powers are resolved
-through the explicit inverses of T_i, rho, y_i and of single-term unit
-multiples of basis elements.
+through rho^m, the explicit inverse of y_i and the inverses of single-term
+unit multiples of basis elements (T_i among them).
 
-Sums and products of any length are read, printed, evaluated, compared,
-hashed and repr'd in loops; parentheses nest at most MAX_NESTING deep, and
-deeper text is a ParseError.  The module-vector layer (example_n2) is
-imported for u atoms only, and the y generators (parabolic) for y atoms
-only.
+A sum or product of any length is one node, read, printed and evaluated in
+a loop; ==, hash and repr recurse once per parenthesis level, and
+parentheses nest at most MAX_NESTING deep, deeper text being a ParseError.
+The module-vector layer (example_n2) is imported for u atoms only, and the
+y generators (parabolic) for y atoms only.
 """
 
 from __future__ import annotations
 
 import re
+from functools import reduce
 
 from .errors import BadIndex, ParseError, RankUnsupported, Record, is_loaded_instance
-from .hecke import HeckeElt, KLLabel, b_gen, bott_samelson, kl_to_std, rho_gen, t_gen, t_inv_gen
+from .hecke import HeckeElt, KLLabel, b_gen, bott_samelson, kl_to_std, rho_gen, t_gen
 from .laurent import Q, LaurentPoly
 
 # the deepest parenthesis nesting parse accepts: the parser takes four
-# frames per level, and printing and evaluation recurse once per level
+# frames per level, and printing, evaluation, ==, hash and repr recurse
+# once per level
 MAX_NESTING = 100
 
 # ---------------------------------------------------------------------------
-# AST: one record type per node, its fields as named.  The binary nodes walk
-# their left spine in a loop for ==, hash and repr, as parse builds a sum or
-# product of n terms as a left-nested chain n deep.
+# AST: one record type per node, its fields as named.  A sum is one Sum of
+# (sign, node) pairs, sign +1 or -1 (a leading minus is the first sign), and
+# a product one Prod of its factors; a lone term with sign +1, or a lone
+# factor, is the bare node.
 
-def _spine(node):
-    """The binary nodes down the left spine from node, and the node below them."""
-    chain = []
-    while type(node) in _LEVEL:
-        chain.append(node)
-        node = node.left
-    return chain, node
-
-
-def _chain_eq(self, other):
-    if type(other) is not type(self):
-        return NotImplemented
-    (chain, leaf), (other_chain, other_leaf) = _spine(self), _spine(other)
-    return (
-        len(chain) == len(other_chain)
-        and all(type(a) is type(b) and a.right == b.right for a, b in zip(chain, other_chain))
-        and leaf == other_leaf
-    )
-
-
-def _chain_hash(self):
-    chain, leaf = _spine(self)
-    return hash((leaf, *(node.right for node in chain)))
-
-
-def _chain_repr(self):
-    chain, leaf = _spine(self)
-    heads = "".join(f"{type(node).__qualname__}(left=" for node in chain)
-    return heads + repr(leaf) + "".join(f", right={node.right!r})" for node in reversed(chain))
-
-
-def _node(name, *fields, binary=False):
-    methods = {"__eq__": _chain_eq, "__hash__": _chain_hash, "__repr__": _chain_repr} if binary else {}
-    return type(name, (Record,), {"__slots__": fields, **methods})
+def _node(name, *fields):
+    return type(name, (Record,), {"__slots__": fields})
 
 
 Num = _node("Num", "value")
@@ -82,10 +53,8 @@ BWord = _node("BWord", "word")
 BS = _node("BS", "indices")
 YAtom = _node("YAtom", "index")
 UAtom = _node("UAtom", "index", "primed")
-Neg = _node("Neg", "arg")
-Add = _node("Add", "left", "right", binary=True)
-Sub = _node("Sub", "left", "right", binary=True)
-Mul = _node("Mul", "left", "right", binary=True)
+Sum = _node("Sum", "terms")
+Prod = _node("Prod", "factors")
 Pow = _node("Pow", "base", "exponent")
 
 
@@ -142,11 +111,17 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def take(self, *ops):
+        """Consume the next token and return its text if it is one of ops."""
+        kind, text, _ = self.peek()
+        if kind == "op" and text in ops:
+            self.pos += 1
+            return text
+        return None
+
     def expect_op(self, op):
-        kind, text, offset = self.peek()
-        if kind != "op" or text != op:
-            raise ParseError(f"expected {op!r}", offset)
-        return self.advance()
+        if not self.take(op):
+            raise ParseError(f"expected {op!r}", self.peek()[2])
 
     def parse(self):
         node = self.expr()
@@ -156,47 +131,27 @@ class _Parser:
         return node
 
     def expr(self):
-        kind, text, _ = self.peek()
-        negate = kind == "op" and text == "-"
-        if negate:
-            self.advance()
-        node = self.term()
-        if negate:
-            node = Neg(node)
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs = self.term()
-                node = Add(node, rhs) if text == "+" else Sub(node, rhs)
-            else:
-                return node
+        terms = [(-1 if self.take("-") else 1, self.term())]
+        while op := self.take("+", "-"):
+            terms.append((1 if op == "+" else -1, self.term()))
+        (sign, node), *rest = terms
+        return node if sign > 0 and not rest else Sum(tuple(terms))
 
     def term(self):
-        node = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text == "*":
-                self.advance()
-                node = Mul(node, self.factor())
-            else:
-                return node
+        factors = [self.factor()]
+        while self.take("*"):
+            factors.append(self.factor())
+        return factors[0] if len(factors) == 1 else Prod(tuple(factors))
 
     def factor(self):
         node = self.atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
+        if self.take("^"):
             node = Pow(node, self.signed_int())
         return node
 
     def signed_int(self):
+        sign = -1 if self.take("-") else 1
         kind, text, offset = self.peek()
-        sign = 1
-        if kind == "op" and text == "-":
-            self.advance()
-            sign = -1
-            kind, text, offset = self.peek()
         if kind != "int":
             raise ParseError("expected an integer exponent", offset)
         self.advance()
@@ -225,16 +180,11 @@ class _Parser:
         if kind == "bs":
             self.expect_op("(")
             indices = [self.signed_int()]
-            while True:
-                k2, t2, o2 = self.peek()
-                if k2 == "op" and t2 == ",":
-                    self.advance()
-                    indices.append(self.signed_int())
-                elif k2 == "op" and t2 == ")":
-                    self.advance()
-                    return BS(tuple(indices))
-                else:
-                    raise ParseError("expected ',' or ')' in bs(...)", o2)
+            while self.take(","):
+                indices.append(self.signed_int())
+            if not self.take(")"):
+                raise ParseError("expected ',' or ')' in bs(...)", self.peek()[2])
+            return BS(tuple(indices))
         if kind == "op" and text == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nest more than {MAX_NESTING} deep", offset)
@@ -258,10 +208,6 @@ def to_text(node):
     return _print(node, 0)
 
 
-_LEVEL = {Add: 0, Sub: 0, Mul: 1}
-_OP = {Add: " + ", Sub: " - ", Mul: "*"}
-
-
 def _print(node, prec):
     # precedence levels: 0 sum, 1 product, 2 power/atom
     if isinstance(node, Num):
@@ -281,18 +227,14 @@ def _print(node, prec):
         return f"y{node.index}"
     if isinstance(node, UAtom):
         return f"u'{node.index}" if node.primed else f"u{node.index}"
-    if isinstance(node, Neg):
-        body = f"-{_print(node.arg, 1)}"
+    if isinstance(node, Sum):
+        (sign, first), *rest = node.terms
+        head = _print(first, 0) if sign > 0 else f"-{_print(first, 1)}"
+        body = head + "".join(f" {'+' if sign > 0 else '-'} {_print(term, 1)}" for sign, term in rest)
         return f"({body})" if prec > 0 else body
-    if isinstance(node, (Add, Sub, Mul)):
-        # a left-nested chain of one level prints in a loop, right to left
-        level = _LEVEL[type(node)]
-        parts = []
-        while _LEVEL.get(type(node)) == level:
-            parts.append(f"{_OP[type(node)]}{_print(node.right, 1)}")
-            node = node.left
-        body = _print(node, level) + "".join(reversed(parts))
-        return f"({body})" if prec > level else body
+    if isinstance(node, Prod):
+        body = "*".join(_print(factor, 1) for factor in node.factors)
+        return f"({body})" if prec > 1 else body
     if isinstance(node, Pow):
         return f"{_print(node.base, 2)}^{node.exponent}"
     raise TypeError(f"not an expression node: {node!r}")
@@ -318,28 +260,11 @@ def eval_uvec(node, bound=None):
     value = _eval(node, None, check_bound(DEFAULT_BOUND if bound is None else bound))
     if isinstance(value, LaurentPoly):
         raise BadIndex("expected a module vector, got a scalar")
-    if isinstance(value, HeckeElt):
-        raise BadIndex("expected a module vector, got an algebra element")
     return value
 
 
 def _is_uvec(value):
     return is_loaded_instance(value, "example_n2", "UVec")
-
-
-def _promote_pair(a, b, n):
-    """Lift scalars so both operands live in the same additive world."""
-    if isinstance(a, LaurentPoly) and not isinstance(b, LaurentPoly):
-        if isinstance(b, HeckeElt):
-            a = HeckeElt.one(b.n).scale(a)
-        else:
-            raise BadIndex("cannot add a scalar to a module vector")
-    if isinstance(b, LaurentPoly) and not isinstance(a, LaurentPoly):
-        if isinstance(a, HeckeElt):
-            b = HeckeElt.one(a.n).scale(b)
-        else:
-            raise BadIndex("cannot add a scalar to a module vector")
-    return a, b
 
 
 def _eval(node, n, bound):
@@ -375,43 +300,47 @@ def _eval(node, n, bound):
         from .example_n2 import UVec
 
         return UVec.basis(node.index, primed=node.primed, bound=bound)
-    if isinstance(node, Neg):
-        v = _eval(node.arg, n, bound)
-        return -v if not _is_uvec(v) else v.scale(-1)
-    if isinstance(node, (Add, Sub, Mul)):
-        # a left-nested chain of one level evaluates in a loop, left to right
-        level = _LEVEL[type(node)]
-        chain = []
-        while _LEVEL.get(type(node)) == level:
-            chain.append(node)
-            node = node.left
-        a = _eval(node, n, bound)
-        for node in reversed(chain):
-            a = _combine(node, a, _eval(node.right, n, bound), n)
-        return a
+    if isinstance(node, Sum):
+        (sign, first), *rest = node.terms
+        total = _eval(first, n, bound)
+        total = total if sign > 0 else -total
+        for sign, term in rest:
+            total = _add(total, sign, _eval(term, n, bound))
+        return total
+    if isinstance(node, Prod):
+        return reduce(_multiply, (_eval(factor, n, bound) for factor in node.factors))
     if isinstance(node, Pow):
         return _eval_pow(node, n, bound)
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _combine(node, a, b, n):
-    """The value of the Add, Sub or Mul node whose operands are a and b."""
-    if isinstance(node, Mul):
-        if _is_uvec(a) and _is_uvec(b):
-            raise BadIndex("module vectors cannot be multiplied")
+def _lift(value, other):
+    """A scalar value beside an algebra element, as a multiple of its identity."""
+    if isinstance(value, LaurentPoly) and not isinstance(other, LaurentPoly):
+        if _is_uvec(other):
+            raise BadIndex("cannot add a scalar to a module vector")
+        return HeckeElt.one(other.n).scale(value)
+    return value
+
+
+# one evaluation sees scalars and either algebra elements (eval_algebra) or
+# module vectors (eval_uvec), as each rejects the other's atoms
+def _add(a, sign, b):
+    """a + b for sign +1 and a - b for sign -1."""
+    a = _lift(a, b)
+    b = _lift(b, a)
+    return a + b if sign > 0 else a - b
+
+
+def _multiply(a, b):
+    """a * b; a module vector is multiplied by scalars only."""
+    if _is_uvec(a):
         if _is_uvec(b):
-            if not isinstance(a, LaurentPoly):
-                raise BadIndex("only scalars multiply module vectors")
-            return b.scale(a)
-        if _is_uvec(a):
-            if not isinstance(b, LaurentPoly):
-                raise BadIndex("only scalars multiply module vectors")
-            return a.scale(b)
-        return a * b
-    a, b = _promote_pair(a, b, n)
-    if type(a) is not type(b):
-        raise BadIndex("cannot mix algebra elements and module vectors")
-    return a + b if isinstance(node, Add) else a - b
+            raise BadIndex("module vectors cannot be multiplied")
+        return a.scale(b)
+    if _is_uvec(b):
+        return b.scale(a)
+    return a * b
 
 
 def _need_algebra(algebra, what):
@@ -420,31 +349,23 @@ def _need_algebra(algebra, what):
 
 
 def _eval_pow(node, n, bound):
-    e = node.exponent
-    base = node.base
-    # atoms with a known explicit inverse get native negative powers
-    if e < 0 and bound is None:
-        if isinstance(base, TAtom):
-            return t_inv_gen(n, base.index) ** (-e)
-        if isinstance(base, RhoAtom):
-            return rho_gen(n, e)
-        if isinstance(base, YAtom):
-            from .parabolic import bernstein_y_inv
-
-            return bernstein_y_inv(n, base.index) ** (-e)
-    if isinstance(base, RhoAtom) and bound is None:
+    e, base = node.exponent, node.base
+    # rho^e is one basis element, and y_i^-1 is known in closed form
+    if bound is None and isinstance(base, RhoAtom):
         return rho_gen(n, e)
+    if bound is None and e < 0 and isinstance(base, YAtom):
+        from .parabolic import bernstein_y_inv
+
+        return bernstein_y_inv(n, base.index) ** (-e)
     value = _eval(base, n, bound)
-    if isinstance(value, LaurentPoly):
-        if e >= 0:
-            return value**e
-        if not value.is_unit():
-            raise BadIndex(f"{value} is not invertible in Z[q,q^-1]")
-        return value.unit_inverse() ** (-e)
     if _is_uvec(value):
         raise BadIndex("module vectors cannot be raised to powers")
     if e >= 0:
         return value**e
+    if isinstance(value, LaurentPoly):
+        if not value.is_unit():
+            raise BadIndex(f"{value} is not invertible in Z[q,q^-1]")
+        return value.unit_inverse() ** (-e)
     try:
         return value.inverse() ** (-e)
     except ValueError as exc:

@@ -32,7 +32,6 @@ routed to the right factor).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache, cached_property, partial
 
 from .bernstein import BernsteinElt, to_bernstein
@@ -253,11 +252,6 @@ def module_y(mod, i):
     return word_mat(mod, y_word(mod.n, i))
 
 
-def module_y_inv(mod, i):
-    """Matrix of y_i^-1, from the inverse word."""
-    return word_mat(mod, inverse_word(y_word(mod.n, i)))
-
-
 def module_act(mod, elt, vec):
     """Act by an algebra element on a column vector: each standard term
     rho^m T_{i_1...i_l} acts by the matrix of its word."""
@@ -329,7 +323,7 @@ def induce(m1, m2):
 # ---------------------------------------------------------------------------
 # rational specialization and the two-dimensional common-eigenvector probe
 
-DEFAULT_PROBES = (Fraction(2), Fraction(3), Fraction(5, 7))
+DEFAULT_PROBES = ("2", "3", "5/7")  # the rationals 2, 3 and 5/7, read by Fraction
 
 
 class SpecializedModule(Record):
@@ -337,7 +331,10 @@ class SpecializedModule(Record):
 
 
 def specialize(mod, q0):
-    """Evaluate all generator matrices at a nonzero rational q0."""
+    """Evaluate all generator matrices at a nonzero rational q0 (anything
+    Fraction reads: an int, a Fraction or a string such as "5/7")."""
+    from fractions import Fraction
+
     q0 = Fraction(q0)
 
     def ev(mat):
@@ -361,6 +358,8 @@ def _rational_eigenvalues(a):
 
 
 def _fraction_sqrt(x):
+    from fractions import Fraction
+
     if x < 0:
         return None
     num, den = x.numerator, x.denominator
@@ -368,22 +367,6 @@ def _fraction_sqrt(x):
     if rn * rn != num or rd * rd != den:
         return None
     return Fraction(rn, rd)
-
-
-def _eigenspace_2x2(a, lam):
-    """Basis of ker(a - lam) for a 2x2 rational matrix: [] / [v] / 'full'."""
-    m = ((a[0][0] - lam, a[0][1]), (a[1][0], a[1][1] - lam))
-    if all(x == 0 for row in m for x in row):
-        return "full"
-    if m[0][0] != 0 or m[0][1] != 0:
-        v = (m[0][1], -m[0][0])
-    else:
-        v = (m[1][1], -m[1][0])
-    # rank-1 check: the other row must also annihilate v
-    for row in m:
-        if row[0] * v[0] + row[1] * v[1] != 0:
-            return []
-    return [v]
 
 
 def _is_eigenvector(a, v):
@@ -396,19 +379,15 @@ def common_eigenvector_exists(spec):
     eigenvector; only implemented for dim = 2."""
     if spec.dim != 2:
         raise DimUnsupported(f"common-eigenvector probe needs dim 2, got {spec.dim}")
-    return _common_eig(list(spec.mats))
-
-
-def _common_eig(mats):
+    # a scalar matrix fixes every line; a non-scalar one fixes one line per
+    # rational eigenvalue lam, spanned by (r, -p) for a nonzero row (p, r) of a - lam
+    mats = [m for m in spec.mats if m[0][1] or m[1][0] or m[0][0] != m[1][1]]
     if not mats:
         return True
-    a, rest = mats[0], mats[1:]
+    (p, r), (s, t) = a = mats[0]
     for lam in _rational_eigenvalues(a):
-        space = _eigenspace_2x2(a, lam)
-        if space == "full":
-            if _common_eig(rest):
-                return True
-        elif space and all(_is_eigenvector(m, space[0]) for m in rest):
+        row = (p - lam, r) if p != lam or r else (s, t - lam)
+        if all(_is_eigenvector(m, (row[1], -row[0])) for m in mats[1:]):
             return True
     return False
 

@@ -123,7 +123,7 @@ def test_print_parse_round_trip_manual():
 
 
 def test_long_chains_print_and_evaluate_in_loops():
-    # a 5000-term sum and a 3000-factor product are left spines that deep
+    # a 5000-term sum and a 3000-factor product are one node each
     total = " + ".join(["T1"] * 5000)
     assert expr.to_text(expr.parse(total)) == total
     assert ev(total) == t_gen(2, 1).scale(LaurentPoly.const(5000))
@@ -140,17 +140,32 @@ def test_long_chains_compare_hash_and_repr_in_loops():
     assert tree is not again and tree == again and not tree != again
     assert hash(tree) == hash(again) and {tree: 1}[again] == 1
     assert repr(tree) == repr(again)
-    assert repr(tree).startswith("Sub(left=Add(left=Add(left=")
-    first = "Add(left=Mul(left=Mul(left=QAtom(), right=TAtom(index=0)), right=RhoAtom()), right=TAtom(index=1))"
-    assert repr(tree).endswith(", right=TAtom(index=1))") and first in repr(tree)
+    assert type(tree) is expr.Sum and len(tree.terms) == 5000
+    first = "Sum(terms=((1, Prod(factors=(QAtom(), TAtom(index=0), RhoAtom()))), (1, TAtom(index=1)), "
+    assert repr(tree).startswith(first) and repr(tree).endswith(", (-1, TAtom(index=1))))")
     for other in (" + ".join(terms), " + ".join(terms[1:]), "q + " + total, total.replace("T2", "T1", 1)):
         assert tree != expr.parse(other) and expr.parse(other) != tree
-    assert repr(expr.parse("1 + q*2")) == "Add(left=Num(value=1), right=Mul(left=QAtom(), right=Num(value=2)))"
+    assert repr(expr.parse("1 + q*2")) == "Sum(terms=((1, Num(value=1)), (1, Prod(factors=(QAtom(), Num(value=2))))))"
     assert hash(expr.parse("T1 + T0")) != hash(expr.parse("T0 + T1"))
 
 
+def test_chains_are_flat_and_keep_their_grouping():
+    assert expr.parse("-T1") == expr.Sum(((-1, expr.TAtom(1)),))
+    assert expr.parse("T1 - q*rho") == expr.Sum(((1, expr.TAtom(1)), (-1, expr.Prod((expr.QAtom(), expr.RhoAtom())))))
+    # parentheses keep their node: (a + b) + c is not a + b + c
+    grouped, flat = expr.parse("(T1 + T0) + q"), expr.parse("T1 + T0 + q")
+    assert grouped.terms[0] == (1, expr.parse("T1 + T0")) and len(flat.terms) == 3
+    assert grouped != flat and expr.to_text(grouped) == expr.to_text(flat) == "T1 + T0 + q"
+    assert expr.parse("q*(T1*T0)") == expr.Prod((expr.QAtom(), expr.Prod((expr.TAtom(1), expr.TAtom(0)))))
+
+
 def test_chains_keep_their_parentheses():
-    for src in ("(T1 + T0)*(T1 - T0)*rho - q*T1 + 2", "T1 - (T0 - q) + (T1 + T0)^2", "-T1*(q - 1) - 3"):
+    for src in (
+        "(T1 + T0)*(T1 - T0)*rho - q*T1 + 2",
+        "T1 - (T0 - q) + (T1 + T0)^2",
+        "-T1*(q - 1) - 3",
+        "-(T1 - q) + (-T0 + rho^-1)*(-q)*T0^-2 - T1^-3",
+    ):
         assert expr.to_text(expr.parse(src)) == src
 
 
@@ -164,6 +179,14 @@ def test_nesting_depth_limit():
     within = "rho - (" * expr.MAX_NESTING + "rho - T1" + ")" * expr.MAX_NESTING
     assert expr.to_text(expr.parse(within)) == within
     assert ev(within) == (t_gen(2, 1) if expr.MAX_NESTING % 2 else rho_gen(2) - t_gen(2, 1))
+    # ==, hash and repr recurse once per parenthesis level, and the limit stays within reach
+    tree, again = expr.parse(within), expr.parse(within)
+    assert tree is not again and tree == again and hash(tree) == hash(again) and repr(tree) == repr(again)
+    assert tree != expr.parse(within.replace("T1", "T0")) and repr(tree).count("Sum(") == expr.MAX_NESTING + 1
+    for wrap in ("-(", "q*(", "(T1 + ", "(-"):
+        deep = wrap * expr.MAX_NESTING + "T1" + ")" * expr.MAX_NESTING
+        assert expr.parse(deep) == expr.parse(deep) and hash(expr.parse(deep)) == hash(expr.parse(deep))
+        assert repr(expr.parse(deep)) == repr(expr.parse(deep)) and expr.to_text(expr.parse(deep))
 
 
 def test_rank4_element_text_round_trip():

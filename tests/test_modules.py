@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from affine_hecke.errors import BadIndex, DimUnsupported, InvalidValue
 from affine_hecke.example_n2 import w_module
-from affine_hecke.hecke import b_gen, kl_to_std, KLLabel
+from affine_hecke.hecke import b_gen, inverse_word, kl_to_std, KLLabel
 from affine_hecke.laurent import ONE, Q, QINV, ZERO, LaurentPoly
 from affine_hecke.modules import (
     DEFAULT_PROBES,
     FinDimModule,
+    SpecializedModule,
+    _is_eigenvector,
     _mul,
+    _rational_eigenvalues,
     _word_rows,
     common_eigenvector_exists,
     induce,
@@ -25,10 +28,10 @@ from affine_hecke.modules import (
     module_act,
     module_check_relations,
     module_y,
-    module_y_inv,
     one_dimensional,
     specialize,
     trivial_module,
+    word_mat,
 )
 from affine_hecke.parabolic import y_word
 from affine_hecke.serialize import module_from_json, to_json
@@ -38,6 +41,11 @@ TWO = LaurentPoly.const(2)
 
 def all_pass(report):
     return all(ok for _, ok in report)
+
+
+def module_y_inv(mod, i):
+    """Matrix of y_i^-1, from the inverse word."""
+    return word_mat(mod, inverse_word(y_word(mod.n, i)))
 
 
 def test_trivial_rank1():
@@ -421,6 +429,66 @@ def test_reducible_negative_control():
     for q0 in (Fraction(2), Fraction(3), Fraction(5, 7)):
         assert common_eigenvector_exists(specialize(mod, q0))
     assert not irreducible_at(mod)
+
+
+def _eigenspace_2x2(a, lam):
+    """Basis of ker(a - lam) for a 2x2 rational matrix: [] / [v] / 'full'."""
+    m = ((a[0][0] - lam, a[0][1]), (a[1][0], a[1][1] - lam))
+    if all(x == 0 for row in m for x in row):
+        return "full"
+    if m[0][0] != 0 or m[0][1] != 0:
+        v = (m[0][1], -m[0][0])
+    else:
+        v = (m[1][1], -m[1][0])
+    # rank-1 check: the other row must also annihilate v
+    for row in m:
+        if row[0] * v[0] + row[1] * v[1] != 0:
+            return []
+    return [v]
+
+
+def _common_eig(mats):
+    """The recursive rule, the oracle of the probe: a scalar first matrix
+    fixes every line, so the rest decide; otherwise test its eigenlines."""
+    if not mats:
+        return True
+    a, rest = mats[0], mats[1:]
+    for lam in _rational_eigenvalues(a):
+        space = _eigenspace_2x2(a, lam)
+        if space == "full":
+            if _common_eig(rest):
+                return True
+        elif space and all(_is_eigenvector(m, space[0]) for m in rest):
+            return True
+    return False
+
+
+def test_probe_matches_the_recursive_rule():
+    # small entries make rational eigenvalues, shared eigenlines and scalars common
+    rng = random.Random(1818)
+    entries = [Fraction(v, d) for v in range(-3, 4) for d in (1, 2)]
+    mats_with_a_shared_line = 0
+    for _ in range(5000):
+        mats = []
+        for _ in range(rng.randrange(5)):
+            if rng.random() < 0.2:
+                x = rng.choice(entries)
+                mats.append(((x, Fraction(0)), (Fraction(0), x)))
+            else:
+                mats.append(tuple(tuple(rng.choice(entries) for _ in range(2)) for _ in range(2)))
+        expected = _common_eig(mats)
+        assert common_eigenvector_exists(SpecializedModule(len(mats), 2, tuple(mats))) is expected, mats
+        mats_with_a_shared_line += expected
+    assert 500 < mats_with_a_shared_line < 4500
+
+
+def test_probe_of_scalar_matrices_only():
+    for mats in ((), (((Fraction(3), Fraction(0)), (Fraction(0), Fraction(3))),) * 3):
+        assert common_eigenvector_exists(SpecializedModule(1, 2, mats)) is True
+    # a scalar first matrix is skipped, not taken as the one to split
+    scalar = ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(2)))
+    rotation = ((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(0)))
+    assert common_eigenvector_exists(SpecializedModule(1, 2, (scalar, rotation))) is False
 
 
 def test_eigvec_probe_dim_guard():

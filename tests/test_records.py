@@ -23,40 +23,44 @@ from affine_hecke.modules import FinDimModule, induce, trivial_module
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# type -> field values of one instance
+# id -> (type, field values of one instance); the id is the type's name, but
+# Sum and Prod are also sampled in the shape parse builds for each operator,
+# named by it: Add for a + b, Sub for a - b, Neg for -a and Mul for a*b
+ONE_PLUS_Q = ((1, expr.Num(1)), (1, expr.QAtom()))
 SAMPLES = {
-    weyl.AffinePerm: (3, (2, 1, 3)),
-    weyl.ReducedExpr: (1, (0, 1)),
-    hecke.KLLabel: (1, (0, 1)),
-    parabolic.ParabolicContext: (3, 1),
-    pairing.GradedRank: (Q + ONE,),
-    modules.SpecializedModule: (1, 1, (((Fraction(2),),),)),
-    expr.Num: (3,),
-    expr.QAtom: (),
-    expr.RhoAtom: (),
-    expr.TAtom: (1,),
-    expr.BWord: ((0, 1),),
-    expr.BS: ((1, 2),),
-    expr.YAtom: (2,),
-    expr.UAtom: (3, True),
-    expr.Neg: (expr.Num(1),),
-    expr.Add: (expr.Num(1), expr.QAtom()),
-    expr.Sub: (expr.Num(1), expr.QAtom()),
-    expr.Mul: (expr.Num(1), expr.QAtom()),
-    expr.Pow: (expr.QAtom(), 2),
+    "AffinePerm": (weyl.AffinePerm, (3, (2, 1, 3))),
+    "ReducedExpr": (weyl.ReducedExpr, (1, (0, 1))),
+    "KLLabel": (hecke.KLLabel, (1, (0, 1))),
+    "ParabolicContext": (parabolic.ParabolicContext, (3, 1)),
+    "GradedRank": (pairing.GradedRank, (Q + ONE,)),
+    "SpecializedModule": (modules.SpecializedModule, (1, 1, (((Fraction(2),),),))),
+    "Num": (expr.Num, (3,)),
+    "QAtom": (expr.QAtom, ()),
+    "RhoAtom": (expr.RhoAtom, ()),
+    "TAtom": (expr.TAtom, (1,)),
+    "BWord": (expr.BWord, ((0, 1),)),
+    "BS": (expr.BS, ((1, 2),)),
+    "YAtom": (expr.YAtom, (2,)),
+    "UAtom": (expr.UAtom, (3, True)),
+    "Sum": (expr.Sum, (((-1, expr.Num(1)), (1, expr.QAtom()), (-1, expr.RhoAtom())),)),  # -1 + q - rho
+    "Add": (expr.Sum, (ONE_PLUS_Q,)),  # 1 + q
+    "Sub": (expr.Sum, (((1, expr.Num(1)), (-1, expr.QAtom())),)),  # 1 - q
+    "Neg": (expr.Sum, (((-1, expr.Num(1)),),)),  # -1
+    "Prod": (expr.Prod, ((expr.Num(1), expr.QAtom(), expr.RhoAtom()),)),  # 1*q*rho
+    "Mul": (expr.Prod, ((expr.Num(1), expr.QAtom()),)),  # 1*q
+    "Pow": (expr.Pow, (expr.QAtom(), 2)),
 }
-TYPES = sorted(SAMPLES, key=lambda cls: cls.__name__)
-IDS = [cls.__name__ for cls in TYPES]
-INTERNED = [cls for cls in TYPES if issubclass(cls, Interned)]
+IDS = sorted(SAMPLES)
+CASES = [SAMPLES[i] for i in IDS]
+INTERNED = sorted({cls for cls, _ in CASES if issubclass(cls, Interned)}, key=lambda cls: cls.__name__)
 
 
 def test_every_record_type_is_sampled():
-    assert set(Record.__subclasses__()) == set(SAMPLES) | {FinDimModule}
+    assert set(Record.__subclasses__()) == {cls for cls, _ in CASES} | {FinDimModule}
 
 
-@pytest.mark.parametrize("cls", TYPES, ids=IDS)
-def test_construction_by_position_and_keyword(cls):
-    values = SAMPLES[cls]
+@pytest.mark.parametrize("cls, values", CASES, ids=IDS)
+def test_construction_by_position_and_keyword(cls, values):
     obj = cls(*values)
     assert tuple(getattr(obj, f) for f in cls._fields) == values
     assert cls(**dict(zip(cls._fields, values))) == obj
@@ -71,9 +75,8 @@ def test_construction_by_position_and_keyword(cls):
             cls(*values[1:])
 
 
-@pytest.mark.parametrize("cls", TYPES, ids=IDS)
-def test_equality_and_hash_go_by_fields(cls):
-    values = SAMPLES[cls]
+@pytest.mark.parametrize("cls, values", CASES, ids=IDS)
+def test_equality_and_hash_go_by_fields(cls, values):
     a, b = cls(*values), cls(*values)
     # a hash-consed record type builds one object per value
     assert (a is b) == issubclass(cls, Interned)
@@ -87,12 +90,12 @@ def test_equality_and_hash_go_by_fields(cls):
     "a, b",
     [
         (hecke.KLLabel(1, (0, 1)), weyl.ReducedExpr(1, (0, 1))),
-        (expr.Add(expr.Num(1), expr.QAtom()), expr.Sub(expr.Num(1), expr.QAtom())),
+        (expr.Sum(ONE_PLUS_Q), expr.Prod(ONE_PLUS_Q)),
         (expr.TAtom(1), expr.YAtom(1)),
         (expr.QAtom(), expr.RhoAtom()),
         (parabolic.ParabolicContext(3, 1), weyl.ReducedExpr(3, 1)),
     ],
-    ids=["KLLabel-ReducedExpr", "Add-Sub", "TAtom-YAtom", "QAtom-RhoAtom", "ParabolicContext-ReducedExpr"],
+    ids=["KLLabel-ReducedExpr", "Sum-Prod", "TAtom-YAtom", "QAtom-RhoAtom", "ParabolicContext-ReducedExpr"],
 )
 def test_record_types_with_equal_fields_are_unequal(a, b):
     assert tuple(getattr(a, f) for f in a._fields) == tuple(getattr(b, f) for f in b._fields)
@@ -105,9 +108,9 @@ def test_unequal_fields_are_unequal():
     assert expr.UAtom(3, True) != expr.UAtom(3, False)
 
 
-@pytest.mark.parametrize("cls", TYPES, ids=IDS)
-def test_fields_cannot_be_set_or_deleted(cls):
-    obj = cls(*SAMPLES[cls])
+@pytest.mark.parametrize("cls, values", CASES, ids=IDS)
+def test_fields_cannot_be_set_or_deleted(cls, values):
+    obj = cls(*values)
     for name in (*cls._fields, *cls.__slots__, "new_attribute"):
         before = getattr(obj, name, None)
         with pytest.raises(AttributeError, match=name):
@@ -117,9 +120,8 @@ def test_fields_cannot_be_set_or_deleted(cls):
         assert getattr(obj, name, None) is before
 
 
-@pytest.mark.parametrize("cls", TYPES, ids=IDS)
-def test_repr_keeps_the_dataclass_form(cls):
-    values = SAMPLES[cls]
+@pytest.mark.parametrize("cls, values", CASES, ids=IDS)
+def test_repr_keeps_the_dataclass_form(cls, values):
     fields = ", ".join(f"{f}={v!r}" for f, v in zip(cls._fields, values))
     assert repr(cls(*values)) == f"{cls.__name__}({fields})"
 
@@ -127,14 +129,17 @@ def test_repr_keeps_the_dataclass_form(cls):
 def test_repr_examples():
     assert repr(hecke.KLLabel(m=0, word=(1,))) == "KLLabel(m=0, word=(1,))"
     assert repr(weyl.AffinePerm(2, (2, 1))) == "AffinePerm(n=2, window=(2, 1))"
-    assert repr(expr.Add(expr.Num(1), expr.UAtom(2, True))) == "Add(left=Num(value=1), right=UAtom(index=2, primed=True))"
+    assert repr(expr.Sum(((1, expr.Num(1)), (-1, expr.UAtom(2, True))))) == (
+        "Sum(terms=((1, Num(value=1)), (-1, UAtom(index=2, primed=True))))"
+    )
+    assert repr(expr.Prod((expr.QAtom(), expr.TAtom(1)))) == "Prod(factors=(QAtom(), TAtom(index=1)))"
     assert repr(expr.QAtom()) == "QAtom()"
     assert repr(trivial_module(2)) == "FinDimModule(n=2, dim=1)"
 
 
-@pytest.mark.parametrize("cls", TYPES, ids=IDS)
-def test_pickle_round_trip(cls):
-    obj = cls(*SAMPLES[cls])
+@pytest.mark.parametrize("cls, values", CASES, ids=IDS)
+def test_pickle_round_trip(cls, values):
+    obj = cls(*values)
     assert pickle.loads(pickle.dumps(obj)) == obj
 
 
@@ -149,7 +154,7 @@ def test_validation_runs_for_keyword_construction():
 
 @pytest.mark.parametrize("cls", INTERNED, ids=lambda cls: cls.__name__)
 def test_interned_records_are_one_object_per_value(cls):
-    values = SAMPLES[cls]
+    values = SAMPLES[cls.__name__][1]
     obj = cls(*values)
     assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
     assert cls._table[values] is obj
@@ -336,10 +341,11 @@ def test_cli_import_loads_no_dataclasses():
         (["eval", "-n", "3", "T1*rho^-2 + q*b0 - T2^-1"], NOT_AT_START),
         (["yclass", "1", "-2"], ("affine_hecke.expr", *NOT_AT_START)),
         (["gradedrank", "b01", "rho*b10"], ("affine_hecke.expr", *NOT_AT_START)),
-        (["induce", "--n", "3", "--k", "1", "--right", "trivial:2"], ("affine_hecke.expr", "affine_hecke.example_n2")),
+        (["induce", "--n", "3", "--k", "1", "--right", "trivial:2"], ("fractions", "affine_hecke.expr", "affine_hecke.example_n2")),
         (["reduce-u", "b01 - rho*T1"], tuple(m for m in NOT_AT_START if m != "affine_hecke.example_n2")),
+        (["pi-uw", "u1 - q*u'2"], ("dataclasses", "inspect", "fractions", "affine_hecke.checks")),
     ],
-    ids=["eval", "yclass", "gradedrank", "induce", "reduce-u"],
+    ids=["eval", "yclass", "gradedrank", "induce", "reduce-u", "pi-uw"],
 )
 def test_commands_load_only_the_layers_they_use(argv, watch):
     assert _after_command(argv, watch) == "[]"
