@@ -379,10 +379,11 @@ def _random_expr(rng, depth):
             ]
         )
     op = rng.randrange(5)
-    if op < 2:  # a + b or a - b
-        return expr.Sum(((1, _random_expr(rng, depth - 1)), (1 - 2 * op, _random_expr(rng, depth - 1))))
+    if op < 2:  # a chain of 1-3 terms, each sign random, so the first may be negated
+        terms = [(rng.choice((1, -1)), _random_expr(rng, depth - 1)) for _ in range(rng.randrange(1, 4))]
+        return expr.Sum(tuple(terms))
     if op == 2:
-        return expr.Prod((_random_expr(rng, depth - 1), _random_expr(rng, depth - 1)))
+        return expr.Prod(tuple(_random_expr(rng, depth - 1) for _ in range(rng.randrange(2, 4))))
     if op == 3:
         base = rng.choice([expr.QAtom(), expr.RhoAtom(), expr.TAtom(1), expr.YAtom(1)])
         return expr.Pow(base, rng.randrange(-2, 3))

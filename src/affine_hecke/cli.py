@@ -120,8 +120,8 @@ def _build_parser():
         "yclass",
         help="the class (rho T_1)^r (T_1^-1 rho)^s",
         description="The class (rho T_1)^r (T_1^-1 rho)^s in rank 2. |r| and |s| are at most "
-        f"{Y_EXPONENT_LIMIT}, and max(-r, 0) + max(s, 0), the number of letters T_1^-1, "
-        f"at most {Y_INVERSE_LIMIT}; beyond either limit the exit code is 3.",
+        f"{Y_EXPONENT_LIMIT}, and when r < s the length s - r of the one element inverted "
+        f"is at most {Y_INVERSE_LIMIT}; beyond either limit the exit code is 3.",
     )
     p.add_argument("r", type=int)
     p.add_argument("s", type=int)

@@ -165,12 +165,13 @@ def act_elt(elt, vec):
 
 @cache
 def w_module():
-    """The two-dimensional target W, realized by induction from two copies
-    of the trivial rank-1 module."""
-    from .modules import induce, trivial_module
+    """The two-dimensional target W, induced from two copies of the trivial
+    rank-1 module, in closed form on its basis T_e w, T_1 w: T_1 sends them
+    to T_1 w and T_e w + (q^-1 - q) T_1 w, and rho = rho^-1 swaps them."""
+    from .modules import FinDimModule
 
-    v = trivial_module(1)
-    return induce(v, v)
+    swap = ((ZERO, ONE), (ONE, ZERO))
+    return FinDimModule(2, 2, (((ZERO, ONE), (ONE, QINV - Q)),), swap, swap)
 
 
 @cache

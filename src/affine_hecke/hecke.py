@@ -27,7 +27,8 @@ the inverses of y's keys, the only ones that meet y under the trace.
 For n = 2 every translation-free element has a unique reduced expression,
 an alternating binary word, and the KL basis layer (kl_to_std, std_to_kl,
 kl_mul_closed) is available in closed form.  There u <= w iff l(u) < l(w)
-or u = w, so std_to_kl is one O(#terms + length) suffix sum per rho-shift.
+or u = w, so std_to_kl is one O(#terms + length) suffix sum per rho-shift,
+which laurent.add_tails computes on packed values.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ from functools import cache, partial, reduce
 from itertools import combinations
 
 from .errors import BadIndex, Interned, InvalidValue, RankMismatch, RankUnsupported, Record
-from .laurent import ONE, Q, Q2, QINV, ZERO, Combination, LaurentPoly, accumulate, add_product, power, sealed
+from .laurent import ONE, Q, Q2, QINV, ZERO, Combination, LaurentPoly, accumulate, add_product, add_tails
+from .laurent import power, sealed
 from .weyl import ReducedExpr, canonical_rex, from_rex, identity, rho, simple
 
 _DESC = QINV - Q  # q^-1 - q, the descent correction
-_NEG_Q = -Q
 
 
 class HeckeElt(Combination):
@@ -255,13 +256,18 @@ def _step(g, letter):
 
 def _mul_terms_simple(terms, letter):
     """Multiply a term dict on the right by rho^m or T_i, the letter
-    ("rho", m) or (i, 1): T_g T_i = T_{g s_i}, plus (q^-1 - q) T_g at a descent."""
+    ("rho", m) or (i, 1): T_g T_i = T_{g s_i}, plus (q^-1 - q) T_g at a descent.
+    g -> g s_i and g -> g rho^m are one-to-one, so each image is stored
+    directly and only the descent corrections are accumulated, after them."""
     out = {}
+    descents = []
     for g, c in terms.items():
         h, descent = _step(g, letter)
-        accumulate(out, h, c)
+        out[h] = c
         if descent:
-            accumulate(out, g, c * _DESC)
+            descents.append((g, c))
+    for g, c in descents:
+        accumulate(out, g, c * _DESC)
     return out
 
 
@@ -369,10 +375,15 @@ def _kl_std_terms(label):
     )
 
 
-@cache
 def _alt_words(k):
     """The alternating words of length k: two for k > 0, the empty word at 0."""
     return (alt_word(k, first=0), alt_word(k, first=1)) if k else ((),)
+
+
+@cache
+def _kl_level(m, k):
+    """The labels rho^m b_u of the words u of length k, each with u."""
+    return tuple((KLLabel._intern((m, u)), u) for u in _alt_words(k))
 
 
 def std_to_kl(elt):
@@ -380,9 +391,9 @@ def std_to_kl(elt):
 
     At rank 2 u <= w iff l(u) < l(w) or u = w, so rho^m b_u gets
     c_{m,u} + t_m(l(u)), where t_m(k) sums c_{m,w} (-q)^(l(w) - k) over
-    l(w) > k.  One walk down the lengths, t_m(top) = 0 and
-    t_m(k-1) = -q (t_m(k) + A_m(k)) with A_m(k) the shift-m coefficient sum
-    at length k, costs O(#terms + length) Laurent operations and labels.
+    l(w) > k: t_m(top) = 0 and t_m(k-1) = -q (t_m(k) + A_m(k)) with A_m(k)
+    the shift-m coefficient sum at length k.  laurent.add_tails walks each
+    shift's levels by length once, in O(#terms + length) packed operations.
     Returns a dict KLLabel -> LaurentPoly with no zero entries.
     """
     _require_n2(elt.n)
@@ -392,18 +403,8 @@ def std_to_kl(elt):
         by_shift.setdefault(rex.m, {})[rex.word] = coeff
     out = {}
     for m, own in by_shift.items():
-        top = max(map(len, own))
-        level = [ZERO] * (top + 1)
-        for word, coeff in own.items():
-            level[len(word)] = level[len(word)] + coeff
-        tail = ZERO
-        for k in range(top, -1, -1):
-            for word in _alt_words(k):
-                coeff = own.get(word)
-                coeff = tail if coeff is None else coeff + tail
-                if coeff:
-                    out[KLLabel._intern((m, word))] = coeff
-            tail = (tail + level[k]) * _NEG_Q
+        levels = [[(label, own.get(u)) for label, u in _kl_level(m, k)] for k in range(max(map(len, own)) + 1)]
+        add_tails(levels, out)
     return out
 
 

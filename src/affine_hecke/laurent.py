@@ -25,7 +25,8 @@ Every other value of the package is a finite combination over this ring:
 products go into an accumulator key -> [v, N, h, s], which turns into an
 exponent -> int dict once a bound fails: ``add_product`` adds a * b in
 place and ``sealed`` strips the valuation and drops the zero sums
-(S. C. Johnson, SIGSAM 1974).
+(S. C. Johnson, SIGSAM 1974).  ``add_tails`` writes the suffix sums of a
+unitriangular change of basis, such as the KL relabelling, in one packed pass.
 """
 
 from __future__ import annotations
@@ -451,6 +452,42 @@ def sealed(acc):
         elif nz := {e: v for e, v in entry.items() if v}:
             out[key] = _from_dict(nz)
     return out
+
+
+def add_tails(levels, out):
+    """out[key] = own + t_k for each (key, own or None) of levels[k] with a
+    nonzero value, where t_top = 0 and t_(k-1) = -q (t_k + the sum of level k).
+    All of it spans at most len(levels) - 1 above the owns, with coefficients
+    at most h, the sum of their bounds; within both limits each t_k is one int
+    at the owns' least valuation v, and -q is -N one digit up.  A dict-form
+    own or a failing bound leaves the whole call to the plain loop."""
+    owns = [own for level in levels for _, own in level if own is not None]
+    v = min((own._v for own in owns), default=0)
+    h = sum(own._h for own in owns)
+    if h >= LIMIT or max((own._v + own._s for own in owns), default=0) + len(levels) - 1 - v > SPAN_CAP:
+        return _add_tails_plain(levels, out)
+    t = 0
+    for level in reversed(levels):
+        total = t
+        for key, own in level:
+            n = t
+            if own is not None:
+                m = own._n << (own._v - v) * SLOT
+                n += m
+                total += m
+            if n:
+                w, n = _strip(v, n) if not n & MASK else (v, n)
+                out[key] = _packed(w, n, h, n.bit_length() // SLOT + 1)
+        t = -total << SLOT
+
+
+def _add_tails_plain(levels, out):
+    tail = ZERO
+    for level in reversed(levels):
+        for key, own in level:
+            if c := tail if own is None else own + tail:
+                out[key] = c
+        tail = sum((own for _, own in level if own is not None), tail) * -Q
 
 
 class Combination:

@@ -19,23 +19,22 @@ from .weyl import AffinePerm
 # inverse of one, and printing a reduced word of up to 2 * 10^5 letters takes
 # about 1-2 s at the limit on a 2-vCPU host
 Y_EXPONENT_LIMIT = 10**5
-# the largest number of T_1^-1 letters, one per unit of r < 0 and of s > 0;
-# that count bounds the length k = s - r of the inverted element when r < s,
+# the largest length k = s - r of the one element y_class inverts when r < s,
 # whose inverse has about 2k terms spanning about k powers of q, so the time
-# is cubic in k, about 1.5 s at the limit (r = -75, s = 75, or r = 0, s = 150)
+# is cubic in k, about 1.5 s at the limit (r = -75, s = 75, or r = 0, s = 150);
+# when r >= s the value is one basis element and only Y_EXPONENT_LIMIT applies
 Y_INVERSE_LIMIT = 150
 
 
 def y_class(r, s):
     """The class (rho T_1)^r (T_1^-1 rho)^s in rank 2; InvalidValue when
-    |r| or |s| is above Y_EXPONENT_LIMIT, or max(-r, 0) + max(s, 0) above
+    |r| or |s| is above Y_EXPONENT_LIMIT, or r < s and s - r is above
     Y_INVERSE_LIMIT."""
     if max(abs(r), abs(s)) > Y_EXPONENT_LIMIT:
         raise InvalidValue(f"yclass exponents are limited to |r|, |s| <= {Y_EXPONENT_LIMIT}, got r={r}, s={s}")
-    if max(-r, 0) + max(s, 0) > Y_INVERSE_LIMIT:
+    if s - r > Y_INVERSE_LIMIT:
         raise InvalidValue(
-            f"yclass takes at most {Y_INVERSE_LIMIT} letters T_1^-1, one per unit of a negative r "
-            f"and of a positive s, got r={r}, s={s}"
+            f"yclass inverts one element of length s - r when r < s, at most {Y_INVERSE_LIMIT}, got r={r}, s={s}"
         )
     # y_1 = rho T_1 and y_2 = T_1^-1 rho commute with y_1 y_2 = rho^2 central,
     # so y_1^r y_2^s is y_1^(r-s) rho^2s or (rho^-2r (rho^-1 T_1)^(s-r))^-1,

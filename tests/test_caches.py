@@ -19,7 +19,7 @@ MEMOS = {
     "hecke._step",
     "hecke._basis_inverse",
     "hecke._kl_std_terms",
-    "hecke._alt_words",
+    "hecke._kl_level",
     "bernstein._rho_images",
     "bernstein._y_power",
     "example_n2.w_module",

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from affine_hecke.cli import MAX_RANK, main
 from affine_hecke.expr import MAX_NESTING
-from affine_hecke.pairing import Y_INVERSE_LIMIT
-from affine_hecke.hecke import rho_gen, t_gen
+from affine_hecke.pairing import Y_INVERSE_LIMIT, y_class
+from affine_hecke.hecke import HeckeElt, rho_gen, t_gen
 from affine_hecke.serialize import hecke_from_json, module_from_json
 
 
@@ -129,11 +129,11 @@ def test_yclass_exponent_limit_exit_code(capsys, r, s):
 
 
 @pytest.mark.parametrize(
-    "r, s", [(str(-Y_INVERSE_LIMIT - 1), "0"), ("1", str(Y_INVERSE_LIMIT + 1)), ("-75", "76")]
+    "r, s", [(str(-Y_INVERSE_LIMIT - 1), "0"), ("1", str(Y_INVERSE_LIMIT + 2)), ("-75", "76")]
 )
 def test_yclass_inverse_letter_limit_exit_code(capsys, r, s):
-    # one T_1^-1 per unit of a negative r and of a positive s; rejected before
-    # any word is built (1 300 took 48 s and 1 1000 no result in 100 s)
+    # each case inverts an element of length s - r = limit + 1; rejected
+    # before any word is built (1 300 took 48 s and 1 1000 no result in 100 s)
     code, out, err = run(capsys, "yclass", r, s)
     assert code == 3 and out == ""
     assert err.startswith("error:") and f"at most {Y_INVERSE_LIMIT}" in err and "Traceback" not in err
@@ -143,6 +143,16 @@ def test_yclass_without_inverse_letters_is_not_held_to_the_inverse_limit(capsys)
     # rho T_1 and (T_1^-1 rho)^-1 = rho^-1 T_1 stay one basis element each
     code, out, _ = run(capsys, "yclass", "1000", "-1000")
     assert code == 0 and out == "*".join(["T0", "T1"] * 1000)
+
+
+@pytest.mark.parametrize("r, s", [(-200, -300), (-100000, -99900)])
+def test_yclass_is_held_to_the_inverse_limit_only_when_it_inverts(capsys, r, s):
+    # r >= s is one basis element; -100000 -99900 inverts one of length 100
+    code, out, err = run(capsys, "yclass", "--", str(r), str(s))
+    assert code == 0 and err == ""
+    value = y_class(r, s)
+    assert out == str(value)
+    assert value * y_class(-r, -s) == HeckeElt.one(2)
 
 
 def test_gradedrank(capsys):

@@ -16,6 +16,7 @@ from affine_hecke.example_n2 import (
 from affine_hecke.example_n2 import _pi_basis
 from affine_hecke.hecke import HeckeElt, KLLabel, alt_word, b_gen, kl_to_std, rho_gen, t_gen
 from affine_hecke.laurent import ONE, Q, Q2, QINV, ZERO, LaurentPoly
+from affine_hecke.modules import induce, module_act, trivial_module
 
 TWO = LaurentPoly.const(2)
 
@@ -249,3 +250,15 @@ def test_negative_truncation_bound_is_rejected():
         u_reduce(HeckeElt.zero(2), -7)
     assert u_reduce(HeckeElt.one(2), 0) == UVec.basis(0, bound=0)
     assert UVec.zero(0).is_zero
+
+
+def test_w_module_is_the_induced_module():
+    # w_module is written in closed form; the induction it stands for is built here
+    v = trivial_module(1)
+    induced = induce(v, v)
+    assert w_module() == induced
+    assert (w_module().t_mats, w_module().rho_inv_mat) == (induced.t_mats, induced.rho_inv_mat)
+    for k in range(12):
+        for primed in (False, True):
+            elt = kl_to_std(KLLabel(int(primed), alt_word(k, last=1)))
+            assert pi_uw(UVec.basis(k, primed=primed)) == module_act(induced, elt, (ONE, ZERO))

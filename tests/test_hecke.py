@@ -586,6 +586,81 @@ def test_std_to_kl_tail_cancels_partway_down():
     assert below == {KLLabel(1, (0,)): Q, KLLabel(1, ()): -Q * Q}
 
 
+def assert_std_to_kl_matches_oracle(x):
+    out = std_to_kl(x)
+    assert out == std_to_kl_oracle(x), x
+    for coeff in out.values():
+        # each value in its one form, with its true valuation and degree
+        fresh = LaurentPoly(dict(coeff.items()))
+        assert (coeff, coeff.valuation(), coeff.degree()) == (fresh, fresh.valuation(), fresh.degree())
+    return out
+
+
+@pytest.mark.parametrize("c", [2**59, -(2**60), 2**61, 2**62 - 1, 2**62, 2**62 + 1, 3**50, -(2**70)])
+def test_std_to_kl_coefficients_at_and_past_the_packed_limit(c):
+    big = LaurentPoly({0: c, 2: 1})
+    x = std_term(0, (0, 1, 0, 1), big) + std_term(0, (1, 0), Q * big) + std_term(0, (1,), QINV)
+    x = x + std_term(0, (0, 1, 0), LaurentPoly({1: 2**61}))
+    out = assert_std_to_kl_matches_oracle(x)
+    assert out[KLLabel(0, ())].coefficient(4) == c - 2**61
+
+
+@pytest.mark.parametrize("top", [52, 57, 58, 61, 70])
+def test_std_to_kl_tails_leave_the_packed_form_past_the_span_cap(top):
+    # terms at lengths 1, 2, top // 2, top - 1 and top: t_0 spans about top powers of q.  The
+    # packed pass takes top 52 and 57; from 58 its frame passes SPAN_CAP and
+    # the plain loop runs, and from 61 the values themselves leave the packed form
+    rng = random.Random(top)
+    x = std_term(0, alt_word(top, first=0), LaurentPoly({-3: 1, 3: -1}))
+    for k in (1, 2, top // 2, top - 1, top):
+        word = alt_word(k, first=rng.randrange(2))
+        x = x + std_term(0, word, LaurentPoly({rng.randrange(-2, 3): rng.choice((-1, 1, 2))}))
+    out = assert_std_to_kl_matches_oracle(x)
+    assert max(coeff.degree() - coeff.valuation() for coeff in out.values()) >= top - 4
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    [
+        LaurentPoly.q_power(10**9),
+        LaurentPoly.q_power(-(10**9), -3),
+        LaurentPoly({0: 1, 10**9: 1}),
+        LaurentPoly({-(10**9): 2, 5: -1}),
+    ],
+)
+def test_std_to_kl_far_and_dict_form_coefficients(coeff):
+    x = std_term(0, (1, 0, 1), coeff) + std_term(0, (0,), Q2) + std_term(0, (0, 1), -coeff)
+    x = x + std_term(1, (1, 0), coeff) + std_term(1, (), ONE)
+    assert_std_to_kl_matches_oracle(x)
+
+
+def test_std_to_kl_tails_cancel_partway_down_in_the_packed_pass():
+    # t(2) = -q, so the own q + q^2 of b_01 loses its low digit; t(1) = -q^3,
+    # so the own q^3 of b_1 cancels, and t(0) = 0 leaves b_e out
+    x = std_term(0, (1, 0, 1), ONE) + std_term(0, (0, 1), Q + Q * Q) + std_term(0, (1,), Q**3)
+    out = assert_std_to_kl_matches_oracle(x)
+    assert out[KLLabel(0, (0, 1))] == Q * Q
+    assert out[KLLabel(0, (1, 0))] == -Q
+    assert out[KLLabel(0, (0,))] == -(Q**3)
+    assert KLLabel(0, (1,)) not in out and KLLabel(0, ()) not in out
+
+
+def test_std_to_kl_several_shifts_in_one_element():
+    rng = random.Random(4242)
+    for shifts in ((-3, 0, 3), (-1, 1), (-(10**6), 2, 10**6), tuple(range(-4, 5))):
+        for _ in range(20):
+            x = random_std_combination(rng, shifts, max_len=12, size=16)
+            out = assert_std_to_kl_matches_oracle(x)
+            assert {label.m for label in out} <= set(shifts)
+
+
+def test_kl_round_trip_at_length_70():
+    for label in (KLLabel(0, alt_word(70, first=0)), KLLabel(-3, alt_word(69, first=1))):
+        assert std_to_kl(kl_to_std(label)) == {label: ONE}
+    x = kl_to_std(KLLabel(2, alt_word(70, first=1))).scale(LaurentPoly({-1: 5, 1: -7}))
+    assert kl_combo_to_std(std_to_kl(x)) == x
+
+
 def test_kl_round_trips():
     for label in labels(12, rho_powers=(-2, -1, 0, 1, 2)):
         assert std_to_kl(kl_to_std(label)) == {label: ONE}
