@@ -92,9 +92,6 @@ def lift(vec):
     return kl_combo_to_std({KLLabel(int(primed), alt_word(k, last=1)): c for (primed, k), c in vec.terms.items()})
 
 
-_GENERATORS = ("rho", "b0", "b1", "T0", "T1")
-
-
 def _act_basis_closed(gen, primed, k, bound):
     """Closed-form action of a generator on u_k or u'_k."""
     if gen == "rho":
@@ -135,24 +132,18 @@ def gen_elt(gen):
     raise BadIndex(f"unknown generator {gen!r}")
 
 
-def u_act(gen, vec, engine="closed"):
-    """Action of a generator on a truncated vector.
-
-    Two engines: the closed-form table, and reduce-after-multiply through
-    the algebra.  They agree; the test suite pins this down.
-    """
+def u_act(gen, vec):
+    """Action of a generator on a truncated vector, by the closed-form table.
+    The test suite pins it to act_elt(gen_elt(gen), vec), reduce after
+    multiply through the algebra."""
     if gen in ("T0", "T1"):
         # T_i = b_i - q
-        return u_act("b" + gen[1], vec, engine) - vec.scale(Q)
-    if engine == "closed":
-        acc = {}
-        for (primed, k), coeff in vec.terms.items():
-            for key, factor in _act_basis_closed(gen, primed, k, vec.n).items():
-                add_product(acc, key, coeff, factor)
-        return UVec._raw(vec.n, sealed(acc))
-    if engine == "reduce":
-        return u_reduce(gen_elt(gen) * lift(vec), vec.n)
-    raise InvalidValue(f"unknown engine {engine!r}")
+        return u_act("b" + gen[1], vec) - vec.scale(Q)
+    acc = {}
+    for (primed, k), coeff in vec.terms.items():
+        for key, factor in _act_basis_closed(gen, primed, k, vec.n).items():
+            add_product(acc, key, coeff, factor)
+    return UVec._raw(vec.n, sealed(acc))
 
 
 def act_elt(elt, vec):

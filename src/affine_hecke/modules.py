@@ -1,9 +1,9 @@
 """Finite-dimensional modules as exact generator matrices.
 
 A module is given by matrices for T_1, ..., T_{n-1}, rho and rho^-1 over
-Z[q,q^-1].  Induced modules take rho^-1 from their induction plan; only a
-supplied module inverts rho, by one fraction-free elimination (its
-determinant must be a unit).
+Z[q,q^-1].  Induced modules build rho^-1 with rho; only a supplied module
+inverts rho, by one fraction-free elimination (its determinant must be a
+unit).
 
 Matrices are sparse inside this module: the row form of a matrix is a
 tuple of rows {col: LaurentPoly} holding only the nonzero entries, so two
@@ -21,24 +21,24 @@ values of t, t_inv, b, word_mat and module_y (built per call), the helpers
 mat_mul, mat_scale and mat_eye, and the elimination of mat_det and
 mat_unit_inverse.
 
-Zelevinsky induction realizes Ind on the basis {T_x (x) m1 (x) m2} indexed
-by minimal coset representatives.  The plan, cached per (n, k), rewrites
-g T_x in Bernstein normal form and splits each T_w = T_{x'} T_u along the
-coset decomposition; induce acts by the block factors of T_u through the
-factor row forms and by y^lambda through the factor y-matrices (y_{k+j}
-routed to the right factor).
+Zelevinsky induction realizes Ind on the basis {T_x (x) m1 (x) m2}, x the
+minimal coset representatives, from their windows alone (_moves, cached
+per (n, k)): T_i acts on T_x by T_p of a factor when i, i+1 sit at
+positions p, p+1 of one block (s_i x = x s_p), else by Deodhar's lemma.
+rho^+-1 goes along left descents by rho T_i rho^-1 = T_{i+1}, from
+rho = T_1 ... T_{n-1} y_n and rho^-1 = T_{n-1} ... T_1 y_1^-1 at x = 1,
+and is psi_L(rho) or psi_R(rho^-1) at the one other x with no usable descent.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, partial, reduce
 
-from .bernstein import BernsteinElt, to_bernstein
 from .errors import BadIndex, DimUnsupported, InvalidValue, RankMismatch, Record
-from .hecke import defining_relations, fold_word, inverse_word, rex_word, rho_gen, t_gen
+from .hecke import _DESC, defining_relations, fold_word, inverse_word, rex_word
 from .laurent import ONE, Q, QINV, ZERO, accumulate, add_product, sealed
-from .parabolic import coset_decompose, min_coset_reps, split_parabolic_factor, y_word
+from .parabolic import min_coset_reps, y_word
 from .weyl import canonical_rex
 
 # ---------------------------------------------------------------------------
@@ -270,23 +270,29 @@ def module_act(mod, elt, vec):
 
 
 @cache
-def _induction_plan(n, k):
-    """Ind's work that depends on (n, k) alone: for g in T_1..T_{n-1}, rho,
-    rho^-1 and each representative x, the terms T_{x'} T_{u_l} T_{u_r} y^lam
-    of g T_x as (index of x', word of u_l, lam[:k], word of u_r, lam[k:], coeff)."""
-    reps = min_coset_reps(n, k)
-    index = {x: pos for pos, x in enumerate(reps)}
+def _moves(n, k):
+    """moves[i-1][x], for T_i on T_x with x indexing min_coset_reps(n, k) and p, p'
+    the positions of i, i+1 in the window of x: (y, p' < p) when s_i x is the
+    representative y, or (None, p) when s_i x = x s_p."""
+    windows = [x.window for x in min_coset_reps(n, k)]
+    index = {w: pos for pos, w in enumerate(windows)}
 
-    def split(w, lam, coeff):
-        x2, u = coset_decompose(w, k)
-        u_l, u_r = split_parabolic_factor(u, k)
-        return index[x2], canonical_rex(u_l).word, lam[:k], canonical_rex(u_r).word, lam[k:], coeff
+    def move(i, w):
+        p, p2 = w.index(i) + 1, w.index(i + 1) + 1
+        if (p <= k) == (p2 <= k):
+            return None, p
+        return index[tuple(2 * i + 1 - v if v in (i, i + 1) else v for v in w)], p2 < p
 
-    gens = [t_gen(n, i) for i in range(1, n)] + [rho_gen(n), rho_gen(n, -1)]
-    return tuple(
-        tuple(tuple(split(w, lam, c) for (w, lam), c in (g * BernsteinElt.t_term(x)).items()) for x in reps)
-        for g in map(to_bernstein, gens)
-    )
+    return tuple(tuple(move(i, w) for w in windows) for i in range(1, n))
+
+
+def _transpose(rows, dim):
+    """The row form of the transpose, so the row form of a matrix from its column form."""
+    out = [{} for _ in range(dim)]
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            out[c][r] = x
+    return tuple(out)
 
 
 def induce(m1, m2):
@@ -294,30 +300,49 @@ def induce(m1, m2):
     binom(n, k) * dim(m1) * dim(m2) with n = m1.n + m2.n and k = m1.n."""
     k, n = m1.n, m1.n + m2.n
     d1, d2 = m1.dim, m2.dim
-    plan = _induction_plan(n, k)
-    dim = len(plan[0]) * d1 * d2  # T_x (x) e_a (x) e_b sits at (x d1 + a) d2 + b
+    moves = _moves(n, k)
+    reps, d = len(moves[0]), d1 * d2
+    dim = reps * d  # T_x (x) e_a (x) e_b sits at x d + a d2 + b
 
-    @cache
-    def factor_op(side, word, lam):
-        """Nonzero (row, col, value) of T_word y^lam on the left (side 0) or right (side 1) factor."""
-        mod = (m1, m2)[side]
-        ys = [(y_word(mod.n, i), e) for i, e in enumerate(lam, 1)]
-        y_pows = sum(((y if e > 0 else inverse_word(y)) * abs(e) for y, e in ys), ())
-        rows = _word_rows(mod, tuple((g, 1) for g in word) + y_pows)
-        return [(r, c, v) for r, row in enumerate(rows) for c, v in row.items()]
+    # the column forms of L (x) 1 and 1 (x) R on the x = 1 block, from the row forms of L and R
+    def left(rows):
+        cols = _transpose(rows, d1)
+        return [{r * d2 + b: c for r, c in cols[a].items()} for a in range(d1) for b in range(d2)]
 
-    def generator_rows(plan_cols):
-        acc = [{} for _ in range(dim)]  # row -> col -> entry
-        for x, entries in enumerate(plan_cols):
-            for x2, word_l, lam_l, word_r, lam_r, coeff in entries:
-                for a2, a, v_l in factor_op(0, word_l, lam_l):
-                    c = coeff * v_l
-                    for b2, b, v_r in factor_op(1, word_r, lam_r):
-                        add_product(acc[(x2 * d1 + a2) * d2 + b2], (x * d1 + a) * d2 + b, c, v_r)
-        return tuple(map(sealed, acc))
+    def right(rows):
+        cols = _transpose(rows, d2)
+        return [{a * d2 + r: c for r, c in cols[b].items()} for a in range(d1) for b in range(d2)]
 
-    *t_rows, rho, rho_inv = map(generator_rows, plan)
-    return FinDimModule._from_rows(n, dim, t_rows, rho, rho_inv)
+    inner = {p: left(m1._letter(p)) for p in range(1, k)}
+    inner.update((p, right(m2._letter(p - k))) for p in range(k + 1, n))
+
+    def t_cols(row):
+        cols = []
+        for x, (y, flag) in enumerate(row):
+            if y is None:
+                cols += [{x * d + r: c for r, c in col.items()} for col in inner[flag]]
+            else:
+                cols += [{y * d + v: ONE, x * d + v: _DESC} if flag else {y * d + v: ONE} for v in range(d)]
+        return cols
+
+    ts = [None, *map(t_cols, moves)]  # ts[i]: the column form of T_i
+
+    def rho_rows(e, first, boundary):
+        """Row form of rho^e (e = +-1) from its blocks of d columns in order of
+        length: rho^e T_x = T_{i+e} rho^e T_{s_i x} for a left descent i of x."""
+        blocks = [first]
+        for x in range(1, reps):
+            step = next(((i + e, y) for i, (y, desc) in enumerate((m[x] for m in moves), 1)
+                         if y is not None and desc and 0 < i + e < n), None)
+            blocks.append(boundary if step is None else _mul(blocks[step[1]], ts[step[0]]))
+        return _transpose([col for block in blocks for col in block], dim)
+
+    # y_n = psi_R(y_{n-k}) and y_1 = psi_L(y_1)
+    up = reduce(_mul, ts[:0:-1], right(_word_rows(m2, y_word(m2.n, m2.n))))
+    down = reduce(_mul, ts[1:], left(_word_rows(m1, inverse_word(y_word(k, 1)))))
+    rho = rho_rows(1, up, left(m1._letter("rho")))
+    rho_inv = rho_rows(-1, down, right(m2._letter("rho", -1)))
+    return FinDimModule._from_rows(n, dim, [_transpose(t, dim) for t in ts[1:]], rho, rho_inv)
 
 
 # ---------------------------------------------------------------------------

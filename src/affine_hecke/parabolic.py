@@ -32,10 +32,10 @@ from __future__ import annotations
 from functools import cache, partial
 from itertools import combinations
 
-from .errors import BadIndex, Record, ShiftNonzero
+from .errors import BadIndex, Record
 from .hecke import HeckeElt, fold_word, inverse_word, rex_word, word_elt
 from .laurent import add_product, sealed
-from .weyl import AffinePerm, canonical_rex, identity
+from .weyl import AffinePerm, canonical_rex
 
 
 class ParabolicContext(Record):
@@ -143,24 +143,3 @@ def min_coset_reps(n, k):
         reps.append(AffinePerm(n, left + right))
     reps.sort(key=lambda w: (w.length(), w.window))
     return reps
-
-
-def coset_decompose(w, k):
-    """Write a finite permutation as w = x u with x a minimal coset
-    representative and u in S_k x S_{n-k}; the lengths add."""
-    if not w.is_finite():
-        raise ShiftNonzero(f"coset decomposition needs a permutation of 1..n: {w.window}")
-    n = w.n
-    x_window = tuple(sorted(w.window[:k])) + tuple(sorted(w.window[k:]))
-    x = AffinePerm(n, x_window)
-    u = x.inverse() * w
-    return x, u
-
-
-def split_parabolic_factor(u, k):
-    """Split u in S_k x S_{n-k} into its two block permutations."""
-    n = u.n
-    left = AffinePerm(k, u.window[:k]) if k >= 1 else identity(1)
-    right_window = tuple(v - k for v in u.window[k:])
-    right = AffinePerm(n - k, right_window) if n - k >= 1 else identity(1)
-    return left, right

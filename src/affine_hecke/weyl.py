@@ -69,10 +69,6 @@ class AffinePerm(Interned, Record):
     def is_identity(self):
         return self.window == tuple(range(1, self.n + 1))
 
-    def is_finite(self):
-        """True for permutations of {1, ..., n}."""
-        return sorted(self.window) == list(range(1, self.n + 1))
-
     def to_rex(self):
         """Canonical reduced expression, greedy on the smallest right descent."""
         m = self.shift

@@ -24,7 +24,7 @@ MEMOS = {
     "bernstein._y_power",
     "example_n2.w_module",
     "example_n2._pi_basis",
-    "modules._induction_plan",
+    "modules._moves",
 }
 
 

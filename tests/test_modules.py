@@ -1,14 +1,27 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affine_hecke.bernstein import BernsteinElt, to_bernstein
 from affine_hecke.errors import BadIndex, DimUnsupported, InvalidValue
 from affine_hecke.example_n2 import w_module
-from affine_hecke.hecke import b_gen, inverse_word, kl_to_std, KLLabel
-from affine_hecke.laurent import ONE, Q, QINV, ZERO, LaurentPoly
+from affine_hecke.hecke import (
+    HeckeElt,
+    KLLabel,
+    b_gen,
+    inverse_word,
+    kl_to_std,
+    rex_word,
+    rho_gen,
+    t_gen,
+    word_elt,
+)
+from affine_hecke.laurent import ONE, Q, QINV, ZERO, LaurentPoly, add_product, sealed
 from affine_hecke.modules import (
     DEFAULT_PROBES,
     FinDimModule,
@@ -33,8 +46,9 @@ from affine_hecke.modules import (
     trivial_module,
     word_mat,
 )
-from affine_hecke.parabolic import y_word
+from affine_hecke.parabolic import ParabolicContext, min_coset_reps, psi_L, psi_R, y_word
 from affine_hecke.serialize import module_from_json, to_json
+from affine_hecke.weyl import AffinePerm, canonical_rex
 
 TWO = LaurentPoly.const(2)
 
@@ -280,13 +294,15 @@ def rank1(e, sign=1):
 
 
 LARGE_INDUCED = {
-    "2-3": (lambda: induce(trivial_module(2), trivial_module(3)), 10),
-    "2-4": (lambda: induce(trivial_module(2), trivial_module(4)), 15),
-    "3-3": (lambda: induce(trivial_module(3), trivial_module(3)), 20),
-    "4-4": (lambda: induce(trivial_module(4), trivial_module(4)), 70),
-    "4-5": (lambda: induce(trivial_module(4), trivial_module(5)), 126),
-    "W-W": (lambda: induce(w_module(), w_module()), 24),
-    "W-1-1": (lambda: induce(induce(w_module(), trivial_module(1)), trivial_module(1)), 24),
+    "2-3": (lambda: (trivial_module(2), trivial_module(3)), 10),
+    "2-4": (lambda: (trivial_module(2), trivial_module(4)), 15),
+    "3-3": (lambda: (trivial_module(3), trivial_module(3)), 20),
+    "4-4": (lambda: (trivial_module(4), trivial_module(4)), 70),
+    "4-5": (lambda: (trivial_module(4), trivial_module(5)), 126),
+    "5-6": (lambda: (trivial_module(5), trivial_module(6)), 462),
+    "1-15": (lambda: (trivial_module(1), trivial_module(15)), 16),
+    "W-W": (lambda: (w_module(), w_module()), 24),
+    "W-1-1": (lambda: (induce(w_module(), trivial_module(1)), trivial_module(1)), 24),
 }
 
 
@@ -298,7 +314,7 @@ def mat_sum(a, b):
 @pytest.mark.parametrize("case", LARGE_INDUCED)
 def test_large_induced_modules(case):
     build, dim = LARGE_INDUCED[case]
-    mod = build()
+    mod = induce(*build())
     assert mod.dim == dim
     report = dict(module_check_relations(mod))
     assert report["rho*rho^-1 = 1"]
@@ -329,6 +345,100 @@ def test_plan_rho_inverse_matches_elimination(case):
     mod = induce(*PLAN_INVERSE_PAIRS[case]())
     assert mod.rho_inv_mat == mat_unit_inverse(mod.rho_mat)
     assert all_pass(module_check_relations(mod))
+
+
+def straightened_induce(m1, m2):
+    """Ind(m1 (x) m2) by Bernstein straightening, the former builder: each
+    g T_x in normal form sum c T_w y^lam, T_w = T_{x'} T_{u_l} T_{u_r} split
+    from the window of w, acting by T_{u_l} y^lam[:k] on m1 and T_{u_r}
+    y^lam[k:] on m2.  It shares only min_coset_reps and _word_rows with induce."""
+    k, n = m1.n, m1.n + m2.n
+    d1, d2 = m1.dim, m2.dim
+    reps = min_coset_reps(n, k)
+    index = {x.window: pos for pos, x in enumerate(reps)}
+    dim = len(reps) * d1 * d2  # T_x (x) e_a (x) e_b sits at (x d1 + a) d2 + b
+
+    def factor_op(mod, window, lam):
+        """Nonzero (row, col, value) of T_u y^lam on a factor, u of the given window."""
+        ys = [(y_word(mod.n, i), e) for i, e in enumerate(lam, 1)]
+        y_pows = sum(((y if e > 0 else inverse_word(y)) * abs(e) for y, e in ys), ())
+        rows = _word_rows(mod, rex_word(canonical_rex(AffinePerm(mod.n, window))) + y_pows)
+        return [(r, c, v) for r, row in enumerate(rows) for c, v in row.items()]
+
+    def generator_rows(g):
+        acc = [{} for _ in range(dim)]  # row -> col -> entry
+        for x, rep in enumerate(reps):
+            for (w, lam), coeff in (g * BernsteinElt.t_term(rep)).items():
+                left, right = sorted(w.window[:k]), sorted(w.window[k:])
+                x2 = index[tuple(left + right)]
+                u_l = tuple(left.index(v) + 1 for v in w.window[:k])
+                u_r = tuple(right.index(v) + 1 for v in w.window[k:])
+                for a2, a, v_l in factor_op(m1, u_l, lam[:k]):
+                    c = coeff * v_l
+                    for b2, b, v_r in factor_op(m2, u_r, lam[k:]):
+                        add_product(acc[(x2 * d1 + a2) * d2 + b2], (x * d1 + a) * d2 + b, c, v_r)
+        return tuple(map(sealed, acc))
+
+    gens = [t_gen(n, i) for i in range(1, n)] + [rho_gen(n), rho_gen(n, -1)]
+    *t_rows, rho, rho_inv = (generator_rows(to_bernstein(g)) for g in gens)
+    return FinDimModule._from_rows(n, dim, t_rows, rho, rho_inv)
+
+
+STRAIGHTENING_CASES = {
+    **{case: LARGE_INDUCED[case][0] for case in ("2-3", "3-3", "4-4", "W-1-1")},
+    "triv1-(-q,q^2)": lambda: (trivial_module(1), one_dimensional(2, -Q, Q**2)),
+    **PLAN_INVERSE_PAIRS,
+}
+
+
+@pytest.mark.parametrize("case", STRAIGHTENING_CASES)
+def test_induce_matches_straightening(case):
+    m1, m2 = STRAIGHTENING_CASES[case]()
+    assert induce(m1, m2) == straightened_induce(m1, m2)
+
+
+def check_by_frobenius(mod, m1, m2):
+    """Three facts fix Ind(m1 (x) m2) on its basis T_x (x) e_v, and none of
+    them reads either builder: every relation holds; T_x e_{1,v} = e_{x,v}
+    for every representative x; and psi_L / psi_R of rho and of each T_i act
+    on the x = 1 block as their matrices in m1 / m2 (rho^-1 then acts there
+    as the inverse, since rho rho^-1 = 1 holds)."""
+    n, k, d1, d2 = mod.n, m1.n, m1.dim, m2.dim
+    assert mod.dim == comb(n, k) * d1 * d2
+    assert all_pass(module_check_relations(mod))
+
+    def e(x, a, b):
+        return tuple(ONE if j == (x * d1 + a) * d2 + b else ZERO for j in range(mod.dim))
+
+    # the windows increasing on both blocks, by length and then window
+    windows = [left + tuple(v for v in range(1, n + 1) if v not in left) for left in combinations(range(1, n + 1), k)]
+    reps = sorted((AffinePerm(n, w) for w in windows), key=lambda x: (x.length(), x.window))
+    for x, rep in enumerate(reps):
+        for a in range(d1):
+            for b in range(d2):
+                assert module_act(mod, HeckeElt.from_term(rep), e(0, a, b)) == e(x, a, b)
+    ctx = ParabolicContext(n, k)
+    for side, factor, embed in ((0, m1, psi_L), (1, m2, psi_R)):
+        for letter in [("rho", 1)] + [(i, 1) for i in range(1, factor.n)]:
+            image, mat = embed(ctx, word_elt(factor.n, (letter,))), word_mat(factor, (letter,))
+            for a in range(d1):
+                for b in range(d2):
+                    expected = [ZERO] * mod.dim
+                    for r in range(factor.dim):
+                        expected[(r * d2 + b, a * d2 + r)[side]] = mat[r][(a, b)[side]]
+                    assert module_act(mod, image, e(0, a, b)) == tuple(expected)
+
+
+FROBENIUS_CASES = {
+    **{case: build for case, (build, dim) in LARGE_INDUCED.items() if dim <= 70},
+    **{case: STRAIGHTENING_CASES[case] for case in ("triv1-(-q,q^2)", *PLAN_INVERSE_PAIRS)},
+}
+
+
+@pytest.mark.parametrize("case", FROBENIUS_CASES)
+def test_induce_by_frobenius_reciprocity(case):
+    m1, m2 = FROBENIUS_CASES[case]()
+    check_by_frobenius(induce(m1, m2), m1, m2)
 
 
 def test_malformed_module_is_invalid():

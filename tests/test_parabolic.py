@@ -2,23 +2,21 @@ from itertools import permutations
 
 import pytest
 
-from affine_hecke.errors import BadIndex, ShiftNonzero
+from affine_hecke.errors import BadIndex
 from affine_hecke.hecke import HeckeElt, broken_relations, generator_letters, rho_gen, t_gen, t_inv_gen, word_elt
 from affine_hecke.laurent import Q
 from affine_hecke.parabolic import (
     ParabolicContext,
     bernstein_y,
     bernstein_y_inv,
-    coset_decompose,
     min_coset_reps,
     psi,
     psi_L,
     psi_R,
     psi_rho_pair,
-    split_parabolic_factor,
 )
 from affine_hecke.parabolic import _left_images, _right_images
-from affine_hecke.weyl import AffinePerm, rho, simple
+from affine_hecke.weyl import AffinePerm
 
 CASES = ((2, 1), (3, 1), (3, 2), (4, 2))
 
@@ -202,9 +200,11 @@ def test_min_coset_reps_exhaustive(n, k):
         for w in permutations(range(1, n + 1))
         if set(w[:k]) == set(range(1, k + 1))
     ]
-    # each reachable coset has its representative of minimal length
+    # each reachable coset has its representative of minimal length: the
+    # window of w with both blocks sorted, and w = x u with the lengths adding
     for w in (AffinePerm(n, p) for p in permutations(range(1, n + 1))):
-        x, u = coset_decompose(w, k)
+        x = AffinePerm(n, tuple(sorted(w.window[:k])) + tuple(sorted(w.window[k:])))
+        u = x.inverse() * w
         assert x in reps
         assert x.length() + u.length() == w.length()
         assert set(u.window[:k]) == set(range(1, k + 1))
@@ -230,25 +230,3 @@ def test_min_coset_reps_matches_permutation_filter(n):
 
 def test_min_coset_reps_rank10():
     assert len(min_coset_reps(10, 5)) == 252
-
-
-def test_coset_decompose_example():
-    w = simple(3, 1) * simple(3, 2)
-    x, u = coset_decompose(w, 2)
-    assert x * u == w
-    assert x.length() + u.length() == w.length()
-    assert set(u.window[:2]) == {1, 2}
-
-
-def test_coset_decompose_requires_finite():
-    with pytest.raises(ShiftNonzero):
-        coset_decompose(rho(2, 1), 1)
-    with pytest.raises(ShiftNonzero):
-        coset_decompose(simple(2, 0), 1)
-
-
-def test_split_parabolic_factor():
-    u = AffinePerm(4, (2, 1, 4, 3))
-    left, right = split_parabolic_factor(u, 2)
-    assert left.window == (2, 1)
-    assert right.window == (2, 1)

@@ -341,9 +341,12 @@ def test_cli_import_loads_no_dataclasses():
         (["eval", "-n", "3", "T1*rho^-2 + q*b0 - T2^-1"], NOT_AT_START),
         (["yclass", "1", "-2"], ("affine_hecke.expr", *NOT_AT_START)),
         (["gradedrank", "b01", "rho*b10"], ("affine_hecke.expr", *NOT_AT_START)),
-        (["induce", "--n", "3", "--k", "1", "--right", "trivial:2"], ("fractions", "affine_hecke.expr", "affine_hecke.example_n2")),
+        (
+            ["induce", "--n", "3", "--k", "1", "--right", "trivial:2"],
+            ("fractions", "affine_hecke.bernstein", "affine_hecke.expr", "affine_hecke.example_n2"),
+        ),
         (["reduce-u", "b01 - rho*T1"], tuple(m for m in NOT_AT_START if m != "affine_hecke.example_n2")),
-        (["pi-uw", "u1 - q*u'2"], ("dataclasses", "inspect", "fractions", "affine_hecke.checks")),
+        (["pi-uw", "u1 - q*u'2"], ("dataclasses", "inspect", "fractions", "affine_hecke.bernstein", "affine_hecke.checks")),
     ],
     ids=["eval", "yclass", "gradedrank", "induce", "reduce-u", "pi-uw"],
 )
