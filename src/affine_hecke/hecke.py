@@ -10,7 +10,9 @@ with braid and distant-commutation relations for n >= 3, so that
 T_i^-1 = T_i + (q - q^-1) and the Kazhdan-Lusztig generator is
 b_i = T_i + q with b_i^2 = [2] b_i.  defining_relations lists them once
 as pairs of words in the generators; fold_word evaluates a word in any
-target, and word_elt is its value in the algebra.
+target, and word_elt is its value in the algebra.  WordMemo is the word
+memo of one evaluation (a relation check): each word is one product from a
+prefix or suffix folded before, so a braid relation's sides share T_i T_{i+1}.
 
 Multiplication walks a trie of the right factor's canonical reduced
 expressions (weyl.canonical_rex, the one memo of to_rex) from the left
@@ -202,6 +204,7 @@ def generator_letters(n):
     return [("rho", 1), ("rho", -1)] + [(i, 1) for i in (range(n) if n >= 2 else ())]
 
 
+@cache
 def defining_relations(n):
     """The defining relations of the rank-n algebra as (name, lhs, rhs) words.
 
@@ -220,19 +223,37 @@ def defining_relations(n):
     ]
     distant = [(i, j) for i, j in combinations(idx, 2) if (j - i) % n not in (1, n - 1)]
     rels += [(f"T_{i} T_{j} = T_{j} T_{i}", ((i, 1), (j, 1)), ((j, 1), (i, 1))) for i, j in distant]
-    return rels
+    return tuple(rels)
+
+
+class WordMemo(dict):
+    """word -> fold_word(word, letter, mul, one), folded on first lookup as
+    one product: the first letter times the suffix when that is folded
+    already, else the prefix (folded if need be) times the last letter.  No
+    value refers back to the memo, so no reference cycle keeps it alive."""
+
+    __slots__ = ("letter", "mul", "one")
+
+    def __init__(self, letter, mul, one):
+        self.letter, self.mul, self.one = letter, mul, one
+
+    def __missing__(self, word):
+        if len(word) < 2:
+            out = fold_word(word, self.letter, self.mul, self.one)
+        elif word[1:] in self:
+            out = self.mul(self[word[:1]], self[word[1:]])
+        else:
+            out = self.mul(self[word[:-1]], self[word[-1:]])
+        self[word] = out
+        return out
 
 
 def broken_relations(n, rank, image):
     """Names of the rank-`rank` defining relations that fail when each letter
     goes to the rank-n element image(g, e) and each side to the product of
     its letters' images."""
-    image = cache(image)
-
-    def value(word):
-        return fold_word(word, image, HeckeElt.__mul__, partial(HeckeElt.one, n))
-
-    return [name for name, lhs, rhs in defining_relations(rank) if value(lhs) != value(rhs)]
+    words = WordMemo(image, HeckeElt.__mul__, partial(HeckeElt.one, n))
+    return [name for name, lhs, rhs in defining_relations(rank) if words[lhs] != words[rhs]]
 
 
 def bott_samelson(n, word):

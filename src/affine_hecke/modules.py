@@ -7,19 +7,21 @@ unit).
 
 Matrices are sparse inside this module: the row form of a matrix is a
 tuple of rows {col: LaurentPoly} holding only the nonzero entries, so two
-row forms are equal exactly when the matrices are.  A module stores only
-the row form of each letter, built once: rho, rho^-1, T_1..T_{n-1},
-T_0 = rho T_{n-1} rho^-1 and T_i^-1 = T_i + (q - q^-1) on the diagonal.
-[xy] = [x][y] is one row-form product, summed by laurent.add_product.  A
-word in the generators (hecke.fold_word) is the product of its letters'
-row forms: the relation check compares the two sides of each of
-hecke.defining_relations in row form, module_y evaluates the words
-parabolic.y_word, and module_act the word of each term's canonical
-reduced expression.  Matrices are dense tuples of tuples at the edges:
-the views t_mats, rho_mat and rho_inv_mat (built on first read), the
-values of t, t_inv, b, word_mat and module_y (built per call), the helpers
-mat_mul, mat_scale and mat_eye, and the elimination of mat_det and
-mat_unit_inverse.
+row forms are equal exactly when the matrices are; no row is mutated once
+built, so row forms share rows.  A module stores the row forms of rho,
+rho^-1 and T_1..T_{n-1}, and builds T_0 = rho T_{n-1} rho^-1 and
+T_i^-1 = T_i + (q - q^-1) on the diagonal on first read.  [xy] = [x][y] is
+one row-form product, summed by laurent.add_product; a row of x with one
+entry gives a row of y, scaled, with no sum.  A word in the generators
+(hecke.fold_word) is the product of its letters' row forms: module_y
+evaluates the words parabolic.y_word, and module_act the word of each
+term's canonical reduced expression.  The relation check values words by
+one memo (hecke.WordMemo), and one relation per rotation orbit once
+rho rho^-1 = 1 and each rho T_i rho^-1 = T_{i+1} hold.  Matrices are dense
+tuples of tuples at the edges: the views t_mats, rho_mat and rho_inv_mat
+(built on first read), the values of t, t_inv, b, word_mat and module_y
+(built per call), the helpers mat_mul, mat_scale and mat_eye, and the
+elimination of mat_det and mat_unit_inverse.
 
 Zelevinsky induction realizes Ind on the basis {T_x (x) m1 (x) m2}, x the
 minimal coset representatives, from their windows alone (_moves, cached
@@ -36,7 +38,7 @@ import math
 from functools import cache, cached_property, partial, reduce
 
 from .errors import BadIndex, DimUnsupported, InvalidValue, RankMismatch, Record
-from .hecke import _DESC, defining_relations, fold_word, inverse_word, rex_word
+from .hecke import _DESC, WordMemo, defining_relations, fold_word, inverse_word, rex_word
 from .laurent import ONE, Q, QINV, ZERO, accumulate, add_product, sealed
 from .parabolic import min_coset_reps, y_word
 from .weyl import canonical_rex
@@ -64,9 +66,15 @@ def _eye(dim):
 
 
 def _mul(a, b):
-    """The row form of ab: row i sums x * b[k] over the entries (k, x) of a[i]."""
+    """The row form of ab: row i sums x * b[k] over the entries (k, x) of a[i].
+    A row with one entry is b[k] itself when x = 1, else x b[k], which has
+    no zero entry since Z[q,q^-1] has no zero divisors."""
     out = []
     for row in a:
+        if len(row) == 1:
+            ((k, x),) = row.items()
+            out.append(b[k] if x == ONE else {j: x * y for j, y in b[k].items()})
+            continue
         acc = {}
         for k, x in row.items():
             for j, y in b[k].items():
@@ -151,7 +159,8 @@ class FinDimModule(Record):
     matrices and eliminates rho^-1 when it is not given.  Two modules are
     equal exactly when their matrices are; a module has no hash."""
 
-    __slots__ = ("n", "dim", "_letters", "__dict__")  # __dict__ holds the dense views
+    # _letters: rho^+-1 and T_1..T_{n-1}; _derived: T_0 and the T_i^-1; __dict__: the dense views
+    __slots__ = ("n", "dim", "_letters", "_derived", "__dict__")
     __hash__ = None
 
     def __init__(self, n, dim, t_mats, rho_mat, rho_inv_mat=None):
@@ -178,12 +187,10 @@ class FinDimModule(Record):
 
     def _fill(self, n, dim, t_rows, rho, rho_inv):
         letters = {("rho", 1): rho, ("rho", -1): rho_inv}  # (g, e) -> row form of the letter g^e
-        if n >= 2:
-            ts = (_mul(_mul(rho, t_rows[-1]), rho_inv), *t_rows)
-            for i, t in enumerate(ts):
-                letters[i, 1], letters[i, -1] = t, _shift_diagonal(t, Q - QINV)
+        letters.update(((i, 1), t) for i, t in enumerate(t_rows, 1))
         Record.__init__(self, n, dim)
         object.__setattr__(self, "_letters", letters)
+        object.__setattr__(self, "_derived", {})
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -194,9 +201,15 @@ class FinDimModule(Record):
         return FinDimModule, (self.n, self.dim, self.t_mats, self.rho_mat, self.rho_inv_mat)
 
     def _letter(self, g, e=1):
-        rows = self._letters.get((g, e))
+        rows = self._letters.get((g, e)) or self._derived.get((g, e))
         if rows is None:
-            raise BadIndex(f"no generator T_{g} in rank {self.n}")
+            if self.n < 2 or g not in range(self.n) or e not in (1, -1):
+                raise BadIndex(f"no generator T_{g} in rank {self.n}")
+            if e == 1:
+                rows = _mul(_mul(self._letters["rho", 1], self._letters[self.n - 1, 1]), self._letters["rho", -1])
+            else:
+                rows = _shift_diagonal(self._letter(g), Q - QINV)
+            self._derived[g, e] = rows  # two threads at worst build equal values
         return rows
 
     # the dense views, built on first read; entry i-1 of t_mats is [T_i]
@@ -242,9 +255,24 @@ def word_mat(mod, word):
 def module_check_relations(mod):
     """Evaluate every defining relation as an exact matrix identity.
 
-    Returns a list of (name, passed) pairs.
+    Returns a list of (name, passed) pairs.  The relations with a rho are
+    evaluated first.  When they all hold, so does rho^-1 rho = 1 (the matrices are
+    square), and X -> rho X rho^-1 is an automorphism taking T_i^+-1 to
+    T_{i+1}^+-1: a relation holds exactly when its rotation i -> i+1 (mod n)
+    does, perhaps with its sides swapped, so one per orbit is evaluated.
     """
-    return [(name, _word_rows(mod, lhs) == _word_rows(mod, rhs)) for name, lhs, rhs in defining_relations(mod.n)]
+    n = mod.n
+    words = WordMemo(mod._letter, _mul, partial(_eye, mod.dim))
+    rels = defining_relations(n)
+    verdict = {(lhs, rhs): words[lhs] == words[rhs] for _, lhs, rhs in rels if lhs[0][0] == "rho"}
+    orbits = all(verdict.values())
+    for _, lhs, rhs in rels:
+        if (lhs, rhs) not in verdict:
+            ok = words[lhs] == words[rhs]
+            for _ in range(n if orbits else 1):
+                verdict[lhs, rhs] = verdict[rhs, lhs] = ok
+                lhs, rhs = (tuple(((g + 1) % n, e) for g, e in word) for word in (lhs, rhs))
+    return [(name, verdict[lhs, rhs]) for name, lhs, rhs in rels]
 
 
 def module_y(mod, i):

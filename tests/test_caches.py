@@ -17,6 +17,7 @@ MEMOS = {
     "weyl.canonical_rex",
     "weyl._inverse",
     "hecke._step",
+    "hecke.defining_relations",
     "hecke._basis_inverse",
     "hecke._kl_std_terms",
     "hecke._kl_level",
@@ -94,6 +95,17 @@ def test_cached_basis_products_are_tuples():
     assert isinstance(hecke._step(x, ("rho", -2)), tuple)
     assert isinstance(hecke._basis_inverse(x), tuple)
     assert isinstance(hecke._kl_std_terms(KLLabel(0, (1, 0))), tuple)
+
+
+def test_cached_relations_are_tuples_of_tuples():
+    for n in (1, 2, 4):
+        rels = hecke.defining_relations(n)
+        assert isinstance(rels, tuple) and rels
+        for rel in rels:
+            assert isinstance(rel, tuple)
+            _, lhs, rhs = rel
+            assert isinstance(lhs, tuple) and isinstance(rhs, tuple)
+            assert all(isinstance(letter, tuple) for letter in lhs + rhs)
 
 
 def test_no_memo_grows_with_the_term_pairs_of_a_product():

@@ -139,6 +139,14 @@ def test_yclass_inverse_letter_limit_exit_code(capsys, r, s):
     assert err.startswith("error:") and f"at most {Y_INVERSE_LIMIT}" in err and "Traceback" not in err
 
 
+def test_yclass_at_the_inverse_limit_answers(capsys):
+    # s - r = Y_INVERSE_LIMIT itself is allowed: about 2 s, nearly all printing
+    r, s = -Y_INVERSE_LIMIT // 2, Y_INVERSE_LIMIT // 2
+    code, out, err = run(capsys, "yclass", "--", str(r), str(s))
+    assert (code, err) == (0, "")
+    assert out and out == str(y_class(r, s))
+
+
 def test_yclass_without_inverse_letters_is_not_held_to_the_inverse_limit(capsys):
     # rho T_1 and (T_1^-1 rho)^-1 = rho^-1 T_1 stay one basis element each
     code, out, _ = run(capsys, "yclass", "1000", "-1000")

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 from affine_hecke.bernstein import BernsteinElt, to_bernstein
 from affine_hecke.errors import BadIndex, DimUnsupported, InvalidValue
 from affine_hecke.example_n2 import w_module
+from affine_hecke import modules
 from affine_hecke.hecke import (
     HeckeElt,
     KLLabel,
     b_gen,
+    defining_relations,
     inverse_word,
     kl_to_std,
     rex_word,
@@ -327,6 +330,106 @@ def test_large_induced_modules(case):
     for i, yi in enumerate(ys):
         for yj in ys[i + 1 :]:
             assert _mul(yi, yj) == _mul(yj, yi)
+
+
+def direct_relations(mod):
+    """The oracle of module_check_relations: each side of each relation
+    folded on its own by fold_word (_word_rows), with no word memo and no
+    verdicts shared along rho-orbits."""
+    return [(name, _word_rows(mod, lhs) == _word_rows(mod, rhs)) for name, lhs, rhs in defining_relations(mod.n)]
+
+
+ORACLE_MODULES = {
+    **{case: (lambda build=build: induce(*build())) for case, (build, dim) in LARGE_INDUCED.items() if dim <= 126},
+    "W": w_module,
+    "rank1-1": lambda: rank1(0),
+    "rank1-q2": lambda: rank1(2),
+    "rank1-(-q^-1)": lambda: rank1(-1, -1),
+}
+
+
+def stored_letters(mod):
+    return [("rho", 1), ("rho", -1)] + [(i, 1) for i in range(1, mod.n)]
+
+
+def with_letters(mod, letters):
+    """The module with the given row forms of rho^+-1 and T_1..T_{n-1}."""
+    t_rows = [letters[i, 1] for i in range(1, mod.n)]
+    return FinDimModule._from_rows(mod.n, mod.dim, t_rows, letters["rho", 1], letters["rho", -1])
+
+
+@pytest.mark.parametrize("case", ORACLE_MODULES)
+def test_relation_check_matches_direct_evaluation(case):
+    mod = ORACLE_MODULES[case]()
+    report = module_check_relations(mod)
+    assert report == direct_relations(mod) and all_pass(report)
+    # seeded one-entry mutants of every stored letter, most of which break a
+    # relation with a rho and so reach the path that evaluates every relation
+    rng = random.Random(case)
+    deltas = (ONE, -ONE, Q, -QINV, TWO * Q)
+    for letter in stored_letters(mod):
+        for _ in range(3):
+            letters = {key: mod._letter(*key) for key in stored_letters(mod)}
+            rows = list(letters[letter])
+            r, c = rng.randrange(mod.dim), rng.randrange(mod.dim)
+            row = dict(rows[r])  # rows may be shared between letters: never mutate one
+            entry = row.get(c, ZERO) + rng.choice(deltas)
+            if entry:
+                row[c] = entry
+            else:
+                del row[c]
+            rows[r] = row
+            letters[letter] = tuple(rows)
+            mutant = with_letters(mod, letters)
+            report = module_check_relations(mutant)
+            assert report == direct_relations(mutant), (letter, r, c)
+            if letter[0] == "rho":
+                assert not dict(report)["rho*rho^-1 = 1"]
+
+
+@pytest.mark.parametrize("case", ["3-3", "W-W", "1-15"])
+def test_negated_t_fails_only_the_quadratic_relations(case):
+    # -T_i still satisfies every conjugation, braid and commuting relation
+    mod = ORACLE_MODULES[case]()
+    letters = {key: mod._letter(*key) for key in stored_letters(mod)}
+    for i in range(1, mod.n):
+        letters[i, 1] = tuple({j: -x for j, x in row.items()} for row in letters[i, 1])
+    negated = with_letters(mod, letters)
+    report = module_check_relations(negated)
+    assert report == direct_relations(negated)
+    assert [name for name, ok in report if not ok] == [f"(T_{i}+q)(T_{i}-q^-1) = 0" for i in range(mod.n)]
+
+
+@pytest.mark.parametrize("a, b, products", [(1, 1, 6), (1, 2, 11), (2, 2, 15), (2, 3, 17), (3, 3, 21)])
+def test_relation_check_product_count(a, b, products, monkeypatch):
+    # ranks 2..6: one product for rho rho^-1, two per conjugation, one per
+    # quadratic orbit, three per braid orbit and two per commuting orbit
+    mod = induce(trivial_module(a), trivial_module(b))
+    calls = []
+
+    def counted(x, y):
+        calls.append(None)
+        return _mul(x, y)
+
+    monkeypatch.setattr(modules, "_mul", counted)
+    assert all_pass(module_check_relations(mod))
+    assert len(calls) == products + 2  # the first read of T_0 = rho T_{n-1} rho^-1
+    calls.clear()
+    assert all_pass(module_check_relations(mod))
+    assert len(calls) == products
+
+
+def test_relation_check_leaves_no_cyclic_garbage():
+    # a self-referencing word memo would hold every word value until the
+    # cycle collector ran, raising the peak memory of repeated checks
+    mod = induce(trivial_module(2), trivial_module(2))
+    gc.collect()
+    gc.disable()
+    try:
+        assert all_pass(module_check_relations(mod))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 PLAN_INVERSE_PAIRS = {
