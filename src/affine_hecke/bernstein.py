@@ -19,9 +19,9 @@ from __future__ import annotations
 from functools import cache, partial
 
 from .errors import RankMismatch
-from .hecke import HeckeElt, _mul_terms_simple, fold_word, inverse_word, rex_word
-from .laurent import ONE, Q, QINV, Combination, LaurentPoly, accumulate, add_product, sealed
-from .parabolic import bernstein_y, bernstein_y_inv
+from .hecke import HeckeElt, _mul_terms_simple, fold_word, inverse_word, rex_word, word_elt
+from .laurent import ONE, Q, QINV, Combination, LaurentPoly, accumulate, linear
+from .parabolic import y_word
 from .weyl import canonical_rex, identity, simple
 
 
@@ -152,29 +152,21 @@ def to_bernstein(elt):
             return rho_pos if e == 1 else rho_neg
         return t0 if g == 0 else _finite_letter(n, g, e)
 
-    acc = {}
-    for perm, coeff in elt.terms.items():
-        img = fold_word(rex_word(canonical_rex(perm)), letter, bernstein_mul, partial(BernsteinElt.one, n))
-        for key, c in img.terms.items():
-            add_product(acc, key, c, coeff)
-    return BernsteinElt._raw(n, sealed(acc))
+    def image(perm):
+        return fold_word(rex_word(canonical_rex(perm)), letter, bernstein_mul, partial(BernsteinElt.one, n)).items()
 
-
-@cache
-def _y_power(n, i, e):
-    base = bernstein_y(n, i) if e >= 0 else bernstein_y_inv(n, i)
-    return base ** abs(e)
+    return BernsteinElt._raw(n, linear(elt.terms.items(), image))
 
 
 def from_bernstein(b):
-    """Expand a normal-form element in the standard extended basis."""
+    """Expand a normal-form element in the standard extended basis: T_w y^lambda
+    is the element of one word, that of w followed by |lambda_i| copies of the
+    word of y_i (parabolic.y_word) for each i, or of its inverse if lambda_i < 0."""
     n = b.n
-    out = {}
-    for (perm, lam), coeff in b.terms.items():
-        acc = HeckeElt.from_term(perm, coeff)
-        for i, e in enumerate(lam, start=1):
-            if e:
-                acc = acc * _y_power(n, i, e)
-        for key, c in acc.terms.items():
-            accumulate(out, key, c)
-    return HeckeElt._raw(n, out)
+
+    def image(key):
+        perm, lam = key
+        ys = ((y_word(n, i) if e > 0 else inverse_word(y_word(n, i))) * abs(e) for i, e in enumerate(lam, 1))
+        return word_elt(n, sum(ys, rex_word(canonical_rex(perm)))).items()
+
+    return HeckeElt._raw(n, linear(b.terms.items(), image))

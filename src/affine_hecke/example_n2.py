@@ -14,8 +14,8 @@ bound raises TruncationExceeded rather than being dropped, because kernel
 certificates would be silently corrupted otherwise.
 
 The projection onto the two-dimensional module W sends u_0 to the cyclic
-vector w and intertwines the generator actions; only that projection
-imports the module layer (modules).
+vector w and intertwines the generator actions, so pi_uw is the lift of a
+vector acting on w (modules.module_act), the one import of the module layer.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from __future__ import annotations
 from functools import cache
 
 from .errors import BadIndex, InvalidValue, TruncationExceeded
-from .hecke import HeckeElt, KLLabel, alt_word, b_gen, kl_combo_to_std, kl_to_std, rho_gen, std_to_kl, t_gen
-from .laurent import ONE, Q, Q2, QINV, ZERO, Combination, add_product, sealed
+from .hecke import HeckeElt, KLLabel, alt_word, b_gen, kl_combo_to_std, rho_gen, std_to_kl, t_gen
+from .laurent import ONE, Q, Q2, QINV, ZERO, Combination, add_product, linear, sealed
 
 DEFAULT_BOUND = 20
 
@@ -139,11 +139,7 @@ def u_act(gen, vec):
     if gen in ("T0", "T1"):
         # T_i = b_i - q
         return u_act("b" + gen[1], vec) - vec.scale(Q)
-    acc = {}
-    for (primed, k), coeff in vec.terms.items():
-        for key, factor in _act_basis_closed(gen, primed, k, vec.n).items():
-            add_product(acc, key, coeff, factor)
-    return UVec._raw(vec.n, sealed(acc))
+    return UVec._raw(vec.n, linear(vec.terms.items(), lambda key: _act_basis_closed(gen, *key, vec.n).items()))
 
 
 def act_elt(elt, vec):
@@ -165,25 +161,12 @@ def w_module():
     return FinDimModule(2, 2, (((ZERO, ONE), (ONE, QINV - Q)),), swap, swap)
 
 
-@cache
-def _pi_basis(primed, k):
-    # the image of u_k is the KL element b_{..1} acting on the cyclic
-    # vector w = (1, 0); the primed vector adds one rho in front
-    from .modules import module_act
-
-    mod = w_module()
-    elt = kl_to_std(KLLabel(1 if primed else 0, alt_word(k, last=1)))
-    return module_act(mod, elt, (ONE, ZERO))
-
-
 def pi_uw(vec):
     """Project a truncated vector to W, as a pair of coordinates in the
-    basis {w, w'}."""
-    out = (ZERO, ZERO)
-    for (primed, k), coeff in vec.terms.items():
-        base = _pi_basis(primed, k)
-        out = (out[0] + coeff * base[0], out[1] + coeff * base[1])
-    return out
+    basis {w, w'}: its lift acting on the cyclic vector w = (1, 0)."""
+    from .modules import module_act
+
+    return module_act(w_module(), lift(vec), (ONE, ZERO))
 
 
 def ideal_generators():

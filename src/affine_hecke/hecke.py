@@ -40,7 +40,7 @@ from itertools import combinations
 
 from .errors import BadIndex, Interned, InvalidValue, RankMismatch, RankUnsupported, Record
 from .laurent import ONE, Q, Q2, QINV, ZERO, Combination, LaurentPoly, accumulate, add_product, add_tails
-from .laurent import power, sealed
+from .laurent import linear, power, sealed
 from .weyl import ReducedExpr, canonical_rex, from_rex, identity, rho, simple
 
 _DESC = QINV - Q  # q^-1 - q, the descent correction
@@ -113,12 +113,7 @@ class HeckeElt(Combination):
 
     def omega(self):
         """The q-antilinear antiinvolution: rho -> rho^-1, T_w -> T_w^-1."""
-        acc = {}
-        for perm, coeff in self.terms.items():
-            c = coeff.bar()
-            for p2, c2 in _basis_inverse(perm):
-                add_product(acc, p2, c, c2)
-        return HeckeElt._raw(self.n, sealed(acc))
+        return HeckeElt._raw(self.n, linear(((perm, c.bar()) for perm, c in self.terms.items()), _basis_inverse))
 
     def trace(self):
         """Coefficient of the identity basis element rho^0 T_e."""
@@ -126,11 +121,8 @@ class HeckeElt(Combination):
 
     def reduce_rho_squared(self):
         """Post-pass rho^2 -> 1: fold every rho-shift into {0, 1}."""
-        out = {}
-        for perm, coeff in self.terms.items():
-            m = perm.shift
-            accumulate(out, rho(self.n, (m % 2) - m) * perm, coeff)
-        return HeckeElt._raw(self.n, out)
+        n = self.n
+        return HeckeElt._raw(n, linear(self.terms.items(), lambda p: ((rho(n, p.shift % 2 - p.shift) * p, ONE),)))
 
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))
@@ -472,8 +464,4 @@ def _kl_word_product(p, r):
 def kl_combo_to_std(combo, n=2):
     """Expand a dict KLLabel -> LaurentPoly in the standard basis."""
     _require_n2(n)
-    acc = {}
-    for label, coeff in combo.items():
-        for perm, c in _kl_std_terms(label):
-            add_product(acc, perm, c, coeff)
-    return HeckeElt._raw(2, sealed(acc))
+    return HeckeElt._raw(2, linear(combo.items(), _kl_std_terms))

@@ -13,9 +13,9 @@ only while every |c_e| stays below 2^62, so each result is bounded before
 it is computed: h_a h_b min(s_a, s_b) for a product, h_a + h_b for a sum.
 A value with a coefficient of 2^62 or more, or with a span above
 ``SPAN_CAP``, keeps an exponent -> int dict instead, and an operation whose
-result could pass either limit runs the dict routines.  The cap exists
-because N has 64 s bits however few terms there are: q^1000000000 + 1
-would need a 64-Gbit int.
+result could pass either limit sums its products in ``add_product``'s dict
+mode.  The cap exists because N has 64 s bits however few terms there are:
+q^1000000000 + 1 would need a 64-Gbit int.
 Which form a value has depends only on the value, so equality compares
 (v, N) or the dicts, and a constant hashes as its int.
 
@@ -25,8 +25,10 @@ Every other value of the package is a finite combination over this ring:
 products go into an accumulator key -> [v, N, h, s], which turns into an
 exponent -> int dict once a bound fails: ``add_product`` adds a * b in
 place and ``sealed`` strips the valuation and drops the zero sums
-(S. C. Johnson, SIGSAM 1974).  ``add_tails`` writes the suffix sums of a
-unitriangular change of basis, such as the KL relabelling, in one packed pass.
+(S. C. Johnson, SIGSAM 1974).  ``linear`` is the one path of a linear map
+given on a basis, the sum of coeff * image(key) over a term dict, and
+``add_tails`` writes the suffix sums of a unitriangular change of basis, such
+as the KL relabelling, in one packed pass.
 """
 
 from __future__ import annotations
@@ -148,7 +150,7 @@ class LaurentPoly:
             if not n & MASK:
                 w, n = _strip(w, n)
             return _packed(w, n, h, n.bit_length() // SLOT + 1)
-        return _from_dict(_add_dicts(self._dict(), other._dict()))
+        return _dict_sum((self, ONE), (other, ONE))
 
     __radd__ = __add__
 
@@ -178,7 +180,7 @@ class LaurentPoly:
         h *= sa if sa < sb else sb
         if h < LIMIT and sa + sb <= SPAN_CAP + 1:
             return _packed(self._v + other._v, self._n * other._n, h, sa + sb - 1)
-        return _from_dict(_mul_dicts(self._dict(), other._dict()))
+        return _dict_sum((self, other))
 
     __rmul__ = __mul__
 
@@ -338,30 +340,6 @@ def _from_dict(c):
     return _assign(_new(LaurentPoly), c)
 
 
-def _add_dicts(a, b):
-    c = dict(a)
-    for e, v in b.items():
-        s = c.get(e, 0) + v
-        if s:
-            c[e] = s
-        elif e in c:
-            del c[e]
-    return c
-
-
-def _mul_dicts(a, b):
-    c = {}
-    for e1, v1 in a.items():
-        for e2, v2 in b.items():
-            e = e1 + e2
-            s = c.get(e, 0) + v1 * v2
-            if s:
-                c[e] = s
-            elif e in c:
-                del c[e]
-    return c
-
-
 ZERO = LaurentPoly.const(0)
 ONE = LaurentPoly.const(1)
 Q = LaurentPoly.q_power(1)
@@ -452,6 +430,25 @@ def sealed(acc):
         elif nz := {e: v for e, v in entry.items() if v}:
             out[key] = _from_dict(nz)
     return out
+
+
+def _dict_sum(*products):
+    """The sum of a * b over the (a, b) products: + and * past LIMIT or SPAN_CAP."""
+    acc = {}
+    for a, b in products:
+        add_product(acc, None, a, b)
+    return sealed(acc).get(None, ZERO)
+
+
+def linear(terms, image):
+    """The sum of coeff * image(key) over the (key, coeff) pairs of terms, as a
+    term dict with no zero entry, where image(key) yields (key', c') pairs: every
+    linear map given on a basis (omega, psi, to_bernstein, module_act) is one call."""
+    acc = {}
+    for key, coeff in terms:
+        for k, c in image(key):
+            add_product(acc, k, c, coeff)
+    return sealed(acc)
 
 
 def add_tails(levels, out):

@@ -14,14 +14,15 @@ T_i^-1 = T_i + (q - q^-1) on the diagonal on first read.  [xy] = [x][y] is
 one row-form product, summed by laurent.add_product; a row of x with one
 entry gives a row of y, scaled, with no sum.  A word in the generators
 (hecke.fold_word) is the product of its letters' row forms: module_y
-evaluates the words parabolic.y_word, and module_act the word of each
-term's canonical reduced expression.  The relation check values words by
-one memo (hecke.WordMemo), and one relation per rotation orbit once
-rho rho^-1 = 1 and each rho T_i rho^-1 = T_{i+1} hold.  Matrices are dense
-tuples of tuples at the edges: the views t_mats, rho_mat and rho_inv_mat
-(built on first read), the values of t, t_inv, b, word_mat and module_y
-(built per call), the helpers mat_mul, mat_scale and mat_eye, and the
-elimination of mat_det and mat_unit_inverse.
+evaluates the words parabolic.y_word.  module_act costs the nonzeros: the
+letters of each term act one by one on the vector, a dim x 1 row form, and
+laurent.linear sums the terms.  The relation check values words by one memo
+(hecke.WordMemo), and one relation per rotation orbit once rho rho^-1 = 1
+and each rho T_i rho^-1 = T_{i+1} hold.  Matrices are dense tuples of
+tuples at the edges: the views t_mats, rho_mat and rho_inv_mat (built on
+first read), the values of t, t_inv, b, word_mat and module_y (built per
+call), the helpers mat_mul, mat_scale and mat_eye, and the elimination of
+mat_det and mat_unit_inverse.
 
 Zelevinsky induction realizes Ind on the basis {T_x (x) m1 (x) m2}, x the
 minimal coset representatives, from their windows alone (_moves, cached
@@ -39,7 +40,7 @@ from functools import cache, cached_property, partial, reduce
 
 from .errors import BadIndex, DimUnsupported, InvalidValue, RankMismatch, Record
 from .hecke import _DESC, WordMemo, defining_relations, fold_word, inverse_word, rex_word
-from .laurent import ONE, Q, QINV, ZERO, accumulate, add_product, sealed
+from .laurent import ONE, Q, QINV, ZERO, accumulate, add_product, linear, sealed
 from .parabolic import min_coset_reps, y_word
 from .weyl import canonical_rex
 
@@ -281,20 +282,24 @@ def module_y(mod, i):
 
 
 def module_act(mod, elt, vec):
-    """Act by an algebra element on a column vector: each standard term
-    rho^m T_{i_1...i_l} acts by the matrix of its word."""
+    """Act by an algebra element on a column vector, a dim x 1 row form: the
+    letters of each standard term rho^m T_{i_1} ... T_{i_l}, rho^m as |m|
+    letters rho^+-1, act on it last letter first, each one a row-form product."""
     if elt.n != mod.n:
         raise RankMismatch(f"element rank {elt.n} vs module rank {mod.n}")
     if len(vec) != mod.dim:
         raise InvalidValue(f"vector of length {len(vec)} in a module of dimension {mod.dim}")
-    acc = {}
-    for perm, coeff in elt.terms.items():
-        scaled = [coeff * v for v in vec]
-        for r, row in enumerate(_word_rows(mod, rex_word(canonical_rex(perm)))):
-            for c, x in row.items():
-                add_product(acc, r, x, scaled[c])
-    acc = sealed(acc)
-    return tuple(acc.get(r, ZERO) for r in range(mod.dim))
+    column = tuple({0: ZERO + v} if v else {} for v in vec)  # an int entry becomes a constant
+
+    def image(perm):
+        out = column
+        for g, e in reversed(rex_word(canonical_rex(perm))):
+            for _ in range(abs(e)):
+                out = _mul(mod._letter(g, 1 if e > 0 else -1), out)
+        return ((r, row[0]) for r, row in enumerate(out) if row)
+
+    out = linear(elt.terms.items(), image)
+    return tuple(out.get(r, ZERO) for r in range(mod.dim))
 
 
 @cache

@@ -34,7 +34,7 @@ from itertools import combinations
 
 from .errors import BadIndex, Record
 from .hecke import HeckeElt, fold_word, inverse_word, rex_word, word_elt
-from .laurent import add_product, sealed
+from .laurent import linear
 from .weyl import AffinePerm, canonical_rex
 
 
@@ -76,12 +76,10 @@ def _psi_on_element(n, images, elt):
     def letter(g, e):
         return word_elt(n, images[g] if e == 1 else inverse_word(images[g]))
 
-    acc = {}
-    for perm, coeff in elt.terms.items():
-        img = fold_word(rex_word(canonical_rex(perm)), letter, HeckeElt.__mul__, partial(HeckeElt.one, n))
-        for key, c in img.terms.items():
-            add_product(acc, key, c, coeff)
-    return HeckeElt._raw(n, sealed(acc))
+    def image(perm):
+        return fold_word(rex_word(canonical_rex(perm)), letter, HeckeElt.__mul__, partial(HeckeElt.one, n)).items()
+
+    return HeckeElt._raw(n, linear(elt.terms.items(), image))
 
 
 def psi_L(ctx, elt):

@@ -7,7 +7,8 @@ atoms.  Text and LaTeX spell the atoms (``rho*T1*T0`` or
 ``\\rho T_{s_1 s_0}``) under one set of sign and coefficient rules, and
 JSON writes the keys of the same ordered terms.  Text re-parses through the
 expression parser, a KL map at rank 2.  A module prints its generator
-matrices and a tuple its entries.  JSON schemas:
+matrices, each zero entry as the constant 0 or {} with nothing decoded, and
+a tuple its entries.  JSON schemas:
 
     LaurentPoly   {"<exp>": <int>, ...}
     AffinePerm    {"n": 2, "window": [0, 3]}
@@ -172,7 +173,7 @@ def _render(value, latex):
     if is_loaded_instance(value, "modules", "FinDimModule"):
         blocks = []
         for name, mat in _module_gens(value, latex):
-            entries = _matrix([[_laurent(e, latex) for e in row] for row in mat], latex)
+            entries = _matrix([[_laurent(e, latex) if e else "0" for e in row] for row in mat], latex)
             blocks.append(f"[{name}] = {entries}" if latex else f"{name} = {entries}")
         return (r", \quad " if latex else "\n").join(blocks)
     if isinstance(value, tuple):
@@ -197,7 +198,7 @@ def to_json(value):
     if isinstance(value, (LaurentPoly, AffinePerm)):
         return value.to_json()
     if is_loaded_instance(value, "modules", "FinDimModule"):
-        gens = {name: [[e.to_json() for e in row] for row in mat] for name, mat in _module_gens(value)}
+        gens = {name: [[e.to_json() if e else {} for e in row] for row in mat] for name, mat in _module_gens(value)}
         return {"n": value.n, "dim": value.dim, "gens": gens}
     if isinstance(value, tuple):
         return [to_json(v) for v in value]

@@ -22,9 +22,7 @@ MEMOS = {
     "hecke._kl_std_terms",
     "hecke._kl_level",
     "bernstein._rho_images",
-    "bernstein._y_power",
     "example_n2.w_module",
-    "example_n2._pi_basis",
     "modules._moves",
 }
 

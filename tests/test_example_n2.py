@@ -13,7 +13,6 @@ from affine_hecke.example_n2 import (
     u_reduce,
     w_module,
 )
-from affine_hecke.example_n2 import _pi_basis
 from affine_hecke.hecke import HeckeElt, KLLabel, alt_word, b_gen, kl_to_std, rho_gen, t_gen
 from affine_hecke.laurent import ONE, Q, Q2, QINV, ZERO, LaurentPoly
 from affine_hecke.modules import induce, module_act, trivial_module
@@ -206,7 +205,7 @@ def quotient_coords(primed, k):
 def test_quotient_recursion_matches_projection():
     for k in range(0, 19):
         for primed in (False, True):
-            assert quotient_coords(primed, k) == _pi_basis(primed, k)
+            assert quotient_coords(primed, k) == pi_uw(UVec.basis(k, primed=primed))
 
 
 def test_quotient_recursion_base_values():

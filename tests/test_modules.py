@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -50,7 +52,7 @@ from affine_hecke.modules import (
     word_mat,
 )
 from affine_hecke.parabolic import ParabolicContext, min_coset_reps, psi_L, psi_R, y_word
-from affine_hecke.serialize import module_from_json, to_json
+from affine_hecke.serialize import module_from_json, to_json, to_latex, to_text
 from affine_hecke.weyl import AffinePerm, canonical_rex
 
 TWO = LaurentPoly.const(2)
@@ -268,7 +270,7 @@ def test_module_act_matches_matrices():
     w = induce(trivial_module(1), trivial_module(1))
     vec = (ONE, ZERO)
     out = module_act(w, b_gen(2, 1), vec)
-    assert out == (Q, ONE)
+    assert out == (Q, ONE) == module_act(w, b_gen(2, 1), (1, 0))  # int entries are constants
     # KL element acts through its standard expansion: b_101 = 3 b_1 on W
     out = module_act(w, kl_to_std(KLLabel(0, (1, 0, 1))), vec)
     assert out == (Q * 3, LaurentPoly.const(3))
@@ -385,6 +387,48 @@ def test_relation_check_matches_direct_evaluation(case):
             assert report == direct_relations(mutant), (letter, r, c)
             if letter[0] == "rho":
                 assert not dict(report)["rho*rho^-1 = 1"]
+
+
+def word_matrix_act(mod, elt, vec):
+    """The oracle of module_act, its former body: each standard term acts by
+    the row form of its whole word (_word_rows) on the scaled vector."""
+    acc = {}
+    for perm, coeff in elt.terms.items():
+        scaled = [coeff * v for v in vec]
+        for r, row in enumerate(_word_rows(mod, rex_word(canonical_rex(perm)))):
+            for c, x in row.items():
+                add_product(acc, r, x, scaled[c])
+    acc = sealed(acc)
+    return tuple(acc.get(r, ZERO) for r in range(mod.dim))
+
+
+def several_terms(rng):
+    """A seeded Laurent polynomial of two or three terms."""
+    return LaurentPoly({e: rng.choice((1, -1, 2, -3)) for e in rng.sample(range(-3, 4), rng.randint(2, 3))})
+
+
+def random_element(rng, n):
+    """A seeded rank-n element of three terms, each rho^m with 2 <= |m| <= 3
+    (the first always, the others mostly) and then up to four letters
+    T_i^+-1, times a polynomial of several terms."""
+    out = HeckeElt.zero(n)
+    for t in range(3):
+        word = (("rho", rng.choice((-3, -2, 2, 3))),) if t == 0 or rng.random() < 0.7 else ()
+        if n >= 2:
+            word += tuple((rng.randrange(n), rng.choice((1, -1))) for _ in range(rng.randint(0, 4)))
+        out = out + word_elt(n, word).scale(several_terms(rng))
+    return out
+
+
+@pytest.mark.parametrize("case", ORACLE_MODULES)
+def test_module_act_matches_word_matrices(case):
+    mod = ORACLE_MODULES[case]()
+    rng = random.Random(f"act-{case}")
+    for _ in range(4):
+        elt = random_element(rng, mod.n)
+        assert any(abs(perm.shift) >= 2 for perm in elt.terms)
+        vec = tuple(random_poly(rng, 0.5) for _ in range(mod.dim))
+        assert module_act(mod, elt, vec) == word_matrix_act(mod, elt, vec)
 
 
 @pytest.mark.parametrize("case", ["3-3", "W-W", "1-15"])
@@ -533,7 +577,7 @@ def check_by_frobenius(mod, m1, m2):
 
 
 FROBENIUS_CASES = {
-    **{case: build for case, (build, dim) in LARGE_INDUCED.items() if dim <= 70},
+    **{case: build for case, (build, _) in LARGE_INDUCED.items()},
     **{case: STRAIGHTENING_CASES[case] for case in ("triv1-(-q,q^2)", *PLAN_INVERSE_PAIRS)},
 }
 
@@ -542,6 +586,38 @@ FROBENIUS_CASES = {
 def test_induce_by_frobenius_reciprocity(case):
     m1, m2 = FROBENIUS_CASES[case]()
     check_by_frobenius(induce(m1, m2), m1, m2)
+
+
+# sha256 of the text, the JSON (dumped as `ahecke induce` dumps it) and the
+# LaTeX of induced modules: a faster printer must write the same bytes
+OUTPUT_DIGESTS = {
+    "3-3": (
+        lambda: (trivial_module(3), trivial_module(3)),
+        "401da3a9c4b99389a56887a57a3b8f4d44409177e586cbd0bfda394424273028",
+        "c396a64d75ea7ff2b59e087350059bd6d4c709cf2338a0d19ca67f5d8bbfeb98",
+        "17f2250a93272540349161a54d100fffbbfed5aa11037af7e6a623eb364fd48a",
+    ),
+    "5-5": (
+        lambda: (trivial_module(5), trivial_module(5)),
+        "3865bc10ea4fbbbce079f10acef53df6507dadfd40393cbb2f1dabf4f3f95c08",
+        "9d2ad4411c0a167c18c37abdeacf6e9011faa131b7f7eef8356265f7d54991ee",
+        "df338b38266af861140e5c009d20de849785f948574d9bcae13f474d676218aa",
+    ),
+    "W-W": (
+        lambda: (w_module(), w_module()),
+        "05917ef2ace622c5c02634cd8b5bcfc3916ce1427fededa8b547b42e4b466dcd",
+        "7c43633b60af9ffb9d40acb8532c2ae99203ab08935679447e3eba81531e6458",
+        "20f84331179e7cee808e29067c548783c33d042614841e1b24b66f6a2887f856",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", OUTPUT_DIGESTS)
+def test_induced_module_output_bytes(case):
+    build, *digests = OUTPUT_DIGESTS[case]
+    mod = induce(*build())
+    outputs = (to_text(mod), json.dumps(to_json(mod), sort_keys=True), to_latex(mod))
+    assert [hashlib.sha256(out.encode()).hexdigest() for out in outputs] == digests
 
 
 def test_malformed_module_is_invalid():
