@@ -11,7 +11,8 @@ where the correction is (y_i y_{i+1})^b times the exact geometric quotient
 -z (z^c - 1)/(z - 1) evaluated at z = y_i / y_{i+1}, for lambda restricted
 to slots (i, i+1) = (a, b) and c = a - b.  The quotient is the sum
 z^0 + ... + z^(c-1) for c > 0 and -(z^c + ... + z^-1) for c < 0; the tests
-compare these terms with exact Laurent division.
+compare these terms with exact Laurent division.  The product (_term_mul)
+is the one place the move is written; bl_commute is the product y^lambda T_i.
 """
 
 from __future__ import annotations
@@ -78,13 +79,9 @@ def _correction_monomials(n, i, lam):
 
 
 def bl_commute(n, i, lam):
-    """Normal form of y^lam T_i, moving the y-monomial past the generator:
+    """Normal form of y^lam T_i, the product bernstein_mul(y^lam, T_i):
     y^lam T_i = T_i y^{s_i lam} - correction(s_i lam)."""
-    swapped = _swap_slots(lam, i)
-    out = {(simple(n, i), swapped): ONE}
-    for lam2, coeff in _correction_monomials(n, i, swapped):
-        accumulate(out, (identity(n), lam2), -coeff)
-    return BernsteinElt._raw(n, out)
+    return bernstein_mul(BernsteinElt.y_monomial(n, lam), BernsteinElt.t_term(simple(n, i)))
 
 
 def _term_mul(n, w, lam, v, mu, coeff, out):

@@ -13,9 +13,10 @@ with k the word length.  Truncation is explicit: anything escaping the
 bound raises TruncationExceeded rather than being dropped, because kernel
 certificates would be silently corrupted otherwise.
 
-The projection onto the two-dimensional module W sends u_0 to the cyclic
-vector w and intertwines the generator actions, so pi_uw is the lift of a
-vector acting on w (modules.module_act), the one import of the module layer.
+The projection onto the two-dimensional module W, the Zelevinsky product
+induce(V, V) of two trivial rank-1 modules, sends u_0 to the cyclic vector w
+and intertwines the generator actions, so pi_uw is the lift of a vector
+acting on w (modules.module_act).
 """
 
 from __future__ import annotations
@@ -152,13 +153,11 @@ def act_elt(elt, vec):
 
 @cache
 def w_module():
-    """The two-dimensional target W, induced from two copies of the trivial
-    rank-1 module, in closed form on its basis T_e w, T_1 w: T_1 sends them
-    to T_1 w and T_e w + (q^-1 - q) T_1 w, and rho = rho^-1 swaps them."""
-    from .modules import FinDimModule
+    """The two-dimensional target W = induce(V, V), V the trivial rank-1
+    module, on its basis T_e w, T_1 w."""
+    from .modules import induce, trivial_module
 
-    swap = ((ZERO, ONE), (ONE, ZERO))
-    return FinDimModule(2, 2, (((ZERO, ONE), (ONE, QINV - Q)),), swap, swap)
+    return induce(trivial_module(1), trivial_module(1))
 
 
 def pi_uw(vec):

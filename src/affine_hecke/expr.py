@@ -10,9 +10,9 @@ Grammar (a leading minus is accepted as a convenience):
             | 'y'<int> | 'u'<int> | "u'"<int> | '(' expr ')'
 
 A one-letter b-word is the KL generator in any rank; longer words are
-rank-2 KL basis labels.  Evaluation is exact; negative powers are resolved
-through rho^m, the explicit inverse of y_i and the inverses of single-term
-unit multiples of basis elements (T_i among them).
+rank-2 KL basis labels.  Evaluation is exact; a power is the value's ``**``,
+which inverts units and single-term unit multiples of basis elements (rho,
+T_i), except y_i^-e, from the closed-form inverse of y_i.
 
 A sum or product of any length is one node, read, printed and evaluated in
 a loop; ==, hash and repr recurse once per parenthesis level, and
@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from functools import reduce
 
-from .errors import BadIndex, ParseError, RankUnsupported, Record, is_loaded_instance
+from .errors import BadIndex, InvalidValue, ParseError, RankUnsupported, Record, is_loaded_instance
 from .hecke import HeckeElt, KLLabel, b_gen, bott_samelson, kl_to_std, rho_gen, t_gen
 from .laurent import Q, LaurentPoly
 
@@ -350,9 +350,7 @@ def _need_algebra(algebra, what):
 
 def _eval_pow(node, n, bound):
     e, base = node.exponent, node.base
-    # rho^e is one basis element, and y_i^-1 is known in closed form
-    if bound is None and isinstance(base, RhoAtom):
-        return rho_gen(n, e)
+    # y_i has several terms for i >= 2, and ** inverts single terms only
     if bound is None and e < 0 and isinstance(base, YAtom):
         from .parabolic import bernstein_y_inv
 
@@ -360,13 +358,7 @@ def _eval_pow(node, n, bound):
     value = _eval(base, n, bound)
     if _is_uvec(value):
         raise BadIndex("module vectors cannot be raised to powers")
-    if e >= 0:
-        return value**e
-    if isinstance(value, LaurentPoly):
-        if not value.is_unit():
-            raise BadIndex(f"{value} is not invertible in Z[q,q^-1]")
-        return value.unit_inverse() ** (-e)
     try:
-        return value.inverse() ** (-e)
-    except ValueError as exc:
+        return value**e
+    except InvalidValue as exc:
         raise BadIndex(str(exc)) from None

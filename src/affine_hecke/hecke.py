@@ -287,9 +287,7 @@ def _mul_terms_simple(terms, letter):
 @cache
 def _basis_inverse(perm):
     """Expansion of (rho^m T_w)^-1 = T_w^-1 rho^-m as a tuple of (perm, coeff)."""
-    rex = canonical_rex(perm)
-    word = tuple((i, -1) for i in reversed(rex.word))
-    return tuple((word_elt(perm.n, word) * rho_gen(perm.n, -rex.m)).terms.items())
+    return tuple(word_elt(perm.n, inverse_word(rex_word(canonical_rex(perm)))).terms.items())
 
 
 def form(x, y):
@@ -365,15 +363,9 @@ def alt_word(length, last=None, first=None):
     return word
 
 
-def _require_n2(n):
-    if n != 2:
-        raise RankUnsupported(f"KL-basis layer is closed-form for n = 2 only, got n = {n}")
-
-
-def kl_to_std(label, n=2):
+def kl_to_std(label):
     """Expand rho^m b_w in the standard basis:
     b_w = sum over u below w of q^(l(w) - l(u)) T_u."""
-    _require_n2(n)
     # a fresh dict over the read-only memo, so that callers may mutate it
     return HeckeElt._raw(2, dict(_kl_std_terms(label)))
 
@@ -409,7 +401,8 @@ def std_to_kl(elt):
     shift's levels by length once, in O(#terms + length) packed operations.
     Returns a dict KLLabel -> LaurentPoly with no zero entries.
     """
-    _require_n2(elt.n)
+    if elt.n != 2:
+        raise RankUnsupported(f"KL-basis layer is closed-form for n = 2 only, got n = {elt.n}")
     by_shift = {}
     for perm, coeff in elt.terms.items():
         rex = canonical_rex(perm)
@@ -461,7 +454,6 @@ def _kl_word_product(p, r):
     return out
 
 
-def kl_combo_to_std(combo, n=2):
+def kl_combo_to_std(combo):
     """Expand a dict KLLabel -> LaurentPoly in the standard basis."""
-    _require_n2(n)
     return HeckeElt._raw(2, linear(combo.items(), _kl_std_terms))

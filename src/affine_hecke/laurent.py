@@ -108,11 +108,7 @@ class LaurentPoly:
 
     def min_term(self):
         """(exponent, coefficient) of the lowest term; None if zero."""
-        if not self._h:
-            return None
-        if self._n is None:
-            return self._v, self._c[self._v]
-        return self._v, _digits(self._n, 1)[0]
+        return self.items()[0] if self._h else None
 
     def _coerce(self, other):
         if isinstance(other, LaurentPoly):
@@ -224,36 +220,26 @@ class LaurentPoly:
         return sum((Fraction(v) * q0**e for e, v in self._dict().items()), Fraction(0))
 
     def exact_div(self, den):
-        """Exact quotient self/den; raises NonIntegralCorrection on failure."""
+        """Exact quotient self/den on the ring's own + and *: one product for a
+        unit den, else long division from the top term.  A remainder that spans
+        less than den, or whose leading coefficient den's does not divide, is no
+        multiple of den and raises NonIntegralCorrection."""
         den = self._coerce(den)
-        if not den or den.is_zero:
+        if not den:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return ZERO
-        # shift away the valuations, then do descending long division
-        sv, dv = self._v, den._v
-        num = {e - sv: v for e, v in self._dict().items()}
-        dnm = {e - dv: v for e, v in den._dict().items()}
-        ddeg = max(dnm)
-        dlead = dnm[ddeg]
-        quot = {}
+        if den.is_unit():
+            return self * den.unit_inverse()
+        (top, lead), span = den.items()[-1], den._s
+        num, quot = self, ZERO
         while num:
-            ndeg = max(num)
-            if ndeg < ddeg:
+            e, c = num.items()[-1]
+            f, r = divmod(c, lead)
+            if r or num._s < span:
                 raise NonIntegralCorrection(f"{self} is not divisible by {den}")
-            lead, rem = num[ndeg], num[ndeg] % dlead
-            if rem:
-                raise NonIntegralCorrection(f"{self} is not divisible by {den}")
-            f = lead // dlead
-            quot[ndeg - ddeg] = f
-            for e, v in dnm.items():
-                t = e + ndeg - ddeg
-                s = num.get(t, 0) - f * v
-                if s:
-                    num[t] = s
-                elif t in num:
-                    del num[t]
-        return _from_dict({e + sv - dv: v for e, v in quot.items()})
+            term = LaurentPoly.q_power(e - top, f)
+            quot += term
+            num -= term * den
+        return quot
 
     def __eq__(self, other):
         if other.__class__ is not LaurentPoly:

@@ -17,12 +17,12 @@ entry gives a row of y, scaled, with no sum.  A word in the generators
 evaluates the words parabolic.y_word.  module_act costs the nonzeros: the
 letters of each term act one by one on the vector, a dim x 1 row form, and
 laurent.linear sums the terms.  The relation check values words by one memo
-(hecke.WordMemo), and one relation per rotation orbit once rho rho^-1 = 1
-and each rho T_i rho^-1 = T_{i+1} hold.  Matrices are dense tuples of
-tuples at the edges: the views t_mats, rho_mat and rho_inv_mat (built on
-first read), the values of t, t_inv, b, word_mat and module_y (built per
-call), the helpers mat_mul, mat_scale and mat_eye, and the elimination of
-mat_det and mat_unit_inverse.
+(hecke.WordMemo), rho T_{n-1} rho^-1 as T_0, and one relation per rotation
+orbit once rho rho^-1 = 1 and each rho T_i rho^-1 = T_{i+1} hold.  Matrices
+are dense tuples of tuples at the edges: the views t_mats, rho_mat and
+rho_inv_mat (built on first read), the values of t, t_inv, b, word_mat and
+module_y (built per call), the helpers mat_mul, mat_scale and mat_eye, and
+the elimination of mat_det and mat_unit_inverse.
 
 Zelevinsky induction realizes Ind on the basis {T_x (x) m1 (x) m2}, x the
 minimal coset representatives, from their windows alone (_moves, cached
@@ -264,6 +264,8 @@ def module_check_relations(mod):
     """
     n = mod.n
     words = WordMemo(mod._letter, _mul, partial(_eye, mod.dim))
+    if n > 1:  # T_0 is defined as rho T_{n-1} rho^-1, so that relation costs no product
+        words[("rho", 1), (n - 1, 1), ("rho", -1)] = mod._letter(0)
     rels = defining_relations(n)
     verdict = {(lhs, rhs): words[lhs] == words[rhs] for _, lhs, rhs in rels if lhs[0][0] == "rho"}
     orbits = all(verdict.values())
@@ -450,6 +452,6 @@ def common_eigenvector_exists(spec):
     return False
 
 
-def irreducible_at(mod, probes=DEFAULT_PROBES):
-    """Desk-scale irreducibility check: no common eigenvector at any probe."""
-    return all(not common_eigenvector_exists(specialize(mod, q0)) for q0 in probes)
+def irreducible_at(mod):
+    """Desk-scale irreducibility check: no common eigenvector at any of DEFAULT_PROBES."""
+    return all(not common_eigenvector_exists(specialize(mod, q0)) for q0 in DEFAULT_PROBES)

@@ -1,6 +1,7 @@
 import random
 import time
 from functools import partial
+from itertools import product
 
 import pytest
 
@@ -52,6 +53,24 @@ def test_commutation_untouched_slots():
     assert bl_commute(3, 1, (0, 0, 5)) == BernsteinElt(
         3, {(simple(3, 1), (0, 0, 5)): ONE}
     )
+
+
+def bl_commute_by_rule(n, i, lam):
+    """The swap-and-correct rule written out, as bl_commute was before it
+    became a product: y^lam T_i = T_i y^{s_i lam} - correction(s_i lam)."""
+    swapped = list(lam)
+    swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
+    out = BernsteinElt.t_term(simple(n, i), swapped)
+    for lam2, coeff in _correction_monomials(n, i, tuple(swapped)):
+        out = out - y_mon(n, lam2).scale(coeff)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bl_commute_matches_the_rule(n):
+    for i in range(1, n):
+        for lam in product(range(-2, 3), repeat=n):
+            assert bl_commute(n, i, lam) == bl_commute_by_rule(n, i, lam), (i, lam)
 
 
 def test_defining_relation_is_fixed_point():

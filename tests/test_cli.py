@@ -11,6 +11,7 @@ from affine_hecke.cli import MAX_RANK, main
 from affine_hecke.expr import MAX_NESTING
 from affine_hecke.pairing import Y_INVERSE_LIMIT, y_class
 from affine_hecke.hecke import HeckeElt, rho_gen, t_gen
+from affine_hecke.parabolic import bernstein_y
 from affine_hecke.serialize import hecke_from_json, module_from_json
 
 
@@ -49,6 +50,29 @@ def test_eval_wide_span_and_huge_coefficients(capsys, text, expect):
     assert time.perf_counter() - start < 1
     assert code == 0
     assert out == expect
+
+
+@pytest.mark.parametrize(
+    "text, positive",
+    [
+        ("rho^-3", lambda: rho_gen(3, 3)),
+        ("T1^-2", lambda: t_gen(3, 1) ** 2),
+        ("y2^-2", lambda: bernstein_y(3, 2) ** 2),
+        ("(T1+T0)^-1", None),
+        ("2^-1", None),
+        ("(1+q)^-1", None),
+        ("0^-1", None),
+    ],
+)
+def test_eval_negative_powers(capsys, text, positive):
+    # a power that inverts prints the inverse of the positive power, any other is a usage error
+    code, out, err = run(capsys, "eval", "-n", "3", text, "--format", "json")
+    if positive is None:
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+    else:
+        assert code == 0
+        assert hecke_from_json(json.loads(out)) * positive() == HeckeElt.one(3)
 
 
 def test_eval_mod_rho2(capsys):

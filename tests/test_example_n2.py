@@ -245,11 +245,14 @@ def test_negative_truncation_bound_is_rejected():
 
 
 def test_w_module_is_the_induced_module():
-    # w_module is written in closed form; the induction it stands for is built here
+    # W on its basis T_e w, T_1 w in closed form: T_1 sends them to T_1 w and
+    # T_e w + (q^-1 - q) T_1 w, and rho = rho^-1 swaps them
     v = trivial_module(1)
     induced = induce(v, v)
+    swap = ((ZERO, ONE), (ONE, ZERO))
     assert w_module() == induced
-    assert (w_module().t_mats, w_module().rho_inv_mat) == (induced.t_mats, induced.rho_inv_mat)
+    assert w_module().t_mats == (((ZERO, ONE), (ONE, QINV - Q)),)
+    assert w_module().rho_mat == w_module().rho_inv_mat == swap
     for k in range(12):
         for primed in (False, True):
             elt = kl_to_std(KLLabel(int(primed), alt_word(k, last=1)))

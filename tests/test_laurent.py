@@ -167,10 +167,26 @@ def test_exact_div_inverts_mul(a, b):
 
 
 def test_exact_div_failure():
-    with pytest.raises(NonIntegralCorrection):
-        (Q + 1).exact_div(Q - 1)
-    with pytest.raises(NonIntegralCorrection):
-        LaurentPoly({0: 3}).exact_div(LaurentPoly({0: 2}))
+    for num, den in [
+        (Q + 1, Q - 1),
+        (LaurentPoly({0: 3}), LaurentPoly({0: 2})),
+        (Q + 1, Q**2 + Q + 1),  # den spans wider than num
+        (Q**2 + 1, Q + 1),  # the remainder 2 spans less than den
+        (LaurentPoly({0: 1, 1: 3}), LaurentPoly({0: 1, 1: 2})),  # 3 leaves a remainder mod 2
+        (LaurentPoly({0: 1, SPAN_CAP + 1: 2**63 + 1}), LaurentPoly({0: 1, SPAN_CAP + 1: 2**63})),
+    ]:
+        with pytest.raises(NonIntegralCorrection):
+            num.exact_div(den)
+
+
+def test_exact_div_by_units_and_past_the_packed_limits():
+    wide = LaurentPoly({-3: 2**70, 0: 1, SPAN_CAP + 5: -7})
+    den = LaurentPoly({0: 3, SPAN_CAP + 1: 2**63})
+    assert wide._n is None and den._n is None  # both in dict form
+    for d in (ONE, -ONE, Q**5, -(QINV**4), den):
+        assert (wide * d).exact_div(d) == wide
+        assert ZERO.exact_div(d) == ZERO
+    assert (Q**7 - 2).exact_div(-(Q**3)) == 2 * QINV**3 - Q**4
 
 
 def test_geometric_quotient():
