@@ -104,9 +104,7 @@ def _term_mul(n, w, lam, v, mu, coeff, out):
 
 def bernstein_mul(a, b):
     """Product in normal form."""
-    if a.n != b.n:
-        raise RankMismatch(f"rank mismatch: {a.n} vs {b.n}")
-    n = a.n
+    n = a._join(b)  # raises RankMismatch
     out = {}
     for (w, lam), c1 in a.terms.items():
         for (v, mu), c2 in b.terms.items():

@@ -46,6 +46,7 @@ from .modules import (
     DEFAULT_PROBES,
     FinDimModule,
     common_eigenvector_exists,
+    induce,
     irreducible_at,
     mat_eye,
     module_check_relations,
@@ -81,8 +82,6 @@ def _labels_up_to(max_len, rho_powers=(0,)):
 
 def check_induced_matrices():
     v = trivial_module(1)
-    from .modules import induce
-
     w = induce(v, v)
     rho_expect = ((ZERO, ONE), (ONE, ZERO))
     t1_expect = ((ZERO, ONE), (ONE, QINV - Q))

@@ -148,8 +148,10 @@ def _int(text, what):
 
 
 def _parse_kl_label(text):
-    """Accept `b01`, `rho*b01`, `rho^-2*b01`, or `1` / `b` for the identity."""
+    """Accept `b01`, `rho*b01`, `rho^-2*b01`, `rho^2`, or `1` / `b` for the identity."""
     src = text.strip()
+    if src.startswith("rho") and "*" not in src:
+        src += "*1"  # a lone rho^m is rho^m b_e, as str(KLLabel) prints it
     m = 0
     if "*" in src:
         rho_part, src = src.split("*", 1)

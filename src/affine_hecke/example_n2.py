@@ -9,7 +9,10 @@ to
     b_{..1}       -> u_k          rho b_{..1} -> u'_k
     b_{..0}       -> q^-1 u'_k    rho b_{..0} -> q^-1 u_k
 
-with k the word length.  Truncation is explicit: anything escaping the
+with k the word length.  The generators act by one rule: b_s u_k is [2] u_k
+when the word of u_k starts with s (k odd for s = 1), else u_{k+1}, plus
+u_{k-1} for k > 1; b_1 u_0 = u_1, b_0 u_0 = q^-1 u'_1, and the primed row
+swaps b_0 and b_1.  Truncation is explicit: anything escaping the
 bound raises TruncationExceeded rather than being dropped, because kernel
 certificates would be silently corrupted otherwise.
 
@@ -94,29 +97,20 @@ def lift(vec):
 
 
 def _act_basis_closed(gen, primed, k, bound):
-    """Closed-form action of a generator on u_k or u'_k."""
+    """Closed-form action of a generator on u_k or u'_k, by the rule of
+    hecke.kl_mul_closed: u_k is b_w with w of length k ending in 1, so w
+    starts with 1 exactly when k is odd, and the primed row swaps b_0 and b_1."""
     if gen == "rho":
         return {(not primed, k): ONE}
     if gen not in ("b0", "b1"):
         raise BadIndex(f"unknown generator {gen!r}")
-    # the primed row swaps the roles of b_0 and b_1
-    eff = gen if not primed else ("b0" if gen == "b1" else "b1")
-    if eff == "b1":
-        if k == 0:
-            out = {(primed, 1): ONE}
-        elif k % 2 == 1:
-            out = {(primed, k): Q2}
-        else:
-            out = {(primed, k + 1): ONE, (primed, k - 1): ONE}
-    else:
-        if k == 0:
-            out = {(not primed, 1): QINV}
-        elif k == 1:
-            out = {(primed, 2): ONE}
-        elif k % 2 == 0:
-            out = {(primed, k): Q2}
-        else:
-            out = {(primed, k + 1): ONE, (primed, k - 1): ONE}
+    s = int(gen[1]) ^ primed  # the letter b_s acting on b_w
+    if k == 0:
+        out = {(primed, 1): ONE} if s else {(not primed, 1): QINV}
+    elif s == k % 2:  # w starts with s
+        out = {(primed, k): Q2}
+    else:  # b_{sw} + b_{w without its first letter}
+        out = {(primed, k + 1): ONE} | ({(primed, k - 1): ONE} if k > 1 else {})
     if any(j > bound for _, j in out):
         raise TruncationExceeded(f"action on index {k} exceeds truncation bound {bound}")
     return out

@@ -30,7 +30,9 @@ For n = 2 every translation-free element has a unique reduced expression,
 an alternating binary word, and the KL basis layer (kl_to_std, std_to_kl,
 kl_mul_closed) is available in closed form.  There u <= w iff l(u) < l(w)
 or u = w, so std_to_kl is one O(#terms + length) suffix sum per rho-shift,
-which laurent.add_tails computes on packed values.
+which laurent.add_tails computes on packed values.  Products follow the one
+rule b_s b_w = [2] b_w if w starts with s, else b_{sw} + b_{w without its
+first letter}; kl_mul_closed writes its iterate as one junction ladder.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .laurent import linear, power, sealed
 from .weyl import ReducedExpr, canonical_rex, from_rex, identity, rho, simple
 
 _DESC = QINV - Q  # q^-1 - q, the descent correction
+_TWO = LaurentPoly.const(2)
 
 
 class HeckeElt(Combination):
@@ -99,6 +102,10 @@ class HeckeElt(Combination):
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
+        if len(self.terms) == 1:
+            ((perm, c),) = self.terms.items()
+            if not canonical_rex(perm).word:  # (c rho^m)^k = c^k rho^(mk), in one step
+                return HeckeElt._raw(self.n, {rho(self.n, perm.shift * k): c**k})
         if k < 0:
             return self.inverse() ** (-k)
         return power(self, k, HeckeElt.one(self.n))
@@ -341,11 +348,10 @@ class KLLabel(Interned, Record):
         return KLLabel(self.m, tuple(reversed(self.word)))
 
     def __str__(self):
-        b = "b_" + ("".join(map(str, self.word)) if self.word else "e")
-        if self.m == 0:
-            return b
-        r = "rho" if self.m == 1 else f"rho^{self.m}"
-        return f"{r}*{b}"
+        # serialize imports this module, so it is imported late
+        from .serialize import to_text
+
+        return to_text({self: ONE})
 
 
 def alt_word(length, last=None, first=None):
@@ -417,41 +423,23 @@ def std_to_kl(elt):
 def kl_mul_closed(a, b):
     """Closed-form product of KL basis elements for n = 2.
 
-    The translation parts combine by rho^c b_w = b_{w with letters flipped c
-    times} rho^c; the word product follows the junction rule: equal letters
-    at the junction give [2] times a ladder with steps of two, different
-    letters give a 1,2,...,2,1 ladder whose bottom constant term drops when
-    the lengths agree.  Returns a dict KLLabel -> LaurentPoly.
+    b's rho-part moves to the front by b_X rho^c = rho^c b_{X with letters
+    flipped c times}.  Then b_P b_R is the concatenation if either word is
+    empty, and otherwise a ladder of words starting with P's first letter,
+    lengths in steps of two between lo = |l(P) - l(R)| and hi = l(P) + l(R):
+    [2] at lo+1 .. hi-1 when the junction letters agree (b_s b_s = [2] b_s),
+    and 1 at lo and hi, 2 between, over lo or 2 .. hi when they differ.
+    Returns a dict KLLabel -> LaurentPoly.
     """
-    # move b's rho-part to the front: b_X rho^c = rho^c b_{flip^c X}
-    c = b.m
-    flipped = tuple((x + c) % 2 for x in a.word)
-    return {KLLabel._intern((a.m + c, word)): mult for word, mult in _kl_word_product(flipped, b.word).items()}
-
-
-def _kl_word_product(p, r):
-    """Product b_P b_R of translation-free KL elements as word -> coefficient."""
-    if not p:
-        return {r: ONE}
-    if not r:
-        return {p: ONE}
-    m, nn = len(p), len(r)
-    first = p[0]
-    out = {}
+    m, p, r = a.m + b.m, tuple((x + b.m) % 2 for x in a.word), b.word
+    if not p or not r:
+        return {KLLabel._intern((m, p + r)): ONE}
+    lo, hi = abs(len(p) - len(r)), len(p) + len(r)
     if p[-1] == r[0]:
-        # equal junction: [2] ladder from |m-n|+1 up to m+n-1
-        for t in range(abs(m - nn) + 1, m + nn, 2):
-            out[alt_word(t, first=first)] = Q2
+        ladder = ((t, Q2) for t in range(lo + 1, hi, 2))
     else:
-        if m == nn:
-            # top coefficient 1, then 2 down to length 2; no constant term
-            for t in range(2, m + nn + 1, 2):
-                out[alt_word(t, first=first)] = ONE if t == m + nn else LaurentPoly.const(2)
-        else:
-            for t in range(abs(m - nn), m + nn + 1, 2):
-                one_end = t in (abs(m - nn), m + nn)
-                out[alt_word(t, first=first)] = ONE if one_end else LaurentPoly.const(2)
-    return out
+        ladder = ((t, ONE if t in (lo, hi) else _TWO) for t in range(lo or 2, hi + 1, 2))
+    return {KLLabel._intern((m, alt_word(t, first=p[0]))): coeff for t, coeff in ladder}
 
 
 def kl_combo_to_std(combo):

@@ -83,14 +83,6 @@ class AffinePerm(Interned, Record):
             rev.append(i)
         return ReducedExpr(m, tuple(reversed(rev)))
 
-    def __str__(self):
-        rex = canonical_rex(self)
-        parts = []
-        if rex.m:
-            parts.append("rho" if rex.m == 1 else f"rho^{rex.m}")
-        parts.extend(f"s_{i}" for i in rex.word)
-        return " * ".join(parts) if parts else "e"
-
     def to_json(self):
         return {"n": self.n, "window": list(self.window)}
 

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affine_hecke.cli import MAX_RANK, main
+from affine_hecke.cli import MAX_RANK, _parse_kl_label, main
 from affine_hecke.expr import MAX_NESTING
 from affine_hecke.pairing import Y_INVERSE_LIMIT, y_class
-from affine_hecke.hecke import HeckeElt, rho_gen, t_gen
+from affine_hecke.hecke import HeckeElt, KLLabel, alt_word, rho_gen, t_gen
 from affine_hecke.parabolic import bernstein_y
 from affine_hecke.serialize import hecke_from_json, module_from_json
 
@@ -194,6 +194,16 @@ def test_gradedrank(capsys):
     code, out, _ = run(capsys, "gradedrank", "rho*b01", "rho*b01")
     assert code == 0
     assert out == "1 + 2*q^2 + q^4"
+
+
+def test_gradedrank_reads_every_printed_label(capsys):
+    for m in range(-3, 4):
+        for length in range(7):
+            for first in (0, 1) if length else (0,):
+                label = KLLabel(m, alt_word(length, first=first))
+                assert _parse_kl_label(str(label)) == label
+    assert run(capsys, "gradedrank", "rho", "b01") == run(capsys, "gradedrank", "rho*b", "b01")
+    assert run(capsys, "gradedrank", "rho^-2", "b1")[0] == 0
 
 
 @pytest.mark.parametrize(

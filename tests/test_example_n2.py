@@ -1,6 +1,6 @@
 import pytest
 
-from affine_hecke.errors import InvalidValue, TruncationExceeded
+from affine_hecke.errors import BadIndex, InvalidValue, TruncationExceeded
 from affine_hecke.example_n2 import (
     UVec,
     act_elt,
@@ -86,6 +86,61 @@ def test_engines_agree():
             vec = UVec.basis(k, primed=primed)
             for g in ("rho", "b0", "b1", "T0", "T1"):
                 assert u_act(g, vec) == act_elt(gen_elt(g), vec), (g, primed, k)
+
+
+def _act_table_oracle(gen, primed, k, bound):
+    """The action of b0, b1 or rho on u_k or u'_k by the former two mirrored tables."""
+    if gen == "rho":
+        return {(not primed, k): ONE}
+    eff = gen if not primed else ("b0" if gen == "b1" else "b1")
+    if eff == "b1":
+        if k == 0:
+            out = {(primed, 1): ONE}
+        elif k % 2 == 1:
+            out = {(primed, k): Q2}
+        else:
+            out = {(primed, k + 1): ONE, (primed, k - 1): ONE}
+    else:
+        if k == 0:
+            out = {(not primed, 1): QINV}
+        elif k == 1:
+            out = {(primed, 2): ONE}
+        elif k % 2 == 0:
+            out = {(primed, k): Q2}
+        else:
+            out = {(primed, k + 1): ONE, (primed, k - 1): ONE}
+    if any(j > bound for _, j in out):
+        raise TruncationExceeded(f"action on index {k} exceeds truncation bound {bound}")
+    return out
+
+
+def _outcome(act, gen, vec):
+    """act(gen, vec), or the message of the TruncationExceeded it raises."""
+    try:
+        return act(gen, vec)
+    except TruncationExceeded as exc:
+        return str(exc)
+
+
+def _oracle_act(gen, vec):
+    if gen in ("T0", "T1"):
+        return _oracle_act("b" + gen[1], vec) - vec.scale(Q)
+    ((key, coeff),) = vec.terms.items()
+    return UVec(vec.n, _act_table_oracle(gen, *key, vec.n)).scale(coeff)
+
+
+def test_action_rule_matches_the_two_tables():
+    cases = 0
+    for bound in (0, 1, 2, 5, 30):
+        for k in range(bound + 1):
+            for primed in (False, True):
+                vec = UVec.basis(k, primed, bound)
+                for gen in ("rho", "b0", "b1", "T0", "T1"):
+                    assert _outcome(u_act, gen, vec) == _outcome(_oracle_act, gen, vec), (bound, k, primed, gen)
+                    cases += 1
+    assert cases == 430
+    with pytest.raises(BadIndex):
+        u_act("b2", UVec.basis(0))
 
 
 def test_operator_relations_on_interior():

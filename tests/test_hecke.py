@@ -1,5 +1,6 @@
 import random
 import time
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from affine_hecke.errors import BadIndex, InvalidValue, RankMismatch, RankUnsupp
 from affine_hecke.hecke import (
     HeckeElt,
     KLLabel,
+    _step,
     alt_word,
     b_gen,
     bott_samelson,
@@ -262,6 +264,23 @@ def test_large_shifts_are_one_step():
     assert inv * rho_gen(2, m) * t_gen(2, 1) == one(2)
     # one letter per unit of shift would take minutes
     assert time.perf_counter() - start < 5
+
+
+def test_rotation_powers_are_one_step():
+    k = 10**4000 - 1
+    steps = _step.cache_info().currsize
+    start = time.perf_counter()
+    assert rho_gen(3).scale(-1) ** k == HeckeElt.from_term(rho(3, k), LaurentPoly.const(-1))
+    assert rho_gen(3) ** -k == rho_gen(3, -k)
+    # square-and-multiply would fold about 13 000 products of rotations
+    assert time.perf_counter() - start < 1
+    assert _step.cache_info().currsize == steps
+    for m in (-2, 0, 1):
+        x = rho_gen(3, m).scale(-Q)
+        for k in range(-3, 4):
+            assert x**k == reduce(HeckeElt.__mul__, [x if k > 0 else x.inverse()] * abs(k), one(3)), (m, k)
+    with pytest.raises(InvalidValue):
+        rho_gen(3).scale(2) ** -1
 
 
 def test_product_coefficients_past_the_span_cap_are_canonical():
@@ -689,6 +708,47 @@ def test_kl_mul_closed_vs_oracle():
     for a in lbls:
         for b in lbls:
             assert kl_mul_closed(a, b) == std_to_kl(kl_to_std(a) * kl_to_std(b)), (a, b)
+
+
+def _kl_word_product_oracle(p, r):
+    """b_P b_R of translation-free KL words as word -> coefficient, by the
+    former case table: one branch per ladder."""
+    if not p:
+        return {r: ONE}
+    if not r:
+        return {p: ONE}
+    m, nn = len(p), len(r)
+    first = p[0]
+    out = {}
+    if p[-1] == r[0]:
+        # equal junction: [2] ladder from |m-n|+1 up to m+n-1
+        for t in range(abs(m - nn) + 1, m + nn, 2):
+            out[alt_word(t, first=first)] = Q2
+    else:
+        if m == nn:
+            # top coefficient 1, then 2 down to length 2; no constant term
+            for t in range(2, m + nn + 1, 2):
+                out[alt_word(t, first=first)] = ONE if t == m + nn else LaurentPoly.const(2)
+        else:
+            for t in range(abs(m - nn), m + nn + 1, 2):
+                one_end = t in (abs(m - nn), m + nn)
+                out[alt_word(t, first=first)] = ONE if one_end else LaurentPoly.const(2)
+    return out
+
+
+def test_kl_mul_closed_matches_the_case_table():
+    lbls = labels(14, rho_powers=(-2, -1, 0, 1, 2))
+    assert len(lbls) ** 2 == 21025
+    for a in lbls:
+        for b in lbls:
+            flipped = tuple((x + b.m) % 2 for x in a.word)
+            expect = {KLLabel(a.m + b.m, w): c for w, c in _kl_word_product_oracle(flipped, b.word).items()}
+            assert kl_mul_closed(a, b) == expect, (a, b)
+
+
+def test_kl_label_text_is_the_serialized_text():
+    cases = {(0, ()): "1", (0, (0, 1)): "b01", (1, ()): "rho", (1, (1,)): "rho*b1", (-2, (1, 0)): "rho^-2*b10"}
+    assert {key: str(KLLabel(*key)) for key in cases} == cases
 
 
 def test_rho_moves_through_kl():

@@ -129,6 +129,7 @@ def test_repr_keeps_the_dataclass_form(cls, values):
 def test_repr_examples():
     assert repr(hecke.KLLabel(m=0, word=(1,))) == "KLLabel(m=0, word=(1,))"
     assert repr(weyl.AffinePerm(2, (2, 1))) == "AffinePerm(n=2, window=(2, 1))"
+    assert str(weyl.AffinePerm(2, (2, 1))) == "AffinePerm(n=2, window=(2, 1))"
     assert repr(expr.Sum(((1, expr.Num(1)), (-1, expr.UAtom(2, True))))) == (
         "Sum(terms=((1, Num(value=1)), (-1, UAtom(index=2, primed=True))))"
     )
