@@ -1,6 +1,5 @@
 """A time limit on every test, so that a test that hangs fails instead of
-hanging the suite.  The slowest test takes about 4 s; a test marked
-``time_limit(seconds)`` gets a lower limit."""
+hanging the suite.  The slowest test takes about 4 s."""
 
 import signal
 
@@ -9,23 +8,19 @@ import pytest
 TEST_TIME_LIMIT_S = 300
 
 
-def pytest_configure(config):
-    config.addinivalue_line("markers", "time_limit(seconds): fail the test after this many seconds")
+class TimeLimitExceeded(BaseException):
+    """Not an ``Exception``, so that Hypothesis passes it on instead of
+    shrinking and replaying the example with no timer armed; pytest still
+    records it as a failure of the one test."""
 
 
 @pytest.fixture(autouse=True)
-def _time_limit(request):
-    marker = request.node.get_closest_marker("time_limit")
-    seconds = marker.args[0] if marker else TEST_TIME_LIMIT_S
-    if not hasattr(signal, "setitimer"):  # no interval timers on Windows
-        yield
-        return
-
+def _time_limit():
     def expire(signum, frame):
-        pytest.fail(f"test ran past its time limit of {seconds} s", pytrace=False)
+        raise TimeLimitExceeded(f"test ran past its time limit of {TEST_TIME_LIMIT_S} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
     try:
         yield
     finally:

@@ -1,23 +1,35 @@
-import shutil
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-HANGING_TEST = """\
-import pytest
+HANGING_TESTS = """\
+from hypothesis import given, settings, strategies as st
 
 
-@pytest.mark.time_limit(1)
 def test_hang():
     while True:
         pass
+
+
+@settings(deadline=None, database=None)
+@given(st.integers())
+def test_hang_given(n):
+    while True:
+        pass
+
+
+def test_passes():
+    pass
 """
 
 
 def test_a_hanging_test_fails_at_its_time_limit(tmp_path):
-    shutil.copy(Path(__file__).with_name("conftest.py"), tmp_path)
-    (tmp_path / "test_hang.py").write_text(HANGING_TEST)
+    conftest = Path(__file__).with_name("conftest.py").read_text()
+    short = conftest.replace("TEST_TIME_LIMIT_S = 300", "TEST_TIME_LIMIT_S = 1")
+    assert short != conftest
+    (tmp_path / "conftest.py").write_text(short)
+    (tmp_path / "test_hang.py").write_text(HANGING_TESTS)
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(tmp_path)],
@@ -25,5 +37,6 @@ def test_a_hanging_test_fails_at_its_time_limit(tmp_path):
     )
     elapsed = time.perf_counter() - start
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert "1 failed" in proc.stdout and "time limit of 1 s" in proc.stdout
+    assert "2 failed, 1 passed" in proc.stdout, proc.stdout
+    assert proc.stdout.count("time limit of 1 s") >= 2, proc.stdout
     assert elapsed < 20
