@@ -27,6 +27,7 @@ from .example_n2 import (
 from .hecke import (
     HeckeElt,
     KLLabel,
+    _alt_words,
     alt_word,
     b_gen,
     broken_relations,
@@ -69,13 +70,7 @@ class CheckResult:
 
 
 def _labels_up_to(max_len, rho_powers=(0,)):
-    out = []
-    for m in rho_powers:
-        out.append(KLLabel(m, ()))
-        for l in range(1, max_len + 1):
-            out.append(KLLabel(m, alt_word(l, first=0)))
-            out.append(KLLabel(m, alt_word(l, first=1)))
-    return out
+    return [KLLabel(m, u) for m in rho_powers for l in range(max_len + 1) for u in _alt_words(l)]
 
 
 # --- criterion 1 ----------------------------------------------------------

@@ -280,15 +280,20 @@ def _check(args):
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    # exact integers may pass Python's 4300-digit int <-> str limit (3.10.7 on)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda _: None)
+    set_limit(0)
     try:
-        return _run(args)
+        return _run(parser.parse_args(argv))
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AffineHeckeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        set_limit(limit)
 
 
 if __name__ == "__main__":

@@ -9,12 +9,12 @@ to
     b_{..1}       -> u_k          rho b_{..1} -> u'_k
     b_{..0}       -> q^-1 u'_k    rho b_{..0} -> q^-1 u_k
 
-with k the word length.  The generators act by one rule: b_s u_k is [2] u_k
-when the word of u_k starts with s (k odd for s = 1), else u_{k+1}, plus
-u_{k-1} for k > 1; b_1 u_0 = u_1, b_0 u_0 = q^-1 u'_1, and the primed row
-swaps b_0 and b_1.  Truncation is explicit: anything escaping the
-bound raises TruncationExceeded rather than being dropped, because kernel
-certificates would be silently corrupted otherwise.
+with k the word length.  Since U is a quotient by a left ideal, a generator
+b_s acts on u_k = b_w as the product b_s b_w (hecke.kl_mul_closed), read
+through the same table, and on u'_k = rho b_w as b_s rho b_w.  Truncation is
+explicit: anything escaping the bound raises TruncationExceeded rather than
+being dropped, because kernel certificates would be silently corrupted
+otherwise.
 
 The projection onto the two-dimensional module W, the Zelevinsky product
 induce(V, V) of two trivial rank-1 modules, sends u_0 to the cyclic vector w
@@ -27,8 +27,8 @@ from __future__ import annotations
 from functools import cache
 
 from .errors import BadIndex, InvalidValue, TruncationExceeded
-from .hecke import HeckeElt, KLLabel, alt_word, b_gen, kl_combo_to_std, rho_gen, std_to_kl, t_gen
-from .laurent import ONE, Q, Q2, QINV, ZERO, Combination, add_product, linear, sealed
+from .hecke import HeckeElt, KLLabel, alt_word, b_gen, kl_combo_to_std, kl_mul_closed, rho_gen, std_to_kl, t_gen
+from .laurent import ONE, Q, QINV, ZERO, Combination, add_product, linear, sealed
 
 DEFAULT_BOUND = 20
 
@@ -79,16 +79,19 @@ class UVec(Combination):
 def u_reduce(elt, bound=DEFAULT_BOUND):
     """Image of a rank-2 element under the projection onto U."""
     check_bound(bound)
+    return UVec._raw(bound, _reduce_kl(std_to_kl(elt), bound))
+
+
+def _reduce_kl(combo, bound):
+    """The reduction table on a dict KLLabel -> LaurentPoly, as UVec terms."""
     acc = {}
-    for label, coeff in std_to_kl(elt).items():
+    for label, coeff in combo.items():
         k = label.length()
         if k > bound:
-            raise TruncationExceeded(
-                f"KL word of length {k} exceeds truncation bound {bound}"
-            )
+            raise TruncationExceeded(f"KL word of length {k} exceeds truncation bound {bound}")
         flip = k > 0 and label.word[-1] == 0  # b_{..0} -> q^-1 u_k on the other row
         add_product(acc, (label.m % 2 != flip, k), coeff, QINV if flip else ONE)
-    return UVec._raw(bound, sealed(acc))
+    return sealed(acc)
 
 
 def lift(vec):
@@ -97,23 +100,16 @@ def lift(vec):
 
 
 def _act_basis_closed(gen, primed, k, bound):
-    """Closed-form action of a generator on u_k or u'_k, by the rule of
-    hecke.kl_mul_closed: u_k is b_w with w of length k ending in 1, so w
-    starts with 1 exactly when k is odd, and the primed row swaps b_0 and b_1."""
+    """Action of a generator on u_k or u'_k: b_s u_k is the reduction of the
+    closed product b_s b_w (hecke.kl_mul_closed), u'_k of b_s rho b_w."""
     if gen == "rho":
         return {(not primed, k): ONE}
     if gen not in ("b0", "b1"):
         raise BadIndex(f"unknown generator {gen!r}")
-    s = int(gen[1]) ^ primed  # the letter b_s acting on b_w
-    if k == 0:
-        out = {(primed, 1): ONE} if s else {(not primed, 1): QINV}
-    elif s == k % 2:  # w starts with s
-        out = {(primed, k): Q2}
-    else:  # b_{sw} + b_{w without its first letter}
-        out = {(primed, k + 1): ONE} | ({(primed, k - 1): ONE} if k > 1 else {})
-    if any(j > bound for _, j in out):
+    out = kl_mul_closed(KLLabel(0, (int(gen[1]),)), KLLabel(int(primed), alt_word(k, last=1)))
+    if max(map(KLLabel.length, out)) > bound:
         raise TruncationExceeded(f"action on index {k} exceeds truncation bound {bound}")
-    return out
+    return _reduce_kl(out, bound)
 
 
 def gen_elt(gen):

@@ -267,30 +267,31 @@ def _is_uvec(value):
     return is_loaded_instance(value, "example_n2", "UVec")
 
 
+# the atoms of algebra elements, by the name eval_uvec rejects them with
+_ALGEBRA_ATOMS = {RhoAtom: "rho", TAtom: "T", BWord: "b", BS: "bs", YAtom: "y"}
+
+
 def _eval(node, n, bound):
     algebra = bound is None
+    if not algebra and (what := _ALGEBRA_ATOMS.get(node.__class__)):
+        raise BadIndex(f"{what} atoms are algebra elements, not module vectors")
     if isinstance(node, Num):
         return LaurentPoly.const(node.value)
     if isinstance(node, QAtom):
         return Q
     if isinstance(node, RhoAtom):
-        _need_algebra(algebra, "rho")
         return rho_gen(n)
     if isinstance(node, TAtom):
-        _need_algebra(algebra, "T")
         return t_gen(n, node.index)
     if isinstance(node, BWord):
-        _need_algebra(algebra, "b")
         if len(node.word) == 1:
             return b_gen(n, node.word[0])
         if n != 2:
             raise RankUnsupported("KL basis words need rank 2; use bs(...) instead")
         return kl_to_std(KLLabel(0, node.word))
     if isinstance(node, BS):
-        _need_algebra(algebra, "bs")
         return bott_samelson(n, node.indices)
     if isinstance(node, YAtom):
-        _need_algebra(algebra, "y")
         from .parabolic import bernstein_y
 
         return bernstein_y(n, node.index)
@@ -341,11 +342,6 @@ def _multiply(a, b):
     if _is_uvec(b):
         return b.scale(a)
     return a * b
-
-
-def _need_algebra(algebra, what):
-    if not algebra:
-        raise BadIndex(f"{what} atoms are algebra elements, not module vectors")
 
 
 def _eval_pow(node, n, bound):

@@ -392,62 +392,43 @@ class SpecializedModule(Record):
 
 def specialize(mod, q0):
     """Evaluate all generator matrices at a nonzero rational q0 (anything
-    Fraction reads: an int, a Fraction or a string such as "5/7")."""
+    Fraction reads: an int, a Fraction or a string such as "5/7"), from the
+    nonzero entries of their row forms."""
     from fractions import Fraction
 
-    q0 = Fraction(q0)
+    q0, zero = Fraction(q0), Fraction(0)
 
-    def ev(mat):
-        return tuple(tuple(x.evaluate(q0) for x in row) for row in mat)
+    def ev(rows):
+        return tuple(tuple(row[j].evaluate(q0) if j in row else zero for j in range(mod.dim)) for row in rows)
 
-    mats = (ev(mod.rho_mat),) + tuple(ev(m) for m in mod.t_mats)
+    mats = tuple(ev(mod._letter(g)) for g in ("rho", *range(1, mod.n)))
     return SpecializedModule(mod.n, mod.dim, mats)
-
-
-def _rational_eigenvalues(a):
-    (p, r), (s, t) = a
-    tr, det = p + t, p * t - r * s
-    disc = tr * tr - 4 * det
-    if disc < 0:
-        return []
-    root = _fraction_sqrt(disc)
-    if root is None:
-        return []
-    vals = {(tr + root) / 2, (tr - root) / 2}
-    return sorted(vals)
-
-
-def _fraction_sqrt(x):
-    from fractions import Fraction
-
-    if x < 0:
-        return None
-    num, den = x.numerator, x.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        return None
-    return Fraction(rn, rd)
-
-
-def _is_eigenvector(a, v):
-    w = (a[0][0] * v[0] + a[0][1] * v[1], a[1][0] * v[0] + a[1][1] * v[1])
-    return w[0] * v[1] - w[1] * v[0] == 0
 
 
 def common_eigenvector_exists(spec):
     """True iff the specialized generator matrices share a rational
     eigenvector; only implemented for dim = 2."""
+    from fractions import Fraction
+
     if spec.dim != 2:
         raise DimUnsupported(f"common-eigenvector probe needs dim 2, got {spec.dim}")
-    # a scalar matrix fixes every line; a non-scalar one fixes one line per
-    # rational eigenvalue lam, spanned by (r, -p) for a nonzero row (p, r) of a - lam
+    # a scalar matrix fixes every line; the first other one, [[p, r], [s, t]],
+    # has the eigenvalues (p + t +- sqrt(D)) / 2 with D = (p - t)^2 + 4rs, and
+    # sqrt(D) = isqrt(ab) / b when D = a/b in lowest terms has ab a square; each
+    # fixes the line of (r', -p'), (p', r') a nonzero row of the matrix minus lam
     mats = [m for m in spec.mats if m[0][1] or m[1][0] or m[0][0] != m[1][1]]
     if not mats:
         return True
-    (p, r), (s, t) = a = mats[0]
-    for lam in _rational_eigenvalues(a):
-        row = (p - lam, r) if p != lam or r else (s, t - lam)
-        if all(_is_eigenvector(m, (row[1], -row[0])) for m in mats[1:]):
+    (p, r), (s, t) = mats[0]
+    disc = (p - t) ** 2 + 4 * r * s
+    ab = disc.numerator * disc.denominator
+    if ab < 0 or (root := math.isqrt(ab)) ** 2 != ab:
+        return False
+    root = Fraction(root, disc.denominator)
+    for lam in {(p + t + root) / 2, (p + t - root) / 2}:
+        x, y = (r, lam - p) if p != lam or r else (t - lam, -s)
+        # m fixes the line of (x, y) iff m (x, y) is parallel to it
+        if all((m[0][0] * x + m[0][1] * y) * y == (m[1][0] * x + m[1][1] * y) * x for m in mats[1:]):
             return True
     return False
 

@@ -27,12 +27,11 @@ class AffinePerm(Interned, Record):
             raise InvalidValue(f"window must be a tuple of length n={n}: {w}")
         if len({v % n for v in w}) != n:
             raise InvalidValue(f"window residues mod {n} must be distinct: {w}")
-        if sum(w[i] - (i + 1) for i in range(n)) % n != 0:
-            raise InvalidValue(f"window shift is not integral: {w}")
 
     @property
     def shift(self):
-        """The rho-power: (sum w(i) - i) / n."""
+        """The rho-power: (sum w(i) - i) / n, exact since distinct residues
+        sum to n(n-1)/2 mod n, as the i do."""
         return sum(self.window[i] - (i + 1) for i in range(self.n)) // self.n
 
     def __call__(self, i):

@@ -1,18 +1,19 @@
 import io
 import json
+import sys
 import time
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affine_hecke.cli import MAX_RANK, _parse_kl_label, main
-from affine_hecke.expr import MAX_NESTING
+from affine_hecke.expr import MAX_NESTING, eval_algebra, parse
 from affine_hecke.pairing import Y_INVERSE_LIMIT, y_class
 from affine_hecke.hecke import HeckeElt, KLLabel, alt_word, rho_gen, t_gen
 from affine_hecke.parabolic import bernstein_y
-from affine_hecke.serialize import hecke_from_json, module_from_json
+from affine_hecke.serialize import hecke_from_json, module_from_json, to_text
 
 
 def run(capsys, *argv):
@@ -50,6 +51,33 @@ def test_eval_wide_span_and_huge_coefficients(capsys, text, expect):
     assert time.perf_counter() - start < 1
     assert code == 0
     assert out == expect
+
+
+HUGE = "7" * 5000  # past Python's limit of 4300 digits on int <-> str
+DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit before Python 3.10.7")
+
+
+@contextmanager
+def digit_limit(limit):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@DIGIT_LIMIT
+@pytest.mark.parametrize("text", ["2^20000", f"{HUGE}*T1", f"rho^{HUGE}"], ids=["power", "literal", "rho-power"])
+def test_eval_integers_past_the_digit_limit(capsys, text):
+    with digit_limit(4300):
+        text_run = run(capsys, "eval", "-n", "2", text)
+        json_run = run(capsys, "eval", "-n", "2", text, "--format", "json")
+        assert sys.get_int_max_str_digits() == 4300
+    with digit_limit(0):
+        expect = eval_algebra(parse(text), 2)
+        assert text_run == (0, to_text(expect), "")
+        assert json_run[0] == 0 and hecke_from_json(json.loads(json_run[1])) == expect
 
 
 @pytest.mark.parametrize(
@@ -135,6 +163,14 @@ def test_pi_uw(capsys):
     code, out, _ = run(capsys, "pi-uw", "u1")
     assert code == 0
     assert out == "(q, 1)"
+
+
+@pytest.mark.parametrize("atom", ["rho", "T1", "b1", "bs(1)", "y1"])
+def test_algebra_atoms_in_a_module_vector_exit_2(capsys, atom):
+    for argv in (["act", "b1", f"u0 + {atom}"], ["pi-uw", f"u0 + {atom}"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith("atoms are algebra elements, not module vectors")
 
 
 def test_yclass(capsys):
@@ -342,6 +378,9 @@ def test_format_env_default(capsys, monkeypatch):
 ATOMS = (
     "q", "2", "T0", "T1", "T2", "T3", "T[4]", "rho", "b0", "b1", "b01", "b010",
     "y1", "y2", "u0", "u3", "u'1",
+    # an index past the 4300-digit limit; a bare integer that long could be an
+    # exponent, and 2^(10^4399) is no answer a machine holds
+    "u" + "9" * 4400,
 )
 ALPHABET = ATOMS + ("bs", "+", "-", "*", "^", "(", ")", ",", "1", "3")
 RANKS = st.integers(1, 4)

@@ -115,6 +115,13 @@ def test_uvec_mode():
         expr.eval_algebra(expr.parse("u1"), 2)
 
 
+@pytest.mark.parametrize("atom, name", [("rho", "rho"), ("T1", "T"), ("b1", "b"), ("bs(1)", "bs"), ("y1", "y")])
+def test_algebra_atoms_are_not_module_vectors(atom, name):
+    for text in (atom, f"u0 + q*{atom}", f"{atom}^2"):
+        with pytest.raises(BadIndex, match=f"^{name} atoms are algebra elements, not module vectors$"):
+            expr.eval_uvec(expr.parse(text))
+
+
 def test_print_parse_round_trip_manual():
     for src in ("q^-1 + 2 + q", "rho^2*T0*T1", "-3*q^2*T0", "(q + 1)*b01"):
         tree = expr.parse(src)

@@ -4,7 +4,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -31,9 +31,7 @@ from affine_hecke.modules import (
     DEFAULT_PROBES,
     FinDimModule,
     SpecializedModule,
-    _is_eigenvector,
     _mul,
-    _rational_eigenvalues,
     _word_rows,
     common_eigenvector_exists,
     induce,
@@ -719,6 +717,39 @@ def test_reducible_negative_control():
     for q0 in (Fraction(2), Fraction(3), Fraction(5, 7)):
         assert common_eigenvector_exists(specialize(mod, q0))
     assert not irreducible_at(mod)
+
+
+@pytest.mark.parametrize("case", [case for case, (_, dim) in LARGE_INDUCED.items() if dim <= 126])
+def test_specialize_matches_dense_evaluation(case):
+    mod = induce(*LARGE_INDUCED[case][0]())
+    q0 = Fraction(5, 7)
+    dense = tuple(tuple(tuple(x.evaluate(q0) for x in row) for row in mat) for mat in (mod.rho_mat, *mod.t_mats))
+    assert specialize(mod, "5/7") == SpecializedModule(mod.n, mod.dim, dense)
+
+
+def _rational_eigenvalues(a):
+    (p, r), (s, t) = a
+    tr, det = p + t, p * t - r * s
+    disc = tr * tr - 4 * det
+    if disc < 0:
+        return []
+    root = _fraction_sqrt(disc)
+    if root is None:
+        return []
+    return sorted({(tr + root) / 2, (tr - root) / 2})
+
+
+def _fraction_sqrt(x):
+    num, den = x.numerator, x.denominator
+    rn, rd = isqrt(num), isqrt(den)
+    if rn * rn != num or rd * rd != den:
+        return None
+    return Fraction(rn, rd)
+
+
+def _is_eigenvector(a, v):
+    w = (a[0][0] * v[0] + a[0][1] * v[1], a[1][0] * v[0] + a[1][1] * v[1])
+    return w[0] * v[1] - w[1] * v[0] == 0
 
 
 def _eigenspace_2x2(a, lam):

@@ -278,6 +278,18 @@ def test_rex_round_trip_hypothesis(w):
     assert len(rex.word) == w.length()
 
 
+windows = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+).map(lambda args: tuple(r + 1 + len(args[0]) * k for r, k in zip(*args)))
+
+
+@given(windows)
+def test_shift_is_exact_on_every_window(window):
+    # any window with distinct residues: the shift needs no integrality check
+    n = len(window)
+    assert AffinePerm(n, window).shift * n == sum(v - i for i, v in enumerate(window, 1))
+
+
 @given(elements, elements)
 def test_length_subadditive(u, v):
     if u.n != v.n:
