@@ -27,7 +27,7 @@ _HOME = {
         "laurent": "ONE Q Q2 QINV ZERO LaurentPoly",
         "modules": "FinDimModule common_eigenvector_exists induce module_check_relations module_y "
         "specialize trivial_module",
-        "pairing": "GradedRank euler_pair graded_hom_rank y_class",
+        "pairing": "GradedRank graded_hom_rank y_class",
         "parabolic": "ParabolicContext bernstein_y bernstein_y_inv min_coset_reps psi psi_L psi_R",
         "weyl": "AffinePerm ReducedExpr bruhat_leq from_rex identity rho simple",
     }.items()

@@ -54,7 +54,7 @@ from .modules import (
     specialize,
     trivial_module,
 )
-from .pairing import euler_pair, graded_hom_rank, y_class
+from .pairing import graded_hom_rank, y_class
 from .parabolic import ParabolicContext, psi, psi_L, psi_R, psi_rho_pair
 from .weyl import ReducedExpr, from_rex, rho, simple
 
@@ -344,7 +344,7 @@ def check_pairing_lab():
         for label in _labels_up_to(6, rho_powers=(k,)):
             x = kl_to_std(label)
             for (r, s), yc in classes.items():
-                if r + s != k and not euler_pair(x, yc).is_zero:
+                if r + s != k and not form(x, yc).is_zero:
                     return False, f"nonzero pairing at k={k}, (r,s)=({r},{s})"
     for s in range(1, 5):
         for nn in range(1, 10, 2):

@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 truncation, rank or dimension error.  A rank (-n, --n) runs from 1 to
-MAX_RANK.  The default output format comes from the AHECKE_FORMAT
-environment variable (text, json or latex).
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error, 3
+truncation, rank or dimension error, 141 (as a script) a reader that closed
+stdout early.  A rank (-n, --n) runs from 1 to MAX_RANK.  The default output
+format comes from the AHECKE_FORMAT environment variable (text, json, latex).
 
 Each subcommand imports the layers it uses when it runs: the module holds
 only what every call needs (the parser, serialize and pairing's limits for
@@ -297,4 +297,10 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:  # the reader closed stdout: stop quietly, with a shell's SIGPIPE status
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)

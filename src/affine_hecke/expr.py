@@ -124,7 +124,10 @@ class _Parser:
             raise ParseError(f"expected {op!r}", self.peek()[2])
 
     def parse(self):
-        node = self.expr()
+        try:
+            node = self.expr()
+        except ValueError:  # from int() alone, on the digits of the token last read
+            raise ParseError("integer past Python's int-string digit limit", self.tokens[self.pos - 1][2]) from None
         kind, text, offset = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input {text!r}", offset)

@@ -10,9 +10,9 @@ with braid and distant-commutation relations for n >= 3, so that
 T_i^-1 = T_i + (q - q^-1) and the Kazhdan-Lusztig generator is
 b_i = T_i + q with b_i^2 = [2] b_i.  defining_relations lists them once
 as pairs of words in the generators; fold_word evaluates a word in any
-target, and word_elt is its value in the algebra.  WordMemo is the word
-memo of one evaluation (a relation check): each word is one product from a
-prefix or suffix folded before, so a braid relation's sides share T_i T_{i+1}.
+target, and word_elt is its value in the algebra.  WordMemo folds each word
+once, as one product from a prefix or suffix folded before, so a braid
+relation's sides share T_i T_{i+1}; a module keeps one for its lifetime.
 
 Multiplication walks a trie of the right factor's canonical reduced
 expressions (weyl.canonical_rex, the one memo of to_rex) from the left
@@ -66,12 +66,6 @@ class HeckeElt(Combination):
     @classmethod
     def from_term(cls, perm, coeff=ONE):
         return cls(perm.n, {perm: coeff})
-
-    def support(self):
-        return set(self.terms)
-
-    def coefficient(self, perm):
-        return self.terms.get(perm, ZERO)
 
     def __mul__(self, other):
         if isinstance(other, (int, LaurentPoly)):
@@ -237,14 +231,17 @@ class WordMemo(dict):
         self.letter, self.mul, self.one = letter, mul, one
 
     def __missing__(self, word):
-        if len(word) < 2:
-            out = fold_word(word, self.letter, self.mul, self.one)
-        elif word[1:] in self:
-            out = self.mul(self[word[:1]], self[word[1:]])
-        else:
-            out = self.mul(self[word[:-1]], self[word[-1:]])
-        self[word] = out
-        return out
+        chain = [word]  # the prefixes to fold, longest first, found by a loop so no word is too long
+        while len(chain[-1]) > 1 and chain[-1][1:] not in self and chain[-1][:-1] not in self:
+            chain.append(chain[-1][:-1])
+        for w in reversed(chain):
+            if len(w) < 2:
+                self[w] = fold_word(w, self.letter, self.mul, self.one)
+            elif w[1:] in self:
+                self[w] = self.mul(self[w[:1]], self[w[1:]])
+            else:
+                self[w] = self.mul(self[w[:-1]], self[w[-1:]])
+        return self[word]
 
 
 def broken_relations(n, rank, image):

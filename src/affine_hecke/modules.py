@@ -8,21 +8,21 @@ unit).
 Matrices are sparse inside this module: the row form of a matrix is a
 tuple of rows {col: LaurentPoly} holding only the nonzero entries, so two
 row forms are equal exactly when the matrices are; no row is mutated once
-built, so row forms share rows.  A module stores the row forms of rho,
-rho^-1 and T_1..T_{n-1}, and builds T_0 = rho T_{n-1} rho^-1 and
-T_i^-1 = T_i + (q - q^-1) on the diagonal on first read.  [xy] = [x][y] is
-one row-form product, summed by laurent.add_product; a row of x with one
-entry gives a row of y, scaled, with no sum.  A word in the generators
-(hecke.fold_word) is the product of its letters' row forms: module_y
-evaluates the words parabolic.y_word.  module_act costs the nonzeros: the
-letters of each term act one by one on the vector, a dim x 1 row form, and
-laurent.linear sums the terms.  The relation check values words by one memo
-(hecke.WordMemo), rho T_{n-1} rho^-1 as T_0, and one relation per rotation
-orbit once rho rho^-1 = 1 and each rho T_i rho^-1 = T_{i+1} hold.  Matrices
-are dense tuples of tuples at the edges: the views t_mats, rho_mat and
-rho_inv_mat (built on first read), the values of t, t_inv, b, word_mat and
-module_y (built per call), the helpers mat_mul, mat_scale and mat_eye, and
-the elimination of mat_det and mat_unit_inverse.
+built, so row forms share rows.  [xy] = [x][y] is one row-form product,
+summed by laurent.add_product; a row of x with one entry gives a row of y,
+scaled, with no sum.  A module folds each word in its generators once, in
+one word memo (hecke.WordMemo) made with it over its letters: the stored
+rho^+-1 and T_0..T_{n-1}, T_0 = rho T_{n-1} rho^-1 folded as the module is
+built, and T_i^-1 = T_i + (q - q^-1) on the diagonal.  The relation check,
+word_mat, module_y (parabolic.y_word) and induce (the factors' y_n and
+y_1^-1) read it; the check evaluates one relation per rotation orbit once
+rho rho^-1 = 1 and each rho T_i rho^-1 = T_{i+1} hold.  module_act costs
+the nonzeros: each term's letters act one by one on the vector, a dim x 1
+row form, and laurent.linear sums the terms.  Matrices are dense tuples of
+tuples at the edges: the views t_mats, rho_mat and rho_inv_mat (built on
+first read), the values of t, t_inv, b, word_mat and module_y (built per
+call), the helpers mat_mul, mat_scale and mat_eye, and the elimination of
+mat_det and mat_unit_inverse.
 
 Zelevinsky induction realizes Ind on the basis {T_x (x) m1 (x) m2}, x the
 minimal coset representatives, from their windows alone (_moves, cached
@@ -39,7 +39,7 @@ import math
 from functools import cache, cached_property, partial, reduce
 
 from .errors import BadIndex, DimUnsupported, InvalidValue, RankMismatch, Record
-from .hecke import _DESC, WordMemo, defining_relations, fold_word, inverse_word, rex_word
+from .hecke import _DESC, WordMemo, defining_relations, inverse_word, rex_word
 from .laurent import ONE, Q, QINV, ZERO, accumulate, add_product, linear, sealed
 from .parabolic import min_coset_reps, y_word
 from .weyl import canonical_rex
@@ -153,6 +153,13 @@ def mat_unit_inverse(a):
 
 # ---------------------------------------------------------------------------
 
+def _letter_rows(n, letters, g, e):
+    """The row form of g^e: a stored letter, or T_i^-1 = T_i + (q - q^-1)."""
+    if (g, e) not in letters and (n < 2 or g not in range(n)):
+        raise BadIndex(f"no generator T_{g} in rank {n}")
+    return letters.get((g, e)) or _shift_diagonal(letters[g, 1], Q - QINV)
+
+
 class FinDimModule(Record):
     """Exact module data: the row forms of the letters rho^+-1 and T_i^+-1.
 
@@ -160,8 +167,8 @@ class FinDimModule(Record):
     matrices and eliminates rho^-1 when it is not given.  Two modules are
     equal exactly when their matrices are; a module has no hash."""
 
-    # _letters: rho^+-1 and T_1..T_{n-1}; _derived: T_0 and the T_i^-1; __dict__: the dense views
-    __slots__ = ("n", "dim", "_letters", "_derived", "__dict__")
+    # _letters: rho^+-1 and T_0..T_{n-1}; _words: the word memo; __dict__: the dense views
+    __slots__ = ("n", "dim", "_letters", "_words", "__dict__")
     __hash__ = None
 
     def __init__(self, n, dim, t_mats, rho_mat, rho_inv_mat=None):
@@ -182,16 +189,19 @@ class FinDimModule(Record):
     @classmethod
     def _from_rows(cls, n, dim, t_rows, rho, rho_inv):
         """A module from the row forms of T_1..T_{n-1}, rho and rho^-1, unchecked."""
-        mod = object.__new__(cls)
-        mod._fill(n, dim, t_rows, rho, rho_inv)
-        return mod
+        return object.__new__(cls)._fill(n, dim, t_rows, rho, rho_inv)
 
     def _fill(self, n, dim, t_rows, rho, rho_inv):
         letters = {("rho", 1): rho, ("rho", -1): rho_inv}  # (g, e) -> row form of the letter g^e
         letters.update(((i, 1), t) for i, t in enumerate(t_rows, 1))
+        # the memo's letters read the dict, not the module, so module and memo form no cycle
+        words = WordMemo(partial(_letter_rows, n, letters), _mul, partial(_eye, dim))
+        if n > 1:
+            letters[0, 1] = words[("rho", 1), (n - 1, 1), ("rho", -1)]
         Record.__init__(self, n, dim)
         object.__setattr__(self, "_letters", letters)
-        object.__setattr__(self, "_derived", {})
+        object.__setattr__(self, "_words", words)
+        return self
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -201,34 +211,22 @@ class FinDimModule(Record):
     def __reduce__(self):
         return FinDimModule, (self.n, self.dim, self.t_mats, self.rho_mat, self.rho_inv_mat)
 
-    def _letter(self, g, e=1):
-        rows = self._letters.get((g, e)) or self._derived.get((g, e))
-        if rows is None:
-            if self.n < 2 or g not in range(self.n) or e not in (1, -1):
-                raise BadIndex(f"no generator T_{g} in rank {self.n}")
-            if e == 1:
-                rows = _mul(_mul(self._letters["rho", 1], self._letters[self.n - 1, 1]), self._letters["rho", -1])
-            else:
-                rows = _shift_diagonal(self._letter(g), Q - QINV)
-            self._derived[g, e] = rows  # two threads at worst build equal values
-        return rows
-
     # the dense views, built on first read; entry i-1 of t_mats is [T_i]
     t_mats = cached_property(lambda self: tuple(map(self.t, range(1, self.n))))
-    rho_mat = cached_property(lambda self: _dense(self._letter("rho"), self.dim))
-    rho_inv_mat = cached_property(lambda self: _dense(self._letter("rho", -1), self.dim))
+    rho_mat = cached_property(lambda self: _dense(self._letters["rho", 1], self.dim))
+    rho_inv_mat = cached_property(lambda self: _dense(self._letters["rho", -1], self.dim))
 
     def t(self, i):
         """Matrix of T_i for i in the affine index set 0..n-1 (none for n = 1)."""
-        return _dense(self._letter(i), self.dim)
+        return _dense(self._words[(i, 1),], self.dim)
 
     def t_inv(self, i):
         """Matrix of T_i^-1 = T_i + (q - q^-1)."""
-        return _dense(self._letter(i, -1), self.dim)
+        return _dense(self._words[(i, -1),], self.dim)
 
     def b(self, i):
         """Matrix of the KL generator b_i = T_i + q."""
-        return _dense(_shift_diagonal(self._letter(i), Q), self.dim)
+        return _dense(_shift_diagonal(self._words[(i, 1),], Q), self.dim)
 
 
 def trivial_module(n=1):
@@ -239,18 +237,12 @@ def trivial_module(n=1):
 def one_dimensional(n, t_scalar, rho_scalar):
     """A one-dimensional module; t_scalar must satisfy the quadratic relation
     and rho_scalar must be a unit."""
-    t_mat = ((t_scalar,),)
-    return FinDimModule(n, 1, tuple(t_mat for _ in range(n - 1)), ((rho_scalar,),))
-
-
-def _word_rows(mod, word):
-    """Row form of a generator word (hecke.fold_word); the empty word is the identity."""
-    return fold_word(word, mod._letter, _mul, partial(_eye, mod.dim))
+    return FinDimModule(n, 1, (((t_scalar,),),) * (n - 1), ((rho_scalar,),))
 
 
 def word_mat(mod, word):
     """Matrix of a generator word (hecke.fold_word); the empty word is the identity."""
-    return _dense(_word_rows(mod, word), mod.dim)
+    return _dense(mod._words[tuple(word)], mod.dim)
 
 
 def module_check_relations(mod):
@@ -262,11 +254,7 @@ def module_check_relations(mod):
     T_{i+1}^+-1: a relation holds exactly when its rotation i -> i+1 (mod n)
     does, perhaps with its sides swapped, so one per orbit is evaluated.
     """
-    n = mod.n
-    words = WordMemo(mod._letter, _mul, partial(_eye, mod.dim))
-    if n > 1:  # T_0 is defined as rho T_{n-1} rho^-1, so that relation costs no product
-        words[("rho", 1), (n - 1, 1), ("rho", -1)] = mod._letter(0)
-    rels = defining_relations(n)
+    n, words, rels = mod.n, mod._words, defining_relations(mod.n)
     verdict = {(lhs, rhs): words[lhs] == words[rhs] for _, lhs, rhs in rels if lhs[0][0] == "rho"}
     orbits = all(verdict.values())
     for _, lhs, rhs in rels:
@@ -297,7 +285,7 @@ def module_act(mod, elt, vec):
         out = column
         for g, e in reversed(rex_word(canonical_rex(perm))):
             for _ in range(abs(e)):
-                out = _mul(mod._letter(g, 1 if e > 0 else -1), out)
+                out = _mul(mod._words[(g, 1 if e > 0 else -1),], out)
         return ((r, row[0]) for r, row in enumerate(out) if row)
 
     out = linear(elt.terms.items(), image)
@@ -348,8 +336,8 @@ def induce(m1, m2):
         cols = _transpose(rows, d2)
         return [{a * d2 + r: c for r, c in cols[b].items()} for a in range(d1) for b in range(d2)]
 
-    inner = {p: left(m1._letter(p)) for p in range(1, k)}
-    inner.update((p, right(m2._letter(p - k))) for p in range(k + 1, n))
+    inner = {p: left(m1._letters[p, 1]) for p in range(1, k)}
+    inner.update((p, right(m2._letters[p - k, 1])) for p in range(k + 1, n))
 
     def t_cols(row):
         cols = []
@@ -373,10 +361,10 @@ def induce(m1, m2):
         return _transpose([col for block in blocks for col in block], dim)
 
     # y_n = psi_R(y_{n-k}) and y_1 = psi_L(y_1)
-    up = reduce(_mul, ts[:0:-1], right(_word_rows(m2, y_word(m2.n, m2.n))))
-    down = reduce(_mul, ts[1:], left(_word_rows(m1, inverse_word(y_word(k, 1)))))
-    rho = rho_rows(1, up, left(m1._letter("rho")))
-    rho_inv = rho_rows(-1, down, right(m2._letter("rho", -1)))
+    up = reduce(_mul, ts[:0:-1], right(m2._words[y_word(m2.n, m2.n)]))
+    down = reduce(_mul, ts[1:], left(m1._words[inverse_word(y_word(k, 1))]))
+    rho = rho_rows(1, up, left(m1._letters["rho", 1]))
+    rho_inv = rho_rows(-1, down, right(m2._letters["rho", -1]))
     return FinDimModule._from_rows(n, dim, [_transpose(t, dim) for t in ts[1:]], rho, rho_inv)
 
 
@@ -401,7 +389,7 @@ def specialize(mod, q0):
     def ev(rows):
         return tuple(tuple(row[j].evaluate(q0) if j in row else zero for j in range(mod.dim)) for row in rows)
 
-    mats = tuple(ev(mod._letter(g)) for g in ("rho", *range(1, mod.n)))
+    mats = tuple(ev(mod._letters[g, 1]) for g in ("rho", *range(1, mod.n)))
     return SpecializedModule(mod.n, mod.dim, mats)
 
 

@@ -59,8 +59,3 @@ class GradedRank(Record):
 def graded_hom_rank(u, v):
     """Form value of two KL classes (rank 2)."""
     return GradedRank(form(kl_to_std(u), kl_to_std(v)))
-
-
-def euler_pair(x, y):
-    """The form on arbitrary classes (signed Euler characteristic shadow)."""
-    return form(x, y)

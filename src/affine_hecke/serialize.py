@@ -168,19 +168,22 @@ def _matrix(rows, latex):
 
 
 def _render(value, latex):
-    if isinstance(value, LaurentPoly):
-        return _laurent(value, latex)
-    if is_loaded_instance(value, "modules", "FinDimModule"):
-        blocks = []
-        for name, mat in _module_gens(value, latex):
-            entries = _matrix([[_laurent(e, latex) if e else "0" for e in row] for row in mat], latex)
-            blocks.append(f"[{name}] = {entries}" if latex else f"{name} = {entries}")
-        return (r", \quad " if latex else "\n").join(blocks)
-    if isinstance(value, tuple):
-        parts = [_render(v, latex) for v in value]
-        return _matrix([[p] for p in parts], True) if latex else "(" + ", ".join(parts) + ")"
-    terms = _terms(value, "LaTeX" if latex else "text")
-    return _join_signed([_term(coeff, atoms, latex) for _, coeff, atoms in terms])
+    try:
+        if isinstance(value, LaurentPoly):
+            return _laurent(value, latex)
+        if is_loaded_instance(value, "modules", "FinDimModule"):
+            blocks = []
+            for name, mat in _module_gens(value, latex):
+                entries = _matrix([[_laurent(e, latex) if e else "0" for e in row] for row in mat], latex)
+                blocks.append(f"[{name}] = {entries}" if latex else f"{name} = {entries}")
+            return (r", \quad " if latex else "\n").join(blocks)
+        if isinstance(value, tuple):
+            parts = [_render(v, latex) for v in value]
+            return _matrix([[p] for p in parts], True) if latex else "(" + ", ".join(parts) + ")"
+        terms = _terms(value, "LaTeX" if latex else "text")
+        return _join_signed([_term(coeff, atoms, latex) for _, coeff, atoms in terms])
+    except ValueError:  # str() of an integer past Python's int-string digit limit
+        raise InvalidValue("integer past Python's digit limit; sys.set_int_max_str_digits(0) lifts it") from None
 
 
 def to_text(value):

@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
@@ -78,6 +80,22 @@ def test_eval_integers_past_the_digit_limit(capsys, text):
         expect = eval_algebra(parse(text), 2)
         assert text_run == (0, to_text(expect), "")
         assert json_run[0] == 0 and hecke_from_json(json.loads(json_run[1])) == expect
+
+
+def test_closed_pipe_ends_the_script_without_a_traceback():
+    # (5,5) JSON is about 2.5 MB, far past a pipe's buffer, so the writer
+    # still writes when the reader closes after 50 bytes
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["induce", "--n", "10", "--k", "5", "--left", "trivial:5", "--right", "trivial:5", "--format", "json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "affine_hecke.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    assert len(proc.stdout.read(50)) == 50
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err and "Error" not in err, err
 
 
 @pytest.mark.parametrize(

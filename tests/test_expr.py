@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +102,35 @@ def test_parse_errors_carry_offset():
         expr.parse("bs(1")
     with pytest.raises(ParseError):
         expr.parse("q^x")
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default limit of 4300 digits on int <-> str, for the test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no digit limit before Python 3.10.7")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize(
+    "prefix, suffix, offset",
+    [("u", "", 0), ("u'", "", 0), ("y", "", 0), ("T[", "]", 0), ("2 + ", "", 4), ("q^-", "", 3), ("bs(1,", ")", 5)],
+    ids=["u", "u-prime", "y", "T-bracket", "literal", "exponent", "bs-index"],
+)
+def test_integers_past_the_digit_limit_are_parse_errors(digit_limit, prefix, suffix, offset):
+    with pytest.raises(ParseError, match="digit limit") as info:
+        expr.parse(prefix + "9" * 4400 + suffix)
+    assert info.value.offset == offset
+
+
+def test_printing_integers_past_the_digit_limit_is_invalid(digit_limit):
+    value = expr.eval_algebra(expr.parse("2^20000"), 2)
+    for printer in (serialize.to_text, serialize.to_latex):
+        with pytest.raises(InvalidValue, match=r"sys\.set_int_max_str_digits"):
+            printer(value)
 
 
 def test_uvec_mode():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from affine_hecke.bernstein import BernsteinElt, to_bernstein
 from affine_hecke.errors import BadIndex, DimUnsupported, InvalidValue
 from affine_hecke.example_n2 import w_module
-from affine_hecke import modules
+from affine_hecke import hecke, modules
 from affine_hecke.hecke import (
     HeckeElt,
     KLLabel,
@@ -31,8 +31,9 @@ from affine_hecke.modules import (
     DEFAULT_PROBES,
     FinDimModule,
     SpecializedModule,
+    _dense,
     _mul,
-    _word_rows,
+    _rows,
     common_eigenvector_exists,
     induce,
     irreducible_at,
@@ -60,6 +61,20 @@ def all_pass(report):
     return all(ok for _, ok in report)
 
 
+def fold_word(mod, word):
+    """The row form of a generator word, folded letter by letter by
+    hecke.fold_word with no word memo: the oracle of the module's memo.  It
+    reads the stored letters, and adds q - q^-1 to the diagonal for T_i^-1."""
+
+    def letter(g, e):
+        if g == "rho" or e == 1:
+            return mod._letters[g, e]
+        rows = ({**row, r: row.get(r, ZERO) + Q - QINV} for r, row in enumerate(mod._letters[g, 1]))
+        return tuple({c: x for c, x in row.items() if x} for row in rows)
+
+    return hecke.fold_word(word, letter, _mul, lambda: _rows(mat_eye(mod.dim)))
+
+
 def module_y_inv(mod, i):
     """Matrix of y_i^-1, from the inverse word."""
     return word_mat(mod, inverse_word(y_word(mod.n, i)))
@@ -72,6 +87,15 @@ def test_trivial_rank1():
     assert v.rho_inv_mat == ((ONE,),)
     assert all_pass(module_check_relations(v))
     assert module_y(v, 1) == ((ONE,),)
+
+
+def test_long_words_fold_without_deep_recursion():
+    # the word memo finds a word's unfolded prefixes by a loop, so a word far
+    # longer than Python's recursion limit folds; on the trivial module
+    # T_i^-1 acts by q and rho by 1, so y_n = T_{n-1}^-1 ... T_1^-1 rho is q^(n-1)
+    n = 3000
+    assert module_y(trivial_module(n), n) == ((LaurentPoly.q_power(n - 1),),)
+    assert word_mat(trivial_module(3), ((1, 1),) * 5000) == ((LaurentPoly.q_power(-5000),),)
 
 
 def naive_mat_mul(a, b):
@@ -325,8 +349,9 @@ def test_large_induced_modules(case):
     shift = mat_scale(mat_eye(mod.dim), Q - QINV)
     for i in range(mod.n):
         assert mod.t_inv(i) == mat_sum(mod.t(i), shift)
-    # y_i y_j = y_j y_i, compared in row form
-    ys = [_word_rows(mod, y_word(mod.n, i)) for i in range(1, mod.n + 1)]
+    # module_y is the unmemoized fold; y_i y_j = y_j y_i, compared in row form
+    ys = [fold_word(mod, y_word(mod.n, i)) for i in range(1, mod.n + 1)]
+    assert [module_y(mod, i) for i in range(1, mod.n + 1)] == [_dense(y, mod.dim) for y in ys]
     for i, yi in enumerate(ys):
         for yj in ys[i + 1 :]:
             assert _mul(yi, yj) == _mul(yj, yi)
@@ -334,9 +359,9 @@ def test_large_induced_modules(case):
 
 def direct_relations(mod):
     """The oracle of module_check_relations: each side of each relation
-    folded on its own by fold_word (_word_rows), with no word memo and no
+    folded on its own by fold_word, with no word memo and no
     verdicts shared along rho-orbits."""
-    return [(name, _word_rows(mod, lhs) == _word_rows(mod, rhs)) for name, lhs, rhs in defining_relations(mod.n)]
+    return [(name, fold_word(mod, lhs) == fold_word(mod, rhs)) for name, lhs, rhs in defining_relations(mod.n)]
 
 
 ORACLE_MODULES = {
@@ -369,7 +394,7 @@ def test_relation_check_matches_direct_evaluation(case):
     deltas = (ONE, -ONE, Q, -QINV, TWO * Q)
     for letter in stored_letters(mod):
         for _ in range(3):
-            letters = {key: mod._letter(*key) for key in stored_letters(mod)}
+            letters = {key: mod._letters[key] for key in stored_letters(mod)}
             rows = list(letters[letter])
             r, c = rng.randrange(mod.dim), rng.randrange(mod.dim)
             row = dict(rows[r])  # rows may be shared between letters: never mutate one
@@ -389,11 +414,11 @@ def test_relation_check_matches_direct_evaluation(case):
 
 def word_matrix_act(mod, elt, vec):
     """The oracle of module_act, its former body: each standard term acts by
-    the row form of its whole word (_word_rows) on the scaled vector."""
+    the row form of its whole word (fold_word) on the scaled vector."""
     acc = {}
     for perm, coeff in elt.terms.items():
         scaled = [coeff * v for v in vec]
-        for r, row in enumerate(_word_rows(mod, rex_word(canonical_rex(perm)))):
+        for r, row in enumerate(fold_word(mod, rex_word(canonical_rex(perm)))):
             for c, x in row.items():
                 add_product(acc, r, x, scaled[c])
     acc = sealed(acc)
@@ -433,7 +458,7 @@ def test_module_act_matches_word_matrices(case):
 def test_negated_t_fails_only_the_quadratic_relations(case):
     # -T_i still satisfies every conjugation, braid and commuting relation
     mod = ORACLE_MODULES[case]()
-    letters = {key: mod._letter(*key) for key in stored_letters(mod)}
+    letters = {key: mod._letters[key] for key in stored_letters(mod)}
     for i in range(1, mod.n):
         letters[i, 1] = tuple({j: -x for j, x in row.items()} for row in letters[i, 1])
     negated = with_letters(mod, letters)
@@ -442,12 +467,19 @@ def test_negated_t_fails_only_the_quadratic_relations(case):
     assert [name for name, ok in report if not ok] == [f"(T_{i}+q)(T_{i}-q^-1) = 0" for i in range(mod.n)]
 
 
+# products of induce(trivial_module(a), trivial_module(b)): the matrices of
+# rho^+-1, the factors' y_n and y_1^-1, and T_0's two
+INDUCE_PRODUCTS = {(1, 1): 4, (1, 2): 9, (2, 2): 18, (2, 3): 29, (3, 3): 52}
+
+
 @pytest.mark.parametrize("a, b, products", [(1, 1, 6), (1, 2, 11), (2, 2, 15), (2, 3, 17), (3, 3, 21)])
 def test_relation_check_product_count(a, b, products, monkeypatch):
-    # ranks 2..6 on a cold module: one product for rho rho^-1, two per
-    # conjugation (rho T_{n-1} rho^-1 is the first read of T_0), one per
-    # quadratic orbit, three per braid orbit and two per commuting orbit
-    mod = induce(trivial_module(a), trivial_module(b))
+    # ranks 2..6: a module's word memo folds `products` words for T_0 and its
+    # first check: two for T_0 = rho T_{n-1} rho^-1 as induce builds the
+    # module, then one for rho rho^-1, two per other conjugation, one per
+    # quadratic orbit, three per braid orbit and two per commuting orbit.  A
+    # second check folds nothing.  The memo keeps the mul it is made with, so
+    # the count is patched in before any module is built.
     calls = []
 
     def counted(x, y):
@@ -455,21 +487,29 @@ def test_relation_check_product_count(a, b, products, monkeypatch):
         return _mul(x, y)
 
     monkeypatch.setattr(modules, "_mul", counted)
-    assert all_pass(module_check_relations(mod))
-    assert len(calls) == products
+    m1, m2 = trivial_module(a), trivial_module(b)
     calls.clear()
-    assert all_pass(module_check_relations(mod))
-    assert len(calls) == products - 2  # T_0 is built, so rho T_{n-1} rho^-1 costs none
+    mod = induce(m1, m2)
+    counts = [len(calls)]
+    for _ in range(2):
+        calls.clear()
+        assert all_pass(module_check_relations(mod))
+        counts.append(len(calls))
+    assert counts == [INDUCE_PRODUCTS[a, b], products - 2, 0]
 
 
 def test_relation_check_leaves_no_cyclic_garbage():
     # a self-referencing word memo would hold every word value until the
-    # cycle collector ran, raising the peak memory of repeated checks
-    mod = induce(trivial_module(2), trivial_module(2))
+    # cycle collector ran, raising the peak memory of repeated checks; a
+    # dropped module, with every y_i read, leaves nothing for gc either
     gc.collect()
     gc.disable()
     try:
+        mod = induce(trivial_module(2), trivial_module(2))
         assert all_pass(module_check_relations(mod))
+        ys = [module_y(mod, i) for i in range(1, mod.n + 1)]
+        assert gc.collect() == 0
+        del mod, ys
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -497,7 +537,7 @@ def straightened_induce(m1, m2):
     """Ind(m1 (x) m2) by Bernstein straightening, the former builder: each
     g T_x in normal form sum c T_w y^lam, T_w = T_{x'} T_{u_l} T_{u_r} split
     from the window of w, acting by T_{u_l} y^lam[:k] on m1 and T_{u_r}
-    y^lam[k:] on m2.  It shares only min_coset_reps and _word_rows with induce."""
+    y^lam[k:] on m2.  It shares only min_coset_reps with induce."""
     k, n = m1.n, m1.n + m2.n
     d1, d2 = m1.dim, m2.dim
     reps = min_coset_reps(n, k)
@@ -508,7 +548,7 @@ def straightened_induce(m1, m2):
         """Nonzero (row, col, value) of T_u y^lam on a factor, u of the given window."""
         ys = [(y_word(mod.n, i), e) for i, e in enumerate(lam, 1)]
         y_pows = sum(((y if e > 0 else inverse_word(y)) * abs(e) for y, e in ys), ())
-        rows = _word_rows(mod, rex_word(canonical_rex(AffinePerm(mod.n, window))) + y_pows)
+        rows = fold_word(mod, rex_word(canonical_rex(AffinePerm(mod.n, window))) + y_pows)
         return [(r, c, v) for r, row in enumerate(rows) for c, v in row.items()]
 
     def generator_rows(g):
@@ -661,8 +701,11 @@ def test_modules_are_frozen():
 )
 def test_module_equality_is_matrix_equality(build):
     mod = build()
-    # the JSON reader eliminates rho^-1; induce takes it from its plan
+    # the JSON reader eliminates rho^-1; induce takes it from its plan; the
+    # words a check and module_y fold on one side are not part of ==
     back = module_from_json(to_json(mod))
+    assert all_pass(module_check_relations(mod))
+    assert all(module_y(mod, i) for i in range(1, mod.n + 1))
     assert back == mod and back.rho_inv_mat == mod.rho_inv_mat
     t1 = [list(row) for row in mod.t_mats[0]]
     t1[0][0] = t1[0][0] + Q
