@@ -42,13 +42,13 @@ class BernsteinElt(Combination):
         return cls._raw(n, {(identity(n), (0,) * n): ONE})
 
     @classmethod
-    def y_monomial(cls, n, lam, coeff=ONE):
-        return cls(n, {(identity(n), tuple(lam)): coeff})
+    def y_monomial(cls, n, lam):
+        return cls(n, {(identity(n), tuple(lam)): ONE})
 
     @classmethod
-    def t_term(cls, perm, lam=None, coeff=ONE):
+    def t_term(cls, perm, lam=None):
         lam = tuple(lam) if lam is not None else (0,) * perm.n
-        return cls(perm.n, {(perm, lam): coeff})
+        return cls(perm.n, {(perm, lam): ONE})
 
     def __mul__(self, other):
         if isinstance(other, (int, LaurentPoly)):

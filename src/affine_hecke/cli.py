@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error, 3
-truncation, rank or dimension error, 141 (as a script) a reader that closed
-stdout early.  A rank (-n, --n) runs from 1 to MAX_RANK.  The default output
+truncation, rank or dimension error, 141 a reader that closed stdout
+early.  A rank (-n, --n) runs from 1 to MAX_RANK.  The default output
 format comes from the AHECKE_FORMAT environment variable (text, json, latex).
 
 Each subcommand imports the layers it uses when it runs: the module holds
@@ -20,7 +20,7 @@ import sys
 
 from . import serialize
 from .errors import AffineHeckeError, BadIndex, ParseError, RankMismatch, RankUnsupported
-from .hecke import KLLabel
+from .hecke import KLLabel, form
 from .pairing import Y_EXPONENT_LIMIT, Y_INVERSE_LIMIT, graded_hom_rank, y_class
 
 _USAGE_ERRORS = (ParseError, BadIndex)
@@ -214,8 +214,6 @@ def _value(args):
         value = _algebra(args.expression, args.n)
         return value.reduce_rho_squared() if args.mod_rho2 else value
     if args.command == "pair":
-        from .hecke import form
-
         return form(_algebra(args.left, args.n), _algebra(args.right, args.n))
     if args.command == "psi":
         from .parabolic import ParabolicContext, psi, psi_L, psi_R
@@ -285,7 +283,12 @@ def main(argv=None):
     set_limit = getattr(sys, "set_int_max_str_digits", lambda _: None)
     set_limit(0)
     try:
-        return _run(parser.parse_args(argv))
+        code = _run(parser.parse_args(argv))
+        sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader closed stdout: stop quietly, with a shell's SIGPIPE status
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -297,10 +300,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    try:
-        code = main()
-        sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
-    except BrokenPipeError:  # the reader closed stdout: stop quietly, with a shell's SIGPIPE status
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 141
-    sys.exit(code)
+    sys.exit(main())

@@ -88,9 +88,6 @@ class LaurentPoly:
         """(exponent, coefficient) pairs of the nonzero terms, by exponent."""
         return sorted(self._dict().items())
 
-    def coefficient(self, e):
-        return self._dict().get(e, 0)
-
     @property
     def is_zero(self):
         return not self._h
@@ -264,14 +261,6 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({dict(self.items())!r})"
-
-    def to_json(self):
-        return {str(e): v for e, v in self.items()}
-
-    @classmethod
-    def from_json(cls, data):
-        from .serialize import laurent_from_json  # the strict reader; it imports this module
-        return laurent_from_json(data)
 
 
 def _digits(n, s):
@@ -489,9 +478,6 @@ class Combination:
             for key, coeff in terms.items():
                 accumulate(t, self._key(key), ZERO + coeff)
         self.terms = t
-
-    def _key(self, key):
-        return key
 
     def _join(self, other):
         if self.n != other.n:

@@ -19,10 +19,10 @@ y_1^-1) read it; the check evaluates one relation per rotation orbit once
 rho rho^-1 = 1 and each rho T_i rho^-1 = T_{i+1} hold.  module_act costs
 the nonzeros: each term's letters act one by one on the vector, a dim x 1
 row form, and laurent.linear sums the terms.  Matrices are dense tuples of
-tuples at the edges: the views t_mats, rho_mat and rho_inv_mat (built on
-first read), the values of t, t_inv, b, word_mat and module_y (built per
-call), the helpers mat_mul, mat_scale and mat_eye, and the elimination of
-mat_det and mat_unit_inverse.
+tuples at the edges, and a module stores none: the views t_mats, rho_mat
+and rho_inv_mat and the values of t, t_inv, b, word_mat and module_y (built
+on each read), the helpers mat_mul, mat_scale and mat_eye, and the
+elimination of mat_det and mat_unit_inverse.
 
 Zelevinsky induction realizes Ind on the basis {T_x (x) m1 (x) m2}, x the
 minimal coset representatives, from their windows alone (_moves, cached
@@ -36,7 +36,7 @@ and is psi_L(rho) or psi_R(rho^-1) at the one other x with no usable descent.
 from __future__ import annotations
 
 import math
-from functools import cache, cached_property, partial, reduce
+from functools import cache, partial, reduce
 
 from .errors import BadIndex, DimUnsupported, InvalidValue, RankMismatch, Record
 from .hecke import _DESC, WordMemo, defining_relations, inverse_word, rex_word
@@ -167,8 +167,8 @@ class FinDimModule(Record):
     matrices and eliminates rho^-1 when it is not given.  Two modules are
     equal exactly when their matrices are; a module has no hash."""
 
-    # _letters: rho^+-1 and T_0..T_{n-1}; _words: the word memo; __dict__: the dense views
-    __slots__ = ("n", "dim", "_letters", "_words", "__dict__")
+    # _letters: rho^+-1 and T_0..T_{n-1}; _words: the word memo
+    __slots__ = ("n", "dim", "_letters", "_words")
     __hash__ = None
 
     def __init__(self, n, dim, t_mats, rho_mat, rho_inv_mat=None):
@@ -211,10 +211,10 @@ class FinDimModule(Record):
     def __reduce__(self):
         return FinDimModule, (self.n, self.dim, self.t_mats, self.rho_mat, self.rho_inv_mat)
 
-    # the dense views, built on first read; entry i-1 of t_mats is [T_i]
-    t_mats = cached_property(lambda self: tuple(map(self.t, range(1, self.n))))
-    rho_mat = cached_property(lambda self: _dense(self._letters["rho", 1], self.dim))
-    rho_inv_mat = cached_property(lambda self: _dense(self._letters["rho", -1], self.dim))
+    # the dense views, built on each read; entry i-1 of t_mats is [T_i]
+    t_mats = property(lambda self: tuple(map(self.t, range(1, self.n))))
+    rho_mat = property(lambda self: _dense(self._letters["rho", 1], self.dim))
+    rho_inv_mat = property(lambda self: _dense(self._letters["rho", -1], self.dim))
 
     def t(self, i):
         """Matrix of T_i for i in the affine index set 0..n-1 (none for n = 1)."""

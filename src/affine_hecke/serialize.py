@@ -8,7 +8,8 @@ atoms.  Text and LaTeX spell the atoms (``rho*T1*T0`` or
 JSON writes the keys of the same ordered terms.  Text re-parses through the
 expression parser, a KL map at rank 2.  A module prints its generator
 matrices, each zero entry as the constant 0 or {} with nothing decoded, and
-a tuple its entries.  JSON schemas:
+a tuple its entries.  This is the one module that writes or reads JSON; it
+spells every schema itself:
 
     LaurentPoly   {"<exp>": <int>, ...}
     AffinePerm    {"n": 2, "window": [0, 3]}
@@ -198,23 +199,25 @@ def to_latex(value):
 # JSON
 
 def to_json(value):
-    if isinstance(value, (LaurentPoly, AffinePerm)):
-        return value.to_json()
+    if isinstance(value, LaurentPoly):
+        return {str(e): v for e, v in value.items()}
+    if isinstance(value, AffinePerm):
+        return {"n": value.n, "window": list(value.window)}
     if is_loaded_instance(value, "modules", "FinDimModule"):
-        gens = {name: [[e.to_json() if e else {} for e in row] for row in mat] for name, mat in _module_gens(value)}
+        gens = {name: [[to_json(e) if e else {} for e in row] for row in mat] for name, mat in _module_gens(value)}
         return {"n": value.n, "dim": value.dim, "gens": gens}
     if isinstance(value, tuple):
         return [to_json(v) for v in value]
     terms = _terms(value, "JSON")
     if is_loaded_instance(value, "example_n2", "UVec"):
-        return {"N": value.n, "coeffs": {_atom("u", key, False): coeff.to_json() for key, coeff, _ in terms}}
+        return {"N": value.n, "coeffs": {_atom("u", key, False): to_json(coeff) for key, coeff, _ in terms}}
     if isinstance(value, HeckeElt):
         head, fields = {"n": value.n, "basis": "standard"}, lambda perm: {"window": list(perm.window)}
     elif is_loaded_instance(value, "bernstein", "BernsteinElt"):
         head, fields = {"n": value.n}, lambda key: {"perm": list(key[0].window), "lambda": list(key[1])}
     else:
         head, fields = {"n": 2, "basis": "kl"}, lambda label: {"label": {"m": label.m, "word": list(label.word)}}
-    return {**head, "terms": [{**fields(key), "coeff": coeff.to_json()} for key, coeff, _ in terms]}
+    return {**head, "terms": [{**fields(key), "coeff": to_json(coeff)} for key, coeff, _ in terms]}
 
 
 def _reader(read):

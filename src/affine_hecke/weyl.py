@@ -82,14 +82,6 @@ class AffinePerm(Interned, Record):
             rev.append(i)
         return ReducedExpr(m, tuple(reversed(rev)))
 
-    def to_json(self):
-        return {"n": self.n, "window": list(self.window)}
-
-    @classmethod
-    def from_json(cls, data):
-        from .serialize import perm_from_json  # the strict reader; it imports this module
-        return perm_from_json(data)
-
 
 class ReducedExpr(Record):
     __slots__ = ("m", "word")

@@ -170,6 +170,12 @@ def test_sum_rank_mismatch():
         BernsteinElt.one(2) + BernsteinElt.one(3)
 
 
+@pytest.mark.parametrize("perm, lam", [(identity(3), (0, 0)), (identity(2), (0, 0, 0))], ids=["perm", "lambda"])
+def test_term_of_the_wrong_rank_is_a_rank_mismatch(perm, lam):
+    with pytest.raises(RankMismatch, match="term of wrong rank in rank-2 element"):
+        BernsteinElt(2, {(perm, lam): ONE})
+
+
 @pytest.mark.parametrize("c", range(-8, 9))
 def test_correction_terms_match_exact_division(c):
     # the listed terms are those of (z^c - 1)/(z - 1) by exact division,

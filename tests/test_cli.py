@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affine_hecke import checks
 from affine_hecke.cli import MAX_RANK, _parse_kl_label, main
 from affine_hecke.expr import MAX_NESTING, eval_algebra, parse
 from affine_hecke.pairing import Y_INVERSE_LIMIT, y_class
@@ -98,6 +100,24 @@ def test_closed_pipe_ends_the_script_without_a_traceback():
     assert "Traceback" not in err and "Error" not in err, err
 
 
+def test_console_script_ends_quietly_on_a_closed_pipe():
+    # the installed script runs sys.exit(entry()) for the entry pyproject.toml names
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml")) as f:
+        module, entry = re.search(r'^ahecke = "([\w.]+):(\w+)"$', f.read(), re.M).groups()
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")]))}
+    script = f"import sys; from {module} import {entry}; sys.exit({entry}())"
+    argv = ["induce", "--n", "10", "--k", "5", "--left", "trivial:5", "--right", "trivial:5", "--format", "json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    assert len(proc.stdout.read(20)) == 20
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err, err
+
+
 @pytest.mark.parametrize(
     "text, positive",
     [
@@ -181,6 +201,19 @@ def test_pi_uw(capsys):
     code, out, _ = run(capsys, "pi-uw", "u1")
     assert code == 0
     assert out == "(q, 1)"
+
+
+def test_scalars_where_a_module_vector_is_expected_exit_2(capsys):
+    assert run(capsys, "act", "b1", "q") == (2, "", "error: expected a module vector, got a scalar")
+    assert run(capsys, "act", "b1", "u0 + 1") == (2, "", "error: cannot add a scalar to a module vector")
+
+
+def test_vector_times_scalar_is_scalar_times_vector(capsys):
+    assert run(capsys, "pi-uw", "u1*q") == run(capsys, "pi-uw", "q*u1") == (0, "(q^2, q)", "")
+
+
+def test_trailing_whitespace_parses(capsys):
+    assert run(capsys, "eval", "-n", "2", "T1 + q   ") == (0, "q + T1", "")
 
 
 @pytest.mark.parametrize("atom", ["rho", "T1", "b1", "bs(1)", "y1"])
@@ -381,6 +414,16 @@ def test_check_single_criterion(capsys):
     code, out, _ = run(capsys, "check", "--criteria", "1")
     assert code == 0
     assert "criterion  1" in out and "PASS" in out
+
+
+def test_check_reports_an_exceeded_budget(capsys, monkeypatch):
+    name, fn, _ = checks.CRITERIA[1]
+    monkeypatch.setitem(checks.CRITERIA, 1, (name, fn, 0))
+    code, out, _ = run(capsys, "check", "--criteria", "1")
+    first, last = out.splitlines()
+    assert code == 1
+    assert first.startswith("[FAIL] criterion  1 (") and first.endswith(f"{name} [exceeded 0s budget]")
+    assert last == "0/1 criteria passed"
 
 
 def test_format_env_default(capsys, monkeypatch):

@@ -27,7 +27,7 @@ from affine_hecke.hecke import (
 from affine_hecke.laurent import ONE, Q, QINV, LaurentPoly
 from affine_hecke.modules import induce, trivial_module
 from affine_hecke.parabolic import bernstein_y
-from affine_hecke.weyl import AffinePerm
+from affine_hecke.weyl import AffinePerm, rho, simple
 
 
 def ev(src, n=2):
@@ -150,6 +150,12 @@ def test_algebra_atoms_are_not_module_vectors(atom, name):
     for text in (atom, f"u0 + q*{atom}", f"{atom}^2"):
         with pytest.raises(BadIndex, match=f"^{name} atoms are algebra elements, not module vectors$"):
             expr.eval_uvec(expr.parse(text))
+
+
+def test_module_vector_text_round_trip():
+    tree = expr.parse("u'3 - q*u0")
+    assert expr.to_text(tree) == "u'3 - q*u0"
+    assert expr.parse(expr.to_text(tree)) == tree
 
 
 def test_print_parse_round_trip_manual():
@@ -407,6 +413,23 @@ def test_tuple_snapshots():
     assert serialize.to_text(value) == "(q, 1)"
     assert serialize.to_latex(value) == r"\begin{pmatrix} q \\ 1 \end{pmatrix}"
     assert serialize.to_json(value) == [{"1": 1}, {"0": 1}]
+
+
+@pytest.mark.parametrize(
+    "value, data",
+    [
+        (LaurentPoly({-2: 3, 0: -1, 5: 7}), {"-2": 3, "0": -1, "5": 7}),  # packed
+        (LaurentPoly({0: 2**62, 1: -1}), {"0": 2**62, "1": -1}),  # dict form: a coefficient past 2^62
+        (LaurentPoly({-1: 1, 64: 5}), {"-1": 1, "64": 5}),  # dict form: span 66
+        (LaurentPoly(), {}),
+        (LaurentPoly({-3: -1, -1: 2}), {"-3": -1, "-1": 2}),
+        (AffinePerm(1, (1,)), {"n": 1, "window": [1]}),
+        (rho(3, 2) * simple(3, 1), {"n": 3, "window": [4, 3, 5]}),  # shift 2
+    ],
+    ids=["packed", "big-coefficient", "wide-span", "zero", "negative-exponents", "rank1", "rank3-shifted"],
+)
+def test_json_of_polynomials_and_permutations(value, data):
+    assert serialize.to_json(value) == data
 
 
 def test_bernstein_text_snapshot():

@@ -2,6 +2,7 @@
 import still loads its layer, and each subcommand loads only what it uses."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -83,3 +84,51 @@ def test_the_guard_sees_a_dead_helper():
     user = "from .lib import _shared\n_x = 1\n\n\ndef f(): return _x + _shared\n"
     trees = {"lib": ast.parse(lib), "user": ast.parse(user)}
     assert dead_helpers(trees) == [("lib", 5, "_gone")]
+
+
+def imports_serialize(node):
+    """True for an import statement that binds serialize or a name from it."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[-1] == "serialize" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[-1] == "serialize" or any(alias.name == "serialize" for alias in node.names)
+    return False
+
+
+def json_outside_serialize(trees):
+    """(module, line, name) of each to_json, from_json or *_from_json function
+    or method that a module other than serialize defines, and of each import of
+    serialize in laurent or weyl outside a __str__ method."""
+    out = []
+    for module, tree in trees.items():
+        if module == "serialize":
+            continue
+        functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        out += [(module, f.lineno, f.name) for f in functions if re.fullmatch(r"to_json|(\w+_)?from_json", f.name)]
+        if module in ("laurent", "weyl"):
+            in_str = {id(node) for f in functions if f.name == "__str__" for node in ast.walk(f)}
+            out += [(module, node.lineno, "import serialize") for node in ast.walk(tree) if imports_serialize(node) and id(node) not in in_str]
+    return sorted(out)
+
+
+def test_json_is_written_and_read_in_serialize_alone():
+    # one layer spells every JSON schema, and the ring and the group do not load it to be built
+    assert json_outside_serialize({path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}) == []
+
+
+def test_the_guard_sees_json_outside_serialize():
+    laurent = (
+        "from . import serialize\n\n\nclass P:\n    def __str__(self):\n        from .serialize import to_text\n"
+        "        return to_text(self)\n\n    def to_json(self): return {}\n"
+    )
+    weyl = "def perm_from_json(data):\n    from .serialize import perm_from_json\n    return perm_from_json(data)\n"
+    hecke = "import affine_hecke.serialize\n\n\ndef from_json(data): return data\n"
+    serialize = "def to_json(value): return value\n\n\ndef laurent_from_json(data): return data\n"
+    trees = {name: ast.parse(src) for name, src in [("laurent", laurent), ("weyl", weyl), ("hecke", hecke), ("serialize", serialize)]}
+    assert json_outside_serialize(trees) == [
+        ("hecke", 4, "from_json"),
+        ("laurent", 1, "import serialize"),
+        ("laurent", 9, "to_json"),
+        ("weyl", 1, "perm_from_json"),
+        ("weyl", 2, "import serialize"),
+    ]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affine_hecke.bernstein import BernsteinElt, to_bernstein
-from affine_hecke.errors import BadIndex, DimUnsupported, InvalidValue
+from affine_hecke.errors import BadIndex, DimUnsupported, InvalidValue, RankMismatch
 from affine_hecke.example_n2 import w_module
 from affine_hecke import hecke, modules
 from affine_hecke.hecke import (
@@ -171,6 +171,16 @@ def test_non_square_matrix_is_invalid():
 def test_rank1_has_no_t0():
     with pytest.raises(BadIndex):
         trivial_module(1).t(0)
+
+
+def test_rank_zero_module_is_a_bad_index():
+    with pytest.raises(BadIndex, match="module rank must be at least 1, got 0"):
+        FinDimModule(0, 1, (), ((ONE,),))
+
+
+def test_acting_by_an_element_of_another_rank_is_a_rank_mismatch():
+    with pytest.raises(RankMismatch, match="element rank 3 vs module rank 2"):
+        module_act(w_module(), t_gen(3, 1), (1, 0))
 
 
 def det_oracle(a):
@@ -672,7 +682,7 @@ def test_malformed_module_is_invalid():
 
 
 def test_malformed_module_json_is_invalid():
-    one = ONE.to_json()
+    one = to_json(ONE)
     with pytest.raises(InvalidValue):
         module_from_json({"n": 2, "dim": 1, "gens": {"rho": [[one, one], [one, one]], "T1": [[one]]}})
     with pytest.raises(InvalidValue):
@@ -688,7 +698,7 @@ def test_modules_are_frozen():
         before = getattr(mod, name)
         with pytest.raises(AttributeError, match=name):
             setattr(mod, name, None)
-        assert getattr(mod, name) is before
+        assert getattr(mod, name) == before
 
 
 @pytest.mark.parametrize(

@@ -142,6 +142,11 @@ def test_psi_rank_guard():
         psi_L(ctx, t_gen(3, 1))
 
 
+def test_psi_R_rank_guard():
+    with pytest.raises(BadIndex, match="psi_R source must have rank n-k=1, got 2"):
+        psi_R(ParabolicContext(3, 2), t_gen(2, 1))
+
+
 # ---------------------------------------------------------------------------
 # Bernstein generators
 

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from affine_hecke.errors import BadIndex, RankMismatch, ShiftNonzero
+from affine_hecke.serialize import perm_from_json, to_json
 from affine_hecke.weyl import (
     AffinePerm,
     ReducedExpr,
@@ -58,6 +59,11 @@ def test_compose_examples():
 def test_rank_mismatch():
     with pytest.raises(RankMismatch):
         simple(2, 1) * simple(3, 1)
+
+
+def test_bruhat_order_across_ranks_is_a_rank_mismatch():
+    with pytest.raises(RankMismatch):
+        bruhat_leq(identity(2), identity(3))
 
 
 def test_shift_additive():
@@ -237,14 +243,14 @@ def test_bruhat_rank3_is_the_subword_order():
 
 def test_json_round_trip():
     w = rho(2, 1) * simple(2, 0)
-    assert AffinePerm.from_json(w.to_json()) == w
+    assert perm_from_json(to_json(w)) == w
 
 
 def test_equal_permutations_from_different_routes_share_a_hash():
     for n, m, word in [(2, 1, (0,)), (3, -1, (1, 2, 0)), (4, 2, (3, 1, 0, 2, 1))]:
         by_rex = from_rex(ReducedExpr(m, word), n)
         by_mul = from_rex(ReducedExpr(m, word[:1]), n) * from_rex(ReducedExpr(0, word[1:]), n)
-        by_json = AffinePerm.from_json(by_rex.to_json())
+        by_json = perm_from_json(to_json(by_rex))
         by_keyword = AffinePerm(n=n, window=by_rex.window)
         # one object per value, however it was built or copied
         for same in (by_mul, by_json, by_keyword, pickle.loads(pickle.dumps(by_rex)), copy.copy(by_rex), copy.deepcopy(by_rex)):
