@@ -2,8 +2,8 @@
 
 A module is given by matrices for T_1, ..., T_{n-1}, rho and rho^-1 over
 Z[q,q^-1].  Induced modules build rho^-1 with rho; only a supplied module
-inverts rho, by one fraction-free elimination (its determinant must be a
-unit).
+inverts rho, by one fraction-free elimination on its rows (_gauss_jordan,
+which mat_det shares; its determinant must be a unit).
 
 Matrices are sparse inside this module: the row form of a matrix is a
 tuple of rows {col: LaurentPoly} holding only the nonzero entries, so two
@@ -18,11 +18,11 @@ word_mat, module_y (parabolic.y_word) and induce (the factors' y_n and
 y_1^-1) read it; the check evaluates one relation per rotation orbit once
 rho rho^-1 = 1 and each rho T_i rho^-1 = T_{i+1} hold.  module_act costs
 the nonzeros: each term's letters act one by one on the vector, a dim x 1
-row form, and laurent.linear sums the terms.  Matrices are dense tuples of
-tuples at the edges, and a module stores none: the views t_mats, rho_mat
-and rho_inv_mat and the values of t, t_inv, b, word_mat and module_y (built
-on each read), the helpers mat_mul, mat_scale and mat_eye, and the
-elimination of mat_det and mat_unit_inverse.
+row form, and laurent.linear sums the terms.  Pickling, serialize's JSON
+reader and its printers read and write the stored rows.  Dense tuples of
+tuples are only built on each read, and a module stores none: the views
+t_mats, rho_mat and rho_inv_mat, the values of t, t_inv, b, word_mat and
+module_y, and the helpers mat_mul, mat_scale, mat_eye and mat_det.
 
 Zelevinsky induction realizes Ind on the basis {T_x (x) m1 (x) m2}, x the
 minimal coset representatives, from their windows alone (_moves, cached
@@ -104,51 +104,58 @@ def mat_mul(a, b):
     return _dense(_mul(_rows(a), _rows(b)), len(b[0]))
 
 
-def _eliminate(a):
-    """Fraction-free (Bareiss) Gauss-Jordan elimination on [a | I].
-
-    Returns (det a, adj a), or (ZERO, None) when a is singular; a matrix
-    that is not square raises InvalidValue.  Step k replaces every other
-    row r by (p_k r - r[k] row_k) / p_{k-1}, where p_k is the k-th pivot;
-    each division is exact in Z[q,q^-1] (Bareiss, Math. Comp. 22, 1968).
-    The left block ends as p_n I with p_n = +-det a, the sign coming from
-    the row swaps, so the right block is +-adj a.
+def _gauss_jordan(rows, dim):
+    """(det a, the row form of a^-1, or None when det a is not a unit) from
+    the row form of a square a, by fraction-free (Bareiss) Gauss-Jordan
+    elimination on the rows of [a | I].  Step k takes as pivot row one with a
+    unit entry in column k, divided by that unit, else the sparsest one with
+    an entry there, and replaces every other row r by (p_k r - r[k] row_k) /
+    p_{k-1}, p_k the pivot: each division is exact in Z[q,q^-1] (Bareiss,
+    Math. Comp. 22, 1968), as dividing by a unit only scales a row of a.  A
+    row with no entry in column k changes only with the pivot, so a monomial
+    matrix of units updates no row.  The left block ends as p_n I and the
+    right one as p_n a^-1, p_n being det a over the units divided out and
+    the swap signs.
     """
-    dim = len(a)
-    if any(len(row) != dim for row in a):
-        raise InvalidValue(f"matrix of {dim} rows is not square")
-    rows = [list(row) + [ONE if j == i else ZERO for j in range(dim)] for i, row in enumerate(a)]
-    sign, prev = 1, ONE
+    rows = [{**row, dim + i: ONE} for i, row in enumerate(rows)]
+    prev = unit = ONE  # unit: the units divided out, and the swap signs
     for k in range(dim):
-        p = next((r for r in range(k, dim) if rows[r][k]), None)
+        found = (r for r in range(k, dim) if k in rows[r])
+        p = min(found, key=lambda r: (not rows[r][k].is_unit(), len(rows[r])), default=None)
         if p is None:
             return ZERO, None
         if p != k:
             rows[k], rows[p] = rows[p], rows[k]
-            sign = -sign
+            unit = -unit
+        if rows[k][k].is_unit():
+            unit *= rows[k][k]
+            scale = rows[k][k].unit_inverse()
+            rows[k] = {j: x * scale for j, x in rows[k].items()}
         pivot_row = rows[k]
         pivot = pivot_row[k]
-        for r in range(dim):
-            if r != k:
-                row, f = rows[r], rows[r][k]
-                rows[r] = row[: k + 1] + [
-                    (pivot * x - f * y).exact_div(prev)
-                    for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])
-                ]
+        for r, row in enumerate(rows):
+            f = row.get(k)
+            if r == k or (f is None and pivot == prev):
+                continue
+            acc = {}
+            for j, x in row.items():
+                add_product(acc, j, x, pivot)
+            if f is not None:
+                for j, y in pivot_row.items():
+                    add_product(acc, j, -f, y)
+            rows[r] = {j: x.exact_div(prev) for j, x in sealed(acc).items()}
         prev = pivot
-    return prev * sign, tuple(tuple(x * sign for x in row[dim:]) for row in rows)
+    if not prev.is_unit():
+        return prev * unit, None
+    scale = prev.unit_inverse()
+    return prev * unit, tuple({j - dim: x * scale for j, x in row.items() if j >= dim} for row in rows)
 
 
 def mat_det(a):
-    return _eliminate(a)[0]
-
-
-def mat_unit_inverse(a):
-    """Inverse of a matrix whose determinant is a unit +-q^k."""
-    det, adj = _eliminate(a)
-    if not det.is_unit():
-        raise InvalidValue(f"matrix determinant {det} is not a unit in Z[q,q^-1]")
-    return mat_scale(adj, det.unit_inverse())
+    """Determinant of a dense square matrix, by the elimination that inverts rho."""
+    if any(len(row) != len(a) for row in a):
+        raise InvalidValue(f"matrix of {len(a)} rows is not square")
+    return _gauss_jordan(_rows(a), len(a))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +170,10 @@ def _letter_rows(n, letters, g, e):
 class FinDimModule(Record):
     """Exact module data: the row forms of the letters rho^+-1 and T_i^+-1.
 
-    FinDimModule(n, dim, t_mats, rho_mat, rho_inv_mat=None) takes dense
-    matrices and eliminates rho^-1 when it is not given.  Two modules are
-    equal exactly when their matrices are; a module has no hash."""
+    FinDimModule(n, dim, t_mats, rho_mat, rho_inv_mat=None) checks the shapes
+    of dense matrices and stores their rows as _from_rows does, which inverts
+    rho when rho^-1 is not given.  Two modules are equal exactly when their
+    matrices are; a module has no hash; a copy or pickle carries the rows."""
 
     # _letters: rho^+-1 and T_0..T_{n-1}; _words: the word memo
     __slots__ = ("n", "dim", "_letters", "_words")
@@ -182,16 +190,20 @@ class FinDimModule(Record):
         for name, mat in {**mats, "rho": rho_mat, "rho^-1": rho_inv_mat}.items():
             if mat is not None and (len(mat) != dim or any(len(row) != dim for row in mat)):
                 raise InvalidValue(f"matrix {name} is not {dim}x{dim}")
-        if rho_inv_mat is None:
-            rho_inv_mat = mat_unit_inverse(rho_mat)
-        self._fill(n, dim, tuple(map(_rows, t_mats)), _rows(rho_mat), _rows(rho_inv_mat))
+        rho_inv = None if rho_inv_mat is None else _rows(rho_inv_mat)
+        self._fill(n, dim, tuple(map(_rows, t_mats)), _rows(rho_mat), rho_inv)
 
     @classmethod
-    def _from_rows(cls, n, dim, t_rows, rho, rho_inv):
-        """A module from the row forms of T_1..T_{n-1}, rho and rho^-1, unchecked."""
+    def _from_rows(cls, n, dim, t_rows, rho, rho_inv=None):
+        """A module from the row forms of T_1..T_{n-1}, rho and rho^-1, shapes
+        unchecked; rho^-1 is eliminated from rho when not given."""
         return object.__new__(cls)._fill(n, dim, t_rows, rho, rho_inv)
 
     def _fill(self, n, dim, t_rows, rho, rho_inv):
+        if rho_inv is None:
+            det, rho_inv = _gauss_jordan(rho, dim)
+            if rho_inv is None:
+                raise InvalidValue(f"matrix determinant {det} is not a unit in Z[q,q^-1]")
         letters = {("rho", 1): rho, ("rho", -1): rho_inv}  # (g, e) -> row form of the letter g^e
         letters.update(((i, 1), t) for i, t in enumerate(t_rows, 1))
         # the memo's letters read the dict, not the module, so module and memo form no cycle
@@ -209,7 +221,8 @@ class FinDimModule(Record):
         return (self.n, self.dim, self._letters) == (other.n, other.dim, other._letters)
 
     def __reduce__(self):
-        return FinDimModule, (self.n, self.dim, self.t_mats, self.rho_mat, self.rho_inv_mat)
+        t_rows = tuple(self._letters[i, 1] for i in range(1, self.n))
+        return FinDimModule._from_rows, (self.n, self.dim, t_rows, self._letters["rho", 1], self._letters["rho", -1])
 
     # the dense views, built on each read; entry i-1 of t_mats is [T_i]
     t_mats = property(lambda self: tuple(map(self.t, range(1, self.n))))

@@ -22,6 +22,10 @@ spells every schema itself:
     FinDimModule  {"n": 2, "dim": 2, "gens": {"rho": [[...]], "T1": [[...]]}}
     UVec          {"N": 20, "coeffs": {"u3": {"0": 1}, "u'0": {"-1": 1}}}
 
+to_json leaves every integer a Python int: a caller's json.dumps of one
+past Python's int-string digit limit (4300 digits by default) raises
+Python's own ValueError; ahecke (cli.main) lifts the limit for its call.
+
 The layers of BernsteinElt, UVec and FinDimModule are not imported here:
 a value is recognised as one of them only once its layer is loaded
 (errors.is_loaded_instance), and each JSON reader imports the type it
@@ -83,11 +87,13 @@ def _terms(value, fmt):
     raise TypeError(f"cannot serialize {type(value).__name__} as {fmt}")
 
 
-def _module_gens(module, latex=False):
-    """(name, matrix) of every generator of a module, rho first."""
-    return [(r"\rho" if latex else "rho", module.rho_mat)] + [
-        (f"T_{_sub(i)}" if latex else f"T{i}", mat) for i, mat in enumerate(module.t_mats, 1)
-    ]
+def _module_gens(module, spell, latex=False):
+    """(name, matrix) of every generator of a module, rho first, read from its
+    stored row forms: an entry x is spell(x), a zero entry spell(None)."""
+    letters, cols = module._letters, range(module.dim)
+    names = [(r"\rho" if latex else "rho", ("rho", 1))]
+    names += [(f"T_{_sub(i)}" if latex else f"T{i}", (i, 1)) for i in range(1, module.n)]
+    return [(name, [[spell(row.get(j)) for j in cols] for row in letters[key]]) for name, key in names]
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +180,8 @@ def _render(value, latex):
             return _laurent(value, latex)
         if is_loaded_instance(value, "modules", "FinDimModule"):
             blocks = []
-            for name, mat in _module_gens(value, latex):
-                entries = _matrix([[_laurent(e, latex) if e else "0" for e in row] for row in mat], latex)
+            for name, mat in _module_gens(value, lambda e: _laurent(e, latex) if e else "0", latex):
+                entries = _matrix(mat, latex)
                 blocks.append(f"[{name}] = {entries}" if latex else f"{name} = {entries}")
             return (r", \quad " if latex else "\n").join(blocks)
         if isinstance(value, tuple):
@@ -204,8 +210,7 @@ def to_json(value):
     if isinstance(value, AffinePerm):
         return {"n": value.n, "window": list(value.window)}
     if is_loaded_instance(value, "modules", "FinDimModule"):
-        gens = {name: [[to_json(e) if e else {} for e in row] for row in mat] for name, mat in _module_gens(value)}
-        return {"n": value.n, "dim": value.dim, "gens": gens}
+        return {"n": value.n, "dim": value.dim, "gens": dict(_module_gens(value, lambda e: to_json(e) if e else {}))}
     if isinstance(value, tuple):
         return [to_json(v) for v in value]
     terms = _terms(value, "JSON")
@@ -302,7 +307,7 @@ def bernstein_from_json(data):
 def module_from_json(data):
     from .modules import FinDimModule
 
-    n, dim = _int(data["n"], 1, "rank"), _int(data["dim"])
+    n, dim = _int(data["n"], 1, "rank"), _int(data["dim"], 1, "module dimension")
     gens = data["gens"]
     # for n > len(gens) one of T1 .. T{len(gens)}, rho is missing anyway, so
     # the names stop there and a huge n builds no huge list
@@ -314,11 +319,13 @@ def module_from_json(data):
     if unknown:
         raise InvalidValue(f"module JSON has unknown generator {', '.join(unknown)}")
 
-    def mat(entries):
-        return tuple(tuple(laurent_from_json(e) for e in row) for row in entries)
+    def rows(name):  # an entry {} is skipped unread, one that reads as zero left out
+        mat = gens[name]
+        if len(mat) != dim or any(len(row) != dim for row in mat):
+            raise InvalidValue(f"matrix {name} is not {dim}x{dim}")
+        return tuple({j: x for j, e in enumerate(row) if e != {} and (x := laurent_from_json(e))} for row in mat)
 
-    t_mats = tuple(mat(gens[f"T{i}"]) for i in range(1, n))
-    return FinDimModule(n, dim, t_mats, mat(gens["rho"]))
+    return FinDimModule._from_rows(n, dim, [rows(f"T{i}") for i in range(1, n)], rows("rho"))
 
 
 @_reader

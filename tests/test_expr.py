@@ -133,6 +133,18 @@ def test_printing_integers_past_the_digit_limit_is_invalid(digit_limit):
             printer(value)
 
 
+def test_json_values_hold_integers_past_the_digit_limit(digit_limit):
+    # to_json converts no integer, so json.dumps meets the limit, not to_json;
+    # ahecke lifts it for its call (tests/test_cli.py)
+    big = 7 * 10**5000
+    data = serialize.to_json(LaurentPoly({-1: big, 2: 1}))
+    assert data == {"-1": big, "2": 1} and type(data["-1"]) is int
+    with pytest.raises(ValueError, match="limit"):
+        json.dumps(data)
+    sys.set_int_max_str_digits(0)
+    assert json.loads(json.dumps(data)) == data
+
+
 def test_uvec_mode():
     vec = expr.eval_uvec(expr.parse("u0 + q*u'1"))
     assert vec == UVec.basis(0) + UVec.basis(1, primed=True).scale(Q)

@@ -33,6 +33,7 @@ from affine_hecke.modules import (
     SpecializedModule,
     _dense,
     _mul,
+    _gauss_jordan,
     _rows,
     common_eigenvector_exists,
     induce,
@@ -41,7 +42,6 @@ from affine_hecke.modules import (
     mat_eye,
     mat_mul,
     mat_scale,
-    mat_unit_inverse,
     module_act,
     module_check_relations,
     module_y,
@@ -155,17 +155,81 @@ def test_t_inv_inverts_t_and_rejects_bad_indices():
         trivial_module(1).t_inv(0)
 
 
+def dense_eliminate(a):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination on the dense [a | I],
+    the oracle of modules._gauss_jordan.
+
+    Returns (det a, adj a), or (ZERO, None) when a is singular; a matrix
+    that is not square raises InvalidValue.  Step k replaces every other
+    row r by (p_k r - r[k] row_k) / p_{k-1}, where p_k is the k-th pivot;
+    each division is exact in Z[q,q^-1] (Bareiss, Math. Comp. 22, 1968).
+    The left block ends as p_n I with p_n = +-det a, the sign coming from
+    the row swaps, so the right block is +-adj a.
+    """
+    dim = len(a)
+    if any(len(row) != dim for row in a):
+        raise InvalidValue(f"matrix of {dim} rows is not square")
+    rows = [list(row) + [ONE if j == i else ZERO for j in range(dim)] for i, row in enumerate(a)]
+    sign, prev = 1, ONE
+    for k in range(dim):
+        p = next((r for r in range(k, dim) if rows[r][k]), None)
+        if p is None:
+            return ZERO, None
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for r in range(dim):
+            if r != k:
+                row, f = rows[r], rows[r][k]
+                rows[r] = row[: k + 1] + [
+                    (pivot * x - f * y).exact_div(prev)
+                    for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])
+                ]
+        prev = pivot
+    return prev * sign, tuple(tuple(x * sign for x in row[dim:]) for row in rows)
+
+
+def dense_det(a):
+    return dense_eliminate(a)[0]
+
+
+def dense_unit_inverse(a):
+    """The inverse by dense_eliminate, for a determinant that is a unit +-q^k."""
+    det, adj = dense_eliminate(a)
+    if not det.is_unit():
+        raise InvalidValue(f"matrix determinant {det} is not a unit in Z[q,q^-1]")
+    return mat_scale(adj, det.unit_inverse())
+
+
+def sparse_inverse(a):
+    """The rho^-1 that a rank-1 module eliminates from a supplied rho = a."""
+    return FinDimModule(1, len(a), (), a).rho_inv_mat
+
+
 def test_matrix_inverse_guard():
-    with pytest.raises(ValueError):
-        mat_unit_inverse(((Q + ONE,),))
-    assert mat_unit_inverse(((Q,),)) == ((QINV,),)
+    assert sparse_inverse(((Q,),)) == ((QINV,),)
+    two, three, five = (LaurentPoly.const(c) for c in (2, 3, 5))
+    a = ((two, three), (three, five))  # no entry is a unit, so neither pivot is
+    assert sparse_inverse(a) == dense_unit_inverse(a) == ((five, -three), (-three, two))
+    # singular, and two determinants 1 + q
+    for bad in (((ONE, Q), (QINV, ONE)), ((Q + ONE,),), ((ONE, ZERO), (ZERO, Q + ONE))):
+        for inverse in (sparse_inverse, dense_unit_inverse):
+            with pytest.raises(ValueError, match="not a unit"):
+                inverse(bad)
 
 
 def test_non_square_matrix_is_invalid():
-    with pytest.raises(InvalidValue):
-        mat_det(((ONE,), (ONE,)))
-    with pytest.raises(InvalidValue):
-        mat_unit_inverse(((ONE, ZERO),))
+    for bad in (((ONE,), (ONE,)), ((ONE, ZERO),), ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO))):
+        for inverse in (sparse_inverse, dense_unit_inverse):
+            with pytest.raises(InvalidValue, match=r"not square|is not \dx\d"):
+                inverse(bad)
+    for det in (mat_det, dense_det):
+        with pytest.raises(InvalidValue, match="not square"):
+            det(((ONE,), (ONE,)))
+        with pytest.raises(InvalidValue, match="not square"):
+            det(((ONE, ZERO), (ONE,)))
 
 
 def test_rank1_has_no_t0():
@@ -185,7 +249,7 @@ def test_acting_by_an_element_of_another_rank_is_a_rank_mismatch():
 
 def det_oracle(a):
     """Recursive cofactor expansion along the first row: O(dim!), shares no
-    code with the fraction-free elimination behind mat_det."""
+    code with the fraction-free elimination of dense_eliminate."""
     if len(a) == 1:
         return a[0][0]
     acc = ZERO
@@ -244,19 +308,22 @@ def random_unimodular(rng, dim):
 def test_mat_det_matches_cofactor_oracle(dim):
     rng = random.Random(100 + dim)
     for _ in range(30):
+        # the dense oracle, and mat_det by the sparse elimination
         a = random_matrix(rng, dim)
-        assert mat_det(a) == det_oracle(a), a
+        assert dense_det(a) == mat_det(a) == det_oracle(a), a
         singular = random_singular(rng, dim)
-        assert mat_det(singular) == det_oracle(singular) == ZERO, singular
+        assert dense_det(singular) == mat_det(singular) == det_oracle(singular) == ZERO, singular
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
 def test_mat_unit_inverse_on_unit_determinants(dim):
+    # the sparse elimination against the dense oracle
     rng = random.Random(200 + dim)
     for _ in range(15):
         a = random_unimodular(rng, dim)
         assert det_oracle(a).is_unit()
-        inv = mat_unit_inverse(a)
+        inv = sparse_inverse(a)
+        assert inv == dense_unit_inverse(a), a
         assert mat_mul(a, inv) == mat_eye(dim)
         assert mat_mul(inv, a) == mat_eye(dim)
         # scaling one row by a non-unit makes the determinant a non-unit
@@ -264,10 +331,10 @@ def test_mat_unit_inverse_on_unit_determinants(dim):
         scaled = tuple(
             tuple(x * (Q + ONE) for x in row) if i == r else row for i, row in enumerate(a)
         )
-        with pytest.raises(InvalidValue):
-            mat_unit_inverse(scaled)
-        with pytest.raises(InvalidValue):
-            mat_unit_inverse(random_singular(rng, dim))
+        for bad in (scaled, random_singular(rng, dim)):
+            for inverse in (sparse_inverse, dense_unit_inverse):
+                with pytest.raises(InvalidValue, match="not a unit"):
+                    inverse(bad)
 
 
 def expected_w():
@@ -539,8 +606,21 @@ PLAN_INVERSE_PAIRS = {
 @pytest.mark.parametrize("case", PLAN_INVERSE_PAIRS)
 def test_plan_rho_inverse_matches_elimination(case):
     mod = induce(*PLAN_INVERSE_PAIRS[case]())
-    assert mod.rho_inv_mat == mat_unit_inverse(mod.rho_mat)
+    assert mod._letters["rho", -1] == _gauss_jordan(mod._letters["rho", 1], mod.dim)[1]
+    assert mod.rho_inv_mat == dense_unit_inverse(mod.rho_mat)
     assert all_pass(module_check_relations(mod))
+
+
+@pytest.mark.parametrize("case", ["4-4", "W-q2", "(-q^-1)-W"])
+def test_monomial_rho_inverts_with_no_row_update(case, monkeypatch):
+    # an induced rho has one unit entry per row and column (1, q^2 or -q^-1
+    # here), so each pivot is a unit, divided out, and no other row has an
+    # entry in its column
+    mod = induce(*{**PLAN_INVERSE_PAIRS, "4-4": LARGE_INDUCED["4-4"][0]}[case]())
+    calls = []
+    monkeypatch.setattr(modules, "add_product", lambda *args: calls.append(args))
+    det, inverse = _gauss_jordan(mod._letters["rho", 1], mod.dim)
+    assert det.is_unit() and inverse == mod._letters["rho", -1] and not calls
 
 
 def straightened_induce(m1, m2):
@@ -658,6 +738,12 @@ OUTPUT_DIGESTS = {
         "7c43633b60af9ffb9d40acb8532c2ae99203ab08935679447e3eba81531e6458",
         "20f84331179e7cee808e29067c548783c33d042614841e1b24b66f6a2887f856",
     ),
+    "WW-W": (
+        lambda: (induce(w_module(), w_module()), w_module()),
+        "6346e1d6d63dfdca0c3c95e9ae54f944c84a00a3024388a8ff11ec3257e74b3b",
+        "61f8604d0a436055585b076c08a51aa192bab6fdf23d0dd60139f0e25701f9f3",
+        "3289051b6502bc0944a0c1e4cc2002a3234b45dc89c5ef7a766cb1918fd112be",
+    ),
 }
 
 
@@ -685,11 +771,35 @@ def test_malformed_module_json_is_invalid():
     one = to_json(ONE)
     with pytest.raises(InvalidValue):
         module_from_json({"n": 2, "dim": 1, "gens": {"rho": [[one, one], [one, one]], "T1": [[one]]}})
-    with pytest.raises(InvalidValue):
+    with pytest.raises(InvalidValue, match="lacks generator T2"):
         module_from_json({"n": 3, "dim": 1, "gens": {"rho": [[one]], "T1": [[one]]}})
     extra = {"rho": [[{"0": 1}]], "T1": [[{"-1": 1}]], "T2": [[{"0": 1}]], "rho^-1": [[{"5": 1}]]}
     with pytest.raises(InvalidValue, match=r"T2.*rho\^-1"):
         module_from_json({"n": 2, "dim": 1, "gens": extra})
+    # W, whose rho and T1 have zero entries: a zero written {"0": 0} reads as {}
+    w = to_json(w_module())
+    spelled = json.loads(json.dumps(w).replace("{}", '{"0": 0}'))
+    assert spelled != w and module_from_json(spelled) == module_from_json(w) == w_module()
+    assert module_from_json(spelled)._letters == w_module()._letters
+
+    def with_rho(rho, dim=2):
+        return {**w, "dim": dim, "gens": {**w["gens"], "rho": rho}}
+
+    for bad in (0, None, []):
+        with pytest.raises(InvalidValue, match="malformed JSON"):
+            module_from_json(with_rho([[bad, one], [one, {}]]))
+    for rho in ([[one, {}], [{}]], [[{}, one], [one, {}], [one, {}]], [[{}, one]]):  # ragged, 3 rows, 1 row
+        with pytest.raises(InvalidValue, match="matrix rho is not 2x2"):
+            module_from_json(with_rho(rho))
+    with pytest.raises(InvalidValue, match="module dimension must be at least 1"):
+        module_from_json(with_rho([], 0))
+    with pytest.raises(InvalidValue, match="lacks generator rho"):
+        module_from_json({**w, "gens": {"T1": w["gens"]["T1"]}})
+    with pytest.raises(InvalidValue, match="unknown generator T0"):
+        module_from_json({**w, "gens": {**w["gens"], "T0": w["gens"]["T1"]}})
+    with pytest.raises(InvalidValue, match="not a unit"):
+        module_from_json(with_rho([[one, one], [one, one]]))
+
 
 
 def test_modules_are_frozen():
@@ -706,17 +816,19 @@ def test_modules_are_frozen():
     [
         lambda: induce(trivial_module(1), trivial_module(1)),
         lambda: induce(induce(trivial_module(1), rank1(2)), trivial_module(2)),
+        lambda: induce(trivial_module(5), trivial_module(5)),
+        lambda: induce(induce(w_module(), w_module()), w_module()),
     ],
-    ids=["W", "Ind(triv1,q^2)-triv2"],
+    ids=["W", "Ind(triv1,q^2)-triv2", "5-5", "WW-W"],
 )
 def test_module_equality_is_matrix_equality(build):
     mod = build()
     # the JSON reader eliminates rho^-1; induce takes it from its plan; the
     # words a check and module_y fold on one side are not part of ==
-    back = module_from_json(to_json(mod))
+    back = module_from_json(json.loads(json.dumps(to_json(mod))))
     assert all_pass(module_check_relations(mod))
     assert all(module_y(mod, i) for i in range(1, mod.n + 1))
-    assert back == mod and back.rho_inv_mat == mod.rho_inv_mat
+    assert back == mod and back._letters["rho", -1] == mod._letters["rho", -1]
     t1 = [list(row) for row in mod.t_mats[0]]
     t1[0][0] = t1[0][0] + Q
     changed = FinDimModule(mod.n, mod.dim, (tuple(map(tuple, t1)), *mod.t_mats[1:]), mod.rho_mat)

@@ -18,8 +18,8 @@ import pytest
 import affine_hecke
 from affine_hecke import checks, expr, hecke, modules, pairing, parabolic, weyl
 from affine_hecke.errors import BadIndex, Interned, InvalidValue, Record
-from affine_hecke.laurent import Q, ONE
-from affine_hecke.modules import FinDimModule, induce, trivial_module
+from affine_hecke.laurent import Q, QINV, ONE, ZERO
+from affine_hecke.modules import FinDimModule, induce, mat_eye, one_dimensional, trivial_module
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -294,6 +294,30 @@ def test_modules_are_unhashable_records():
     assert mod != trivial_module(2)
     copy = pickle.loads(pickle.dumps(mod))
     assert copy == mod and copy.rho_mat == mod.rho_mat
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: induce(trivial_module(4), trivial_module(4)),
+        lambda: one_dimensional(3, -Q, Q * Q),
+        lambda: FinDimModule(2, 2, (((QINV, ZERO), (ZERO, -Q)),), mat_eye(2)),  # criterion 10's control
+    ],
+    ids=["induced-dim-70", "one-dimensional", "reducible-2x2"],
+)
+def test_modules_pickle_and_copy_through_their_rows(build, monkeypatch):
+    mod = build()
+
+    def forbidden(*args):
+        raise AssertionError("a copy built a dense matrix or ran the elimination")
+
+    # a copy carries the stored rows: no dense matrix and no elimination
+    monkeypatch.setattr(modules, "_dense", forbidden)
+    monkeypatch.setattr(modules, "_gauss_jordan", forbidden)
+    for same in (pickle.loads(pickle.dumps(mod)), copy.copy(mod), copy.deepcopy(mod)):
+        assert same == mod
+        assert all(same._letters[key] == rows for key, rows in mod._letters.items())
+        assert same._letters.keys() == mod._letters.keys()
 
 
 def test_check_result_is_a_plain_mutable_class():
